@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import conditions
-from .discovery import TupleShape, language_symbols, test_conjecture
+from .discovery import ENUM_ATOM_LIMIT, TupleShape, language_symbols, test_conjecture
 from .errors import ParseError, TooManyAtomsError
 from .oracle import SE_ATOM_LIMIT, countermodel_json, strongly_equivalent
 from .semantics import ANSWER_SET_ATOM_LIMIT, answer_sets
@@ -45,12 +45,19 @@ CONDITIONS: dict[str, tuple[TupleShape, object, bool]] = {
 def _load_program(path: str, symbols: Symbols) -> Program:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(_usage_error(f"cannot read {path}: {exc}"))
     try:
         return parse_program(text, symbols)
     except ParseError as exc:
         raise SystemExit(_usage_error(f"{path}:{exc}"))
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(_usage_error(f"cannot write {path}: {exc}"))
 
 
 def _usage_error(message: str) -> int:
@@ -120,7 +127,7 @@ def cmd_simplify(args: argparse.Namespace) -> int:
     simplified, trace = simplify(program)
     text = format_program(simplified, symbols)
     if args.trace:
-        Path(args.trace).write_text(trace.json_lines(symbols), encoding="utf-8")
+        _write_text(args.trace, trace.json_lines(symbols))
     verified: bool | None = None
     if args.verify:
         try:
@@ -128,7 +135,7 @@ def cmd_simplify(args: argparse.Namespace) -> int:
         except TooManyAtomsError as exc:
             return _guard_error(str(exc))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(args.out, text)
     if args.json:
         rules = [line for line in text.splitlines() if line]
         print(json.dumps({"rules": rules, "verified": verified, "steps": len(trace.steps)}))
@@ -156,7 +163,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"condition {args.condition} is for shape "
             f"{expected_shape.k},{expected_shape.m},{expected_shape.n}, not {args.shape}"
         )
-    limit = args.max_atoms if args.max_atoms is not None else 7
+    if args.atoms < 0:
+        return _usage_error(f"--atoms must be at least 0, not {args.atoms}")
+    if args.jobs < 1:
+        return _usage_error(f"--jobs must be at least 1, not {args.jobs}")
+    limit = args.max_atoms if args.max_atoms is not None else ENUM_ATOM_LIMIT
+    if args.atoms > limit:  # before the tuple count, which grows as 8^(atoms * length)
+        return _guard_error(str(TooManyAtomsError("rule enumeration", args.atoms, limit)))
     rule_count = (
         4**args.atoms - 1 if args.canonical else 2 ** (3 * args.atoms) - 1
     )
@@ -180,7 +193,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _guard_error(str(exc))
     payload = report.to_json(language_symbols(args.atoms))
     if args.report:
-        Path(args.report).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        _write_text(args.report, json.dumps(payload, indent=2) + "\n")
     if args.json:
         print(json.dumps(payload))
     else:

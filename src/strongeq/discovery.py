@@ -7,6 +7,12 @@ bitmasks over all 3^a valuation pairs, so the oracle verdict for a tuple
 is a handful of mask ANDs; the condition is invoked as-is, keeping the
 two routes independent.
 
+A rule's mask is the oracle kernel's `here_mask` for each y over the
+language, concatenated: the slices follow y in `subsets_of` order, the
+slice for y takes 2^|y| bits, and within it bit i stands for the x whose
+atoms' ranks within y are the set bits of i.  The harness only ANDs and
+compares masks, so any fixed layout of the pairs would do.
+
 Work can be split across processes by chunking the outermost rule index
 into contiguous ranges; partial reports merge in range order, so results
 are identical for any job count.
@@ -21,7 +27,7 @@ from multiprocessing import Pool
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import TooManyAtomsError
-from .oracle import _delta
+from .oracle import here_basis, here_mask
 from .syntax import Rule, Symbols, format_rule, iso_canonical_form, subsets_of
 
 ENUM_ATOM_LIMIT = 7
@@ -142,22 +148,38 @@ def enumerate_tuples(
         yield tup
 
 
-def ht_pair_masks(atom_count: int) -> tuple[tuple[int, int], ...]:
-    """All (x, y) valuation pairs over the enumeration language, in the
-    oracle's deterministic order."""
+def ht_pair_masks(atom_count: int) -> tuple[tuple[int, int, tuple], ...]:
+    """The mask layout over the enumeration language: one (offset, y,
+    basis) slice per y, in the oracle's y order, covering 3^a bits."""
     lang = (1 << atom_count) - 1
-    return tuple((x, y) for y in subsets_of(lang) for x in subsets_of(y))
+    layout = []
+    offset = 0
+    for y in subsets_of(lang):
+        layout.append((offset, y, here_basis(y)))
+        offset += 1 << y.bit_count()
+    return tuple(layout)
 
 
-def rule_mask(r: Rule, pairs: tuple[tuple[int, int], ...]) -> int:
-    """Bitmask with bit i set iff the rule's translation holds on pairs[i].
-    A program's two-world models are the AND of its rules' masks, and two
-    programs are strongly equivalent iff those ANDs are equal."""
+def rule_mask(r: Rule, layout: tuple[tuple[int, int, tuple], ...]) -> int:
+    """Bitmask with one bit per (x, y) pair of the layout, set iff the
+    rule's translation holds there.  A program's two-world models are the
+    AND of its rules' masks, and two programs are strongly equivalent iff
+    those ANDs are equal."""
+    rules = (r,)
     m = 0
-    for i, (x, y) in enumerate(pairs):
-        if _delta(r, x, y):
-            m |= 1 << i
+    for offset, y, basis in layout:
+        m |= here_mask(rules, y, basis) << offset
     return m
+
+
+def _language_masks(
+    atom_count: int, canonical_only: bool, max_atoms: int
+) -> tuple[list[Rule], list[int], int]:
+    """Enumerated rules, their masks, and the all-ones mask over 3^a pairs."""
+    rules = list(enumerate_rules(atom_count, canonical_only, max_atoms))
+    layout = ht_pair_masks(atom_count)
+    masks = [rule_mask(r, layout) for r in rules]
+    return rules, masks, (1 << 3**atom_count) - 1
 
 
 def _split_ranges(size: int, parts: int) -> list[tuple[int, int]]:
@@ -251,10 +273,7 @@ def test_conjecture(
     function); each worker owns a contiguous range of the outermost index.
     """
     started = time.perf_counter()
-    rules = list(enumerate_rules(atom_count, canonical_only, max_atoms))
-    pairs = ht_pair_masks(atom_count)
-    masks = [rule_mask(r, pairs) for r in rules]
-    full = (1 << len(pairs)) - 1
+    rules, masks, full = _language_masks(atom_count, canonical_only, max_atoms)
     shape_tuple = (shape.k, shape.m, shape.n)
     ranges = _split_ranges(len(rules), job_count)
     args = [
@@ -292,6 +311,10 @@ def test_conjecture(
 test_conjecture.__test__ = False  # keep pytest from collecting the API name
 
 
+def _never(*_rules: Rule) -> bool:
+    return False
+
+
 def discover_positive_tuples(
     shape: TupleShape,
     atom_count: int,
@@ -299,19 +322,14 @@ def discover_positive_tuples(
     modulo_iso: bool = False,
     max_atoms: int = ENUM_ATOM_LIMIT,
 ) -> Iterator[tuple[Rule, ...]]:
-    """Yield exactly the tuples whose oracle verdict is positive: the raw
-    material for conjecturing new conditions."""
-    rules = list(enumerate_rules(atom_count, canonical_only, max_atoms))
-    pairs = ht_pair_masks(atom_count)
-    masks = {r: rule_mask(r, pairs) for r in rules}
-    full = (1 << len(pairs)) - 1
-    k, m, _n = shape.k, shape.m, shape.n
-    for tup in enumerate_tuples(shape, atom_count, canonical_only, modulo_iso, max_atoms):
-        ma = mb = full
-        for depth, rule in enumerate(tup):
-            if depth < k + m:
-                ma &= masks[rule]
-            if depth < k or depth >= k + m:
-                mb &= masks[rule]
-        if ma == mb:
-            yield tup
+    """Yield exactly the tuples whose oracle verdict is positive, in
+    enumeration order: the raw material for conjecturing new conditions."""
+    rules, masks, full = _language_masks(atom_count, canonical_only, max_atoms)
+    # Against a condition that never holds, the mismatches are exactly the
+    # oracle-positive tuples; the cap is the tuple count, so none is cut.
+    *_counts, positives = _scan_range(
+        (shape.k, shape.m, shape.n), rules, masks, _never, full,
+        0, len(rules), modulo_iso, len(rules) ** shape.length,
+    )
+    for mm in positives:
+        yield mm.rules

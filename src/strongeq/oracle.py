@@ -5,8 +5,19 @@ x plays the unprimed world, y the primed one.  Each rule contributes two
 implications; two programs are strongly equivalent iff their rule
 conjunctions agree on every pair over the union language.  Assignments
 with x not within y never separate programs, so only the 3^|L| ordered
-pairs are enumerated, and the first disagreeing pair is returned as a
+pairs are examined, and the first disagreeing pair is returned as a
 directly meaningful countermodel.
+
+One kernel evaluates that semantics for the whole package.  For a fixed
+y, `here_mask` returns the 2^|y|-bit mask of the x subset y on which a
+rule list holds: bit i stands for the x whose atoms' ranks within y are
+the set bits of i.  Each rule costs a few big-int operations per literal
+against a per-y basis of atom masks (`here_basis`), built once and shared
+by every rule.  Comparing two programs is one XOR per y, walked in the
+countermodel order with early exit: a decision costs up to 2^n slices of
+at most 2^n bits each, and only the current y's masks are alive.
+`delta_holds` and `ht_pairs` evaluate the same semantics pair by pair
+and are the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TooManyAtomsError
-from .syntax import Program, Rule, Symbols, subsets_of
+from .syntax import Program, Rule, Symbols, bits_of, subsets_of
 
 SE_ATOM_LIMIT = 24
 
@@ -64,8 +75,45 @@ def ht_pairs(lang: int):
             yield HTPair(x, y)
 
 
-def holds_for_program(p: Program, pair: HTPair) -> bool:
-    return all(_delta(r, pair.x, pair.y) for r in p.rules)
+def here_basis(y: int) -> tuple[int, dict[int, int]]:
+    """The all-ones mask over the 2^|y| subsets x of y, and for each atom
+    id in y the mask of the x that contain it."""
+    full, width = 1, 1
+    masks: list[int] = []
+    for _ in range(y.bit_count()):
+        masks = [m | m << width for m in masks]
+        masks.append(full << width)
+        full |= full << width
+        width <<= 1
+    return full, dict(zip(bits_of(y), masks))
+
+
+def here_mask(rules: tuple[Rule, ...], y: int, basis: tuple[int, dict[int, int]]) -> int:
+    """Mask of the x subset y (bit layout of `here_basis(y)`) for which
+    every rule holds on (x, y)."""
+    full, atom = basis
+    m = full
+    for r in rules:
+        if r.ng & y or r.ps & ~y:
+            continue  # both implications hold vacuously
+        hd = r.hd & y
+        if not hd:
+            return 0  # the primed implication fails, whatever x is
+        body = full
+        for a in bits_of(r.ps):
+            body &= atom[a]
+        head = 0
+        for a in bits_of(hd):
+            head |= atom[a]
+        m &= (full ^ body) | head
+    return m
+
+
+def _first_x(diff: int, y: int) -> int:
+    """The first x in subsets_of(y) order whose bit is set in diff."""
+    ranks = (1 << y.bit_count()) - 1
+    digits = format(diff, "b").zfill(ranks + 1)[::-1]  # digits[i] is bit i
+    return next(x for x, i in zip(subsets_of(y), subsets_of(ranks)) if digits[i] == "1")
 
 
 def strongly_equivalent(
@@ -82,11 +130,10 @@ def strongly_equivalent(
         raise TooManyAtomsError("strongly_equivalent", n, max_atoms)
     r1, r2 = p1.rules, p2.rules
     for y in subsets_of(lang):
-        for x in subsets_of(y):
-            v1 = all(_delta(r, x, y) for r in r1)
-            v2 = all(_delta(r, x, y) for r in r2)
-            if v1 != v2:
-                return SEVerdict(False, HTPair(x, y))
+        basis = here_basis(y)
+        diff = here_mask(r1, y, basis) ^ here_mask(r2, y, basis)
+        if diff:
+            return SEVerdict(False, HTPair(_first_x(diff, y), y))
     return SEVerdict(True)
 
 

@@ -1,13 +1,17 @@
 """Stable-model semantics by brute force.
 
-Interpretations are atom-set bitmasks.  Everything here is an oracle for
-the rest of the package: candidate sets are enumerated outright and
-minimality is re-checked against all subsets, so keep inputs desk-sized.
+Interpretations are atom-set bitmasks.  `answer_sets` reads them off the
+two-world kernel of the oracle: y is an answer set iff (y, y) is the only
+here-and-there model with world y (an equilibrium model), so each of the
+2^n candidates costs one `here_mask` over its 2^|y| subsets.  The
+Gelfond-Lifschitz route (`reduct`, `is_answer_set`) is kept as the
+independent reference that the kernel is tested against.
 """
 
 from __future__ import annotations
 
 from .errors import TooManyAtomsError
+from .oracle import here_basis, here_mask
 from .syntax import Program, Rule, subsets_of
 
 ANSWER_SET_ATOM_LIMIT = 20
@@ -56,7 +60,13 @@ def answer_sets(p: Program, max_atoms: int = ANSWER_SET_ATOM_LIMIT) -> tuple[int
     n = lang.bit_count()
     if n > max_atoms:
         raise TooManyAtomsError("answer_sets", n, max_atoms)
-    return tuple(x for x in subsets_of(lang) if is_answer_set(p, x))
+    rules = p.rules
+    # x = y is bit 2^|y| - 1 of the kernel mask; it must be the only one set
+    return tuple(
+        y
+        for y in subsets_of(lang)
+        if here_mask(rules, y, here_basis(y)) == 1 << ((1 << y.bit_count()) - 1)
+    )
 
 
 def equivalent(p1: Program, p2: Program, max_atoms: int = ANSWER_SET_ATOM_LIMIT) -> bool:

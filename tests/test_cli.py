@@ -174,6 +174,11 @@ class TestVerifyCommand:
         assert code == 2
         assert "--allow-long" in capsys.readouterr().err
 
+    def test_atom_guard_exits_3_before_counting_tuples(self, capsys):
+        code = main(["verify", "--shape", "0,1,0", "--atoms", "5000", "--condition", "cond_0_1_0"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: rule enumeration: 5000 atoms")
+
     def test_json_report_on_stdout(self, capsys):
         code = main(
             ["verify", "--shape", "0,1,0", "--atoms", "2", "--condition", "cond_0_1_0", "--json"]
@@ -187,6 +192,36 @@ class TestVerifyCommand:
 class TestUsage:
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["answersets", "{latin1}"],
+            ["verify", "--shape", "0,1,0", "--atoms", "-1", "--condition", "cond_0_1_0"],
+            ["simplify", "{program}", "--out", "{missing}/out.lp"],
+            ["simplify", "{program}", "--trace", "{missing}/trace.jsonl"],
+            ["verify", "--shape", "0,1,0", "--atoms", "1", "--condition", "cond_0_1_0",
+             "--report", "{missing}/report.json"],
+            ["verify", "--shape", "0,1,0", "--atoms", "1", "--condition", "cond_0_1_0",
+             "--jobs", "-3"],
+            ["verify", "--shape", "0,1,0", "--atoms", "1", "--condition", "cond_0_1_0",
+             "--jobs", "0"],
+        ],
+        ids=["non-utf8-file", "negative-atoms", "out-dir-missing", "trace-dir-missing",
+             "report-dir-missing", "negative-jobs", "zero-jobs"],
+    )
+    def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
+        latin1 = tmp_path / "latin1.lp"
+        latin1.write_bytes("caf\u00e9 :- b.".encode("latin-1"))
+        paths = {
+            "latin1": str(latin1),
+            "program": write(tmp_path, "p.lp", "a :- a. b."),
+            "missing": str(tmp_path / "missing"),
+        }
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     def test_console_script_runs(self, tmp_path):
         path = write(tmp_path, "p.lp", "a.")

@@ -1,6 +1,7 @@
 """Two-world strong-equivalence oracle and its countermodels."""
 
 import random
+import time
 
 import pytest
 
@@ -15,11 +16,15 @@ from strongeq import (
     countermodel_json,
     delta_holds,
     ht_pairs,
+    is_answer_set,
     parse_program,
     parse_rule,
+    rename_program,
     simplify,
     strongly_equivalent,
 )
+from strongeq.discovery import ht_pair_masks, rule_mask
+from strongeq.syntax import subsets_of
 from conftest import random_program
 
 
@@ -203,3 +208,84 @@ class TestSingletonDecomposition:
                 strongly_equivalent(Program((r,)), empty).equivalent for r in p.rules
             )
             assert whole == parts
+
+
+def reference_se(p1: Program, p2: Program) -> SEVerdict:
+    """The first pair, in ht_pairs order, on which exactly one program holds."""
+    for pair in ht_pairs(p1.atoms | p2.atoms):
+        v1 = all(delta_holds(r, pair) for r in p1.rules)
+        v2 = all(delta_holds(r, pair) for r in p2.rules)
+        if v1 != v2:
+            return SEVerdict(False, pair)
+    return SEVerdict(True)
+
+
+SPARSE_IDS = (0, 3, 7, 8, 12, 15, 19, 23)
+
+
+def sparse_program(rng: random.Random, atom_count: int, max_rules: int) -> Program:
+    """A random program whose atom ids are spread over SPARSE_IDS, so a
+    kernel that confused atom ids with ranks within y would show."""
+    ids = sorted(rng.sample(SPARSE_IDS, atom_count))
+    return rename_program(random_program(rng, atom_count, max_rules), dict(enumerate(ids)))
+
+
+class TestKernelAgainstReference:
+    def test_verdict_and_countermodel_match_pairwise_walk(self):
+        rng = random.Random(71)
+        outcomes = set()
+        for _ in range(150):
+            p1 = sparse_program(rng, rng.randint(1, 8), 4)
+            # half the time compare against a variant that often stays equivalent
+            if rng.random() < 0.5:
+                p2, _ = simplify(p1)
+            else:
+                p2 = sparse_program(rng, rng.randint(1, 6), 3)
+            got = strongly_equivalent(p1, p2)
+            assert got == reference_se(p1, p2)
+            outcomes.add(got.equivalent)
+        assert outcomes == {True, False}
+
+    def test_answer_sets_match_reduct_check(self):
+        rng = random.Random(72)
+        found = 0
+        for _ in range(150):
+            p = sparse_program(rng, rng.randint(1, 8), 5)
+            got = answer_sets(p)
+            assert got == tuple(x for x in subsets_of(p.atoms) if is_answer_set(p, x))
+            found += len(got)
+        assert found > 50
+
+    def test_rule_mask_ands_match_pairwise_walk(self):
+        rng = random.Random(73)
+        atom_count = 3
+        layout = ht_pair_masks(atom_count)
+        lang = (1 << atom_count) - 1
+        for _ in range(150):
+            p1 = random_program(rng, atom_count, 4)
+            p2 = random_program(rng, atom_count, 4)
+            ands = []
+            for p in (p1, p2):
+                m = (1 << 3**atom_count) - 1
+                for r in p.rules:
+                    m &= rule_mask(r, layout)
+                models = sum(
+                    all(delta_holds(r, pair) for r in p.rules) for pair in ht_pairs(lang)
+                )
+                assert m.bit_count() == models
+                ands.append(m)
+            assert (ands[0] == ands[1]) == reference_se(p1, p2).equivalent
+
+    def test_wide_pair_with_early_countermodel_exits_early(self):
+        # 24 atoms, the guard's limit: an equivalent pair would walk all
+        # 2^24 slices, but the pairs differ on y = {x}, so the walk stops
+        # there and never builds a wide basis.
+        t = Symbols()
+        filler = "f1 :- " + ", ".join(f"f{i}" for i in range(2, 23)) + "."
+        p1 = parse_program("x. " + filler, t)
+        p2 = parse_program("y. " + filler, t)
+        assert (p1.atoms | p2.atoms).bit_count() == 24
+        started = time.perf_counter()
+        verdict = strongly_equivalent(p1, p2)
+        assert time.perf_counter() - started < 1.0
+        assert verdict.countermodel == HTPair(t.mask("x"), t.mask("x"))

@@ -182,7 +182,8 @@ class TestSimplifyContract:
 
     def test_verify_mode_accepts_its_own_output(self):
         p, _ = build("a :- not b. b :- not a. a :- a.")
-        out, _ = simplify(p, verify=True)
+        out, _ = simplify(p)
+        assert verify_simplification(p, out)
         assert len(out) == 2
 
 
