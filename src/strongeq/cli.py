@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -25,7 +27,8 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
-# verify runs enumerating more tuples than this demand an explicit opt-in
+# verify runs enumerating more tuples than this (renaming classes under
+# --modulo-iso) demand an explicit opt-in
 LONG_RUN_TUPLES = 100_000_000
 
 # Registered conditions for `verify`: name -> (shape, predicate, exact).
@@ -58,6 +61,16 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise SystemExit(_usage_error(f"cannot write {path}: {exc}"))
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an output path that cannot be written, before any long work."""
+    target = Path(path)
+    parent = target.parent
+    if not parent.is_dir():
+        raise SystemExit(_usage_error(f"cannot write {path}: no directory {parent}"))
+    if target.is_dir() or not os.access(parent, os.W_OK):
+        raise SystemExit(_usage_error(f"cannot write {path}: not a writable file path"))
 
 
 def _usage_error(message: str) -> int:
@@ -173,12 +186,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rule_count = (
         4**args.atoms - 1 if args.canonical else 2 ** (3 * args.atoms) - 1
     )
-    tuple_count = rule_count**shape.length
-    if tuple_count > LONG_RUN_TUPLES and not args.allow_long:
+    work = rule_count**shape.length
+    unit = "tuples"
+    if args.modulo_iso:
+        # each class holds at most atoms! tuples, so this bounds the class
+        # count from below
+        work = -(-work // math.factorial(args.atoms))
+        unit = "renaming classes"
+    if work > LONG_RUN_TUPLES and not args.allow_long:
+        # the count itself can run to thousands of digits: give its size
         return _usage_error(
-            f"this run enumerates {tuple_count:,} tuples; "
-            "pass --allow-long if you really want it"
+            f"this run enumerates about 10^{math.log10(work):.0f} {unit}, over "
+            f"{LONG_RUN_TUPLES:,}; pass --allow-long if you really want it"
         )
+    if args.report:
+        _check_writable(args.report)
     try:
         report = test_conjecture(
             shape,
@@ -249,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument(
         "--allow-long",
         action="store_true",
-        help="opt in to runs over 100 million tuples (hours to days)",
+        help="opt in to runs over 100 million tuples, or renaming classes with "
+        "--modulo-iso (hours to days)",
     )
     p_v.set_defaults(fn=cmd_verify)
 

@@ -13,6 +13,24 @@ slice for y takes 2^|y| bits, and within it bit i stands for the x whose
 atoms' ranks within y are the set bits of i.  The harness only ANDs and
 compares masks, so any fixed layout of the pairs would do.
 
+With modulo_iso the walk is orderly (Read 1978; McKay 1998): it visits
+exactly the tuples that are their own `iso_canonical_form`, in enumeration
+order, without computing that form.  A tuple is its own canonical form iff
+it is lexicographically least in its orbit under all permutations of the
+language's atoms: compressing the occurring atoms to the lowest ids can
+only lower each mask, so no renaming beats the compressed minimum.  Give
+each atom its type, its membership of hd, ps and ng of rule 1, then of
+rule 2, and so on, compared in that order.  A tuple is least iff the types
+never rise from an atom to the next: where atom i's type is below atom
+i+1's, swapping the two lowers the first mask that tells them apart, and
+every tuple whose types never rise is the same tuple.  So every prefix of
+a least tuple is least, and a least prefix's stabilizer is the group of
+permutations within each run of atoms whose types are tied.  The walk
+carries that group as the bitmask of tied neighbours (bit i: atoms i and
+i+1) and tries a rule only against it: a rule whose type rises across a
+tied pair is skipped with its whole subtree, and the child keeps the ties
+the rule does not break.  A full scan is the same walk with no ties.
+
 Work can be split across processes by chunking the outermost rule index
 into contiguous ranges; partial reports merge in range order, so results
 are identical for any job count.
@@ -21,6 +39,7 @@ are identical for any job count.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from multiprocessing import Pool
@@ -182,9 +201,47 @@ def _language_masks(
     return rules, masks, (1 << 3**atom_count) - 1
 
 
-def _split_ranges(size: int, parts: int) -> list[tuple[int, int]]:
+def _all_ties(atom_count: int) -> int:
+    """The tie mask of the empty prefix: every pair of neighbouring atoms."""
+    return (1 << max(atom_count - 1, 0)) - 1
+
+
+def _order_masks(r: Rule, ties: int) -> tuple[int, int]:
+    """Over the neighbour pairs in `ties`, the pairs (i, i+1) where atom
+    i's type in the rule is below atom i+1's, and those where the two are
+    equal.  A type is membership of hd, then ps, then ng."""
+    hd, ps, ng = r.hd, r.ps, r.ng
+    below = ties & hd >> 1 & ~hd
+    ties &= ~(hd >> 1 ^ hd)
+    below |= ties & ps >> 1 & ~ps
+    ties &= ~(ps >> 1 ^ ps)
+    below |= ties & ng >> 1 & ~ng
+    return below, ties & ~(ng >> 1 ^ ng)
+
+
+def _stabilizer_order(ties: int) -> int:
+    """Number of atom permutations that map each run of tied atoms to
+    itself: the product of the runs' factorials."""
+    order = run = 1
+    while ties:
+        run = run + 1 if ties & 1 else 1
+        order *= run
+        ties >>= 1
+    return order
+
+
+def _split_ranges(weights: list[float], parts: int) -> list[tuple[int, int]]:
+    """At most `parts` contiguous ranges of the outermost rule index, in
+    index order, of about equal total weight."""
     parts = max(1, parts)
-    bounds = [size * i // parts for i in range(parts + 1)]
+    total = sum(weights)
+    bounds = [0]
+    done = 0.0
+    for i, weight in enumerate(weights):
+        done += weight
+        if len(bounds) < parts and done * parts >= total * len(bounds):
+            bounds.append(i + 1)
+    bounds.append(len(weights))
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
@@ -196,10 +253,12 @@ def _scan_range(
     full: int,
     start: int,
     stop: int,
-    modulo_iso: bool,
+    ties: int,
     cap: int,
 ) -> tuple[int, int, int, int, list[Mismatch]]:
-    """Scan all tuples whose outermost index lies in [start, stop)."""
+    """Scan all tuples whose outermost index lies in [start, stop); with
+    the empty prefix's tie mask `ties`, only those least in their orbit
+    (ties 0 scans them all)."""
     k, m, n = shape
     tlen = k + m + n
     last = tlen - 1
@@ -208,10 +267,23 @@ def _scan_range(
     count = len(rules)
     total = se = cond_pos = mismatch_total = 0
     mismatches: list[Mismatch] = []
+    below, tied = zip(*(_order_masks(r, ties) for r in rules)) if ties else ((), ())
+    # tie mask -> indices of the rules that keep a prefix with those ties
+    # least; tie masks recur across prefixes, so each is matched once
+    kept_for: dict[int, list[int]] = {}
 
-    def walk(depth: int, ma: int, mb: int, prefix: tuple[Rule, ...]) -> None:
+    def walk(depth: int, ma: int, mb: int, prefix: tuple[Rule, ...], ties: int) -> None:
         nonlocal total, se, cond_pos, mismatch_total
-        rng = range(start, stop) if depth == 0 else range(count)
+        if ties:
+            kept = kept_for.get(ties)
+            if kept is None:
+                kept = kept_for[ties] = [i for i, b in enumerate(below) if not b & ties]
+            if depth == 0:
+                rng = kept[bisect_left(kept, start):bisect_left(kept, stop)]
+            else:
+                rng = kept
+        else:
+            rng = range(start, stop) if depth == 0 else range(count)
         if depth == last:
             rule_list = rules
             mask_list = masks
@@ -219,10 +291,6 @@ def _scan_range(
             t_ = s_ = c_ = x_ = 0
             for i in rng:
                 rule = rule_list[i]
-                if modulo_iso:
-                    tup = prefix + (rule,)
-                    if iso_canonical_form(tup) != tup:
-                        continue
                 mi = mask_list[i]
                 a = ma & mi if last_in_a else ma
                 b = mb & mi if last_in_b else mb
@@ -251,9 +319,10 @@ def _scan_range(
                 ma & mi if in_a else ma,
                 mb & mi if in_b else mb,
                 prefix + (rules[i],),
+                ties and ties & tied[i],
             )
 
-    walk(0, full, full, ())
+    walk(0, full, full, (), ties)
     return total, se, cond_pos, mismatch_total, mismatches
 
 
@@ -274,10 +343,19 @@ def test_conjecture(
     """
     started = time.perf_counter()
     rules, masks, full = _language_masks(atom_count, canonical_only, max_atoms)
+    ties = _all_ties(atom_count) if modulo_iso else 0
+    weights = [1.0] * len(rules)
+    if ties and job_count > 1:
+        # A least first rule with stabilizer S heads about 1/|S| of a full
+        # subtree: balance the ranges by that.
+        weights = [
+            0.0 if below else 1.0 / _stabilizer_order(tied)
+            for below, tied in (_order_masks(r, ties) for r in rules)
+        ]
+    ranges = _split_ranges(weights, job_count)
     shape_tuple = (shape.k, shape.m, shape.n)
-    ranges = _split_ranges(len(rules), job_count)
     args = [
-        (shape_tuple, rules, masks, condition, full, a, b, modulo_iso, MISMATCH_CAP)
+        (shape_tuple, rules, masks, condition, full, a, b, ties, MISMATCH_CAP)
         for a, b in ranges
     ]
     if job_count > 1 and len(args) > 1:
@@ -325,11 +403,12 @@ def discover_positive_tuples(
     """Yield exactly the tuples whose oracle verdict is positive, in
     enumeration order: the raw material for conjecturing new conditions."""
     rules, masks, full = _language_masks(atom_count, canonical_only, max_atoms)
+    ties = _all_ties(atom_count) if modulo_iso else 0
     # Against a condition that never holds, the mismatches are exactly the
     # oracle-positive tuples; the cap is the tuple count, so none is cut.
     *_counts, positives = _scan_range(
         (shape.k, shape.m, shape.n), rules, masks, _never, full,
-        0, len(rules), modulo_iso, len(rules) ** shape.length,
+        0, len(rules), ties, len(rules) ** shape.length,
     )
     for mm in positives:
         yield mm.rules

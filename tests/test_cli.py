@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from strongeq import cli
 from strongeq.cli import main
+from strongeq.discovery import DiscoveryReport
 
 
 def write(tmp_path, name, text):
@@ -178,6 +180,46 @@ class TestVerifyCommand:
         code = main(["verify", "--shape", "0,1,0", "--atoms", "5000", "--condition", "cond_0_1_0"])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: rule enumeration: 5000 atoms")
+
+    def test_huge_count_refused_in_one_line(self, capsys):
+        # the exact count has thousands of digits, past int-to-str's limit
+        code = main(["verify", "--shape", "0,1,0", "--atoms", "5000", "--max-atoms", "5000",
+                     "--condition", "cond_0_1_0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: this run enumerates about 10^4515 tuples")
+        assert "--allow-long" in err
+        assert err.count("\n") == 1
+
+    def test_report_path_checked_before_the_scan(self, tmp_path, monkeypatch, capsys):
+        def scan(*_args, **_kwargs):
+            raise AssertionError("the scan ran before the report path was checked")
+
+        monkeypatch.setattr(cli, "test_conjecture", scan)
+        code = main(["verify", "--shape", "0,1,0", "--atoms", "1", "--condition", "cond_0_1_0",
+                     "--report", str(tmp_path / "missing" / "report.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("iso, expected", [(True, 0), (False, 2)], ids=["iso", "full"])
+    def test_long_run_guard_counts_classes_under_modulo_iso(self, monkeypatch, capsys,
+                                                            iso, expected):
+        # 1023^3 canonical triples over 5 atoms pass 1e8; 1023^3 / 5! do not
+        calls = []
+
+        def scan(shape, atom_count, _predicate, **kwargs):
+            calls.append(kwargs["modulo_iso"])
+            return DiscoveryReport(shape, atom_count, 0, 0, 0, 0, (), 0.0)
+
+        monkeypatch.setattr(cli, "test_conjecture", scan)
+        argv = ["verify", "--shape", "2,1,0", "--atoms", "5", "--canonical",
+                "--condition", "cond_2_1_0"]
+        assert main(argv + ["--modulo-iso"] * iso) == expected
+        assert calls == ([True] if iso else [])
+        if not iso:
+            assert "about 10^9 tuples" in capsys.readouterr().err
 
     def test_json_report_on_stdout(self, capsys):
         code = main(

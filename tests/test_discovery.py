@@ -1,5 +1,7 @@
 """Enumeration, isomorphism quotients, and the condition-vs-oracle harness."""
 
+import dataclasses
+import functools
 import json
 import random
 from itertools import permutations, product
@@ -16,6 +18,7 @@ from strongeq import (
     rename_rule,
     strongly_equivalent,
 )
+from strongeq import cond_2_1_0, discovery
 from strongeq.discovery import (
     DiscoveryReport,
     TupleShape,
@@ -240,3 +243,95 @@ class TestReportInvariant:
 
         broken = test_conjecture(TupleShape(0, 1, 1), 2, never)
         assert broken.mismatch_count > 0
+
+
+# Every shape of length 1-3, and per length the (atoms, canonical) cases
+# whose reference enumeration (a full canonical form per product tuple)
+# stays quick.
+SHAPES_UP_TO_THREE = [
+    TupleShape(k, m, n)
+    for k in range(4)
+    for m in range(4)
+    for n in range(4)
+    if 1 <= k + m + n <= 3
+]
+ISO_CASES = {
+    1: [(1, False), (2, False), (3, False), (1, True), (2, True), (3, True)],
+    2: [(1, False), (2, False), (1, True), (2, True), (3, True)],
+    3: [(1, False), (1, True), (2, True)],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def iso_reference(length, atom_count, canonical):
+    shape = TupleShape(0, length, 0)
+    return list(enumerate_tuples(shape, atom_count, canonical, modulo_iso=True))
+
+
+def tuples_reaching_condition(shape, atom_count, canonical):
+    seen = []
+
+    def record(*rules):
+        seen.append(rules)
+        return False
+
+    report = test_conjecture(shape, atom_count, record, canonical, modulo_iso=True)
+    assert report.total_tuples == len(seen)
+    return seen
+
+
+def shape_id(shape):
+    return f"{shape.k}-{shape.m}-{shape.n}"
+
+
+class TestOrderlyWalk:
+    """The modulo-iso scan must hand the condition exactly the tuples that
+    are their own iso_canonical_form, in enumeration order."""
+
+    @pytest.mark.parametrize("shape", SHAPES_UP_TO_THREE, ids=shape_id)
+    def test_condition_sees_the_reference_classes_in_order(self, shape):
+        for atoms, canonical in ISO_CASES[shape.length]:
+            got = tuples_reaching_condition(shape, atoms, canonical)
+            assert got == iso_reference(shape.length, atoms, canonical), (atoms, canonical)
+
+    @pytest.mark.parametrize("shape", SHAPES_UP_TO_THREE, ids=shape_id)
+    def test_reports_equal_for_one_and_two_jobs(self, shape):
+        atoms, canonical = ISO_CASES[shape.length][-1]
+        one, two = (
+            test_conjecture(shape, atoms, never, canonical, modulo_iso=True, job_count=jobs)
+            for jobs in (1, 2)
+        )
+        assert one.total_tuples > 0
+        assert dataclasses.replace(one, elapsed_ms=0) == dataclasses.replace(two, elapsed_ms=0)
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            # keeps every tie, so later rules meet the prefix's whole group
+            lambda real: lambda r, ties: (real(r, ties)[0], ties),
+            # breaks every tie, forgetting the stabilizer after one rule
+            lambda real: lambda r, ties: (real(r, ties)[0], 0),
+            # also prunes rules that are merely tied across a pair
+            lambda real: lambda r, ties: (sum(real(r, ties)), real(r, ties)[1]),
+            # compares heads only
+            lambda real: lambda r, ties: real(Rule(r.hd, 0, 0), ties),
+        ],
+        ids=["unnarrowed", "forgetful", "prunes-tied", "head-only"],
+    )
+    def test_mutants_of_the_tie_masks_are_caught(self, monkeypatch, mutant):
+        monkeypatch.setattr(discovery, "_order_masks", mutant(discovery._order_masks))
+        cases = [(TupleShape(0, 1, 1), 3, True), (TupleShape(2, 1, 0), 2, True),
+                 (TupleShape(0, 1, 1), 2, False)]
+        assert any(
+            tuples_reaching_condition(shape, atoms, canonical)
+            != iso_reference(shape.length, atoms, canonical)
+            for shape, atoms, canonical in cases
+        )
+
+    def test_canonical_triples_at_four_atoms(self):
+        report = test_conjecture(
+            TupleShape(2, 1, 0), 4, cond_2_1_0, canonical_only=True, modulo_iso=True
+        )
+        assert report.total_tuples == 754_956
+        assert report.se_positive_count == 96_558
+        assert report.mismatch_count == 0
