@@ -43,6 +43,8 @@ CONDITIONS: dict[str, tuple[TupleShape, object, bool]] = {
     "cond_0_2_2": (TupleShape(0, 2, 2), conditions.cond_0_2_2, True),
     "s_implies": (TupleShape(1, 1, 0), conditions.s_implies, False),
 }
+# conditions that raise NotCanonicalError on a non-canonical rule
+CANONICAL_ONLY = frozenset({"cond_2_1_0", "cond_0_2_1", "cond_0_2_2"})
 
 
 def _load_program(path: str, symbols: Symbols) -> Program:
@@ -137,16 +139,21 @@ def cmd_simplify(args: argparse.Namespace) -> int:
     symbols = Symbols()
     program = _load_program(args.path, symbols)
     limit = args.max_atoms if args.max_atoms is not None else SE_ATOM_LIMIT
+    for path in (args.out, args.trace):
+        if path:
+            _check_writable(path)
+    atom_count = program.atoms.bit_count()
+    if args.verify and atom_count > limit:
+        # the result's atoms are a subset of the input's, so this is the
+        # refusal the re-check would give, before any work or output
+        return _guard_error(str(TooManyAtomsError("strongly_equivalent", atom_count, limit)))
     simplified, trace = simplify(program)
     text = format_program(simplified, symbols)
     if args.trace:
         _write_text(args.trace, trace.json_lines(symbols))
     verified: bool | None = None
     if args.verify:
-        try:
-            verified = verify_simplification(program, simplified, max_atoms=limit)
-        except TooManyAtomsError as exc:
-            return _guard_error(str(exc))
+        verified = verify_simplification(program, simplified, max_atoms=limit)
     if args.out:
         _write_text(args.out, text)
     if args.json:
@@ -175,6 +182,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(
             f"condition {args.condition} is for shape "
             f"{expected_shape.k},{expected_shape.m},{expected_shape.n}, not {args.shape}"
+        )
+    if args.condition in CANONICAL_ONLY and not args.canonical:
+        return _usage_error(
+            f"condition {args.condition} is stated for canonical rules only; pass --canonical"
         )
     if args.atoms < 0:
         return _usage_error(f"--atoms must be at least 0, not {args.atoms}")

@@ -1,10 +1,15 @@
 """Command-line interface: output shapes and the exit-code contract."""
 
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strongeq import cli
 from strongeq.cli import main
@@ -15,6 +20,10 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _must_not_simplify(*_args, **_kwargs):
+    raise AssertionError("simplify ran although the command was bound to fail")
 
 
 class TestAnswersets:
@@ -118,6 +127,23 @@ class TestSimplifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"rules": [], "verified": None, "steps": 1}
 
+    def test_verify_guard_exits_3_before_simplifying(self, tmp_path, capsys, monkeypatch):
+        src = write(tmp_path, "p.lp", "a :- b, c. a :- b.")
+        trace_path = tmp_path / "trace.jsonl"
+        monkeypatch.setattr(cli, "simplify", _must_not_simplify)
+        argv = ["simplify", src, "--verify", "--max-atoms", "2", "--trace", str(trace_path)]
+        assert main(argv) == 3
+        assert not trace_path.exists()
+        assert capsys.readouterr().err == (
+            "error: strongly_equivalent: 3 atoms exceeds the limit of 2\n"
+        )
+
+    def test_verify_guard_admits_its_limit(self, tmp_path, capsys):
+        src = write(tmp_path, "p.lp", "a :- b, c. a :- b.")
+        assert main(["simplify", src, "--verify", "--max-atoms", "3", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"rules": ["a :- b."], "verified": True, "steps": 1}
+
 
 class TestVerifyCommand:
     def test_exact_condition_exits_0(self, tmp_path, capsys):
@@ -167,6 +193,18 @@ class TestVerifyCommand:
     def test_bad_shape_string_exits_2(self, capsys):
         code = main(["verify", "--shape", "x,y", "--atoms", "2", "--condition", "cond_0_1_0"])
         assert code == 2
+
+    @pytest.mark.parametrize("condition", ["cond_2_1_0", "cond_0_2_1", "cond_0_2_2"])
+    def test_canonical_only_condition_needs_canonical(self, capsys, condition):
+        shape = cli.CONDITIONS[condition][0]
+        argv = ["verify", "--shape", f"{shape.k},{shape.m},{shape.n}", "--atoms", "1",
+                "--condition", condition]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: condition {condition} is stated for canonical rules only; "
+            "pass --canonical\n"
+        )
+        assert main(argv + ["--canonical"]) == 0
 
     def test_huge_run_requires_opt_in(self, capsys):
         code = main(
@@ -252,7 +290,9 @@ class TestUsage:
         ids=["non-utf8-file", "negative-atoms", "out-dir-missing", "trace-dir-missing",
              "report-dir-missing", "negative-jobs", "zero-jobs"],
     )
-    def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
+    def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys, monkeypatch, argv):
+        # an unwritable --out or --trace is refused before any simplification
+        monkeypatch.setattr(cli, "simplify", _must_not_simplify)
         latin1 = tmp_path / "latin1.lp"
         latin1.write_bytes("caf\u00e9 :- b.".encode("latin-1"))
         paths = {
@@ -274,3 +314,86 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout == "{a}\n"
+
+
+# --- fuzzing the exit-code contract ----------------------------------------
+
+# "{name}" stands for a path set up per example: two input files holding
+# the drawn bytes, a path in a missing directory, a directory, a fresh file
+PATHS = ["{p1}", "{p2}", "{missing}/x.lp", "{dir}", "{out}"]
+# at most one atom can pass verify's guard, so no run enumerates more than
+# a few thousand tuples; --atoms 8 and 5000 are refused by it
+MAX_ATOMS = ["-1", "0", "1", "2", "x"]
+SHARED = {"--json": None, "--max-atoms": MAX_ATOMS}
+FLAGS = {
+    "answersets": SHARED,
+    "check-se": SHARED,
+    "simplify": {**SHARED, "--out": PATHS, "--trace": PATHS, "--verify": None},
+    "verify": {
+        **SHARED,
+        "--shape": ["0,1,0", "1,1,0", "2,1,0", "0,1", "a,b,c", "-1,1,0"],
+        "--atoms": ["-1", "0", "1", "8", "5000", "x"],
+        "--condition": [*sorted(cli.CONDITIONS), "cond_9_9_9"],
+        "--canonical": None,
+        "--modulo-iso": None,
+        "--jobs": ["-1", "0", "1", "2", "x"],
+        "--report": PATHS,
+        "--allow-long": None,
+    },
+}
+POSITIONALS = {"answersets": 1, "check-se": 2, "simplify": 1, "verify": 0}
+JUNK = ["--help", "--bogus", "extra", "-"]
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    n = POSITIONALS[command]
+    inputs = ["{p1}", "{p2}"] * 3 + PATHS[2:]  # mostly readable files
+    argv = [command] + [draw(st.sampled_from(inputs)) for _ in range(n)]
+    if command == "verify" and draw(st.integers(0, 4)):  # mostly a well-formed run
+        condition = draw(st.sampled_from(sorted(cli.CONDITIONS)))
+        shape = cli.CONDITIONS[condition][0]
+        argv += ["--shape", f"{shape.k},{shape.m},{shape.n}", "--condition", condition,
+                 "--atoms", draw(st.sampled_from(["0", "1", "1", "8"]))]
+    flags = FLAGS[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=5)):
+        argv.append(flag)
+        if flags[flag] is not None and draw(st.integers(0, 9)):  # sometimes left bare
+            argv.append(draw(st.sampled_from(flags[flag])))
+    if not draw(st.integers(0, 9)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK)))
+    return argv
+
+
+literal = st.sampled_from(["a", "b", "c", "not a", "not b", "not c"])
+rule_text = st.builds(
+    lambda head, body: ";".join(head) + (" :- " + ", ".join(body) if body else "") + ".",
+    st.lists(st.sampled_from(["a", "b", "c"]), max_size=2),
+    st.lists(literal, max_size=3),
+)
+well_formed = st.lists(rule_text, max_size=5).map(lambda rules: "\n".join(rules).encode())
+fragments = st.lists(
+    st.sampled_from(["a", "b", "not ", ":-", ",", ";", ".", " ", "\n", "%", "A", "1"]), max_size=12
+).map(lambda parts: "".join(parts).encode())
+# half well-formed programs, half noise
+program_bytes = st.sampled_from(
+    [well_formed, well_formed, fragments, st.binary(max_size=24)]
+).flatmap(lambda strategy: strategy)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=cli_argv(), p1=program_bytes, p2=program_bytes)
+def test_fuzzed_argv_and_files_keep_the_exit_code_contract(argv, p1, p2):
+    with tempfile.TemporaryDirectory() as d:
+        base = Path(d)
+        (base / "p1.lp").write_bytes(p1)
+        (base / "p2.lp").write_bytes(p2)
+        paths = {"p1": str(base / "p1.lp"), "p2": str(base / "p2.lp"),
+                 "missing": str(base / "missing"), "dir": d, "out": str(base / "out")}
+        argv = [arg.format(**paths) for arg in argv]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -2,6 +2,8 @@
 
 import json
 import random
+import time
+from collections import Counter
 
 from strongeq import (
     Program,
@@ -16,7 +18,11 @@ from strongeq import (
     strongly_equivalent,
     verify_simplification,
 )
-from conftest import random_program
+from strongeq.conditions import cond_1_1_0, cond_2_1_0
+from strongeq.discovery import enumerate_rules
+from strongeq.simplify import _fit_table, _may_replace, _pair_replacement, _triple_candidates
+from strongeq.syntax import is_canonical
+from conftest import random_program, random_rule
 
 
 def build(text: str) -> tuple[Program, Symbols]:
@@ -204,3 +210,215 @@ class TestVerifySimplification:
     def test_reflexive(self):
         p, _ = build("a :- not b.")
         assert verify_simplification(p, p)
+
+
+# --- reference: the restart-based scans the incremental simplifier replaced --
+#
+# Each scan restarts from index 0 after every deletion and the fixpoint
+# loop re-runs all four phases after any change.  The simplifier must
+# produce exactly this output and trace.
+
+
+def _reference_normalize(rules: list[Rule], steps: list[SimplifyStep]) -> bool:
+    changed = False
+    i = 0
+    while i < len(rules):
+        nr = normalize_rule(rules[i])
+        if nr is None:
+            steps.append(SimplifyStep("T5-delete", removed=(i,)))
+            del rules[i]
+            changed = True
+            continue
+        if nr != rules[i]:
+            steps.append(SimplifyStep("T7-head-clean", index=i, produced=nr))
+            rules[i] = nr
+            changed = True
+        first = rules.index(nr)
+        if first < i:
+            steps.append(SimplifyStep("T6-delete", kept=(first,), removed=(i,)))
+            del rules[i]
+            changed = True
+            continue
+        i += 1
+    return changed
+
+
+def _reference_pair_delete(rules: list[Rule], steps: list[SimplifyStep]) -> bool:
+    changed = False
+    restart = True
+    while restart:
+        restart = False
+        for i in range(len(rules)):
+            for j in range(len(rules)):
+                if i != j and cond_1_1_0(rules[i], rules[j]):
+                    steps.append(SimplifyStep("T6-delete", kept=(i,), removed=(j,)))
+                    del rules[j]
+                    changed = restart = True
+                    break
+            if restart:
+                break
+    return changed
+
+
+def _reference_triple_delete(rules: list[Rule], steps: list[SimplifyStep]) -> bool:
+    changed = False
+    restart = True
+    while restart:
+        restart = False
+        for i in range(len(rules)):
+            for j in range(len(rules)):
+                if j == i:
+                    continue
+                for l in range(len(rules)):
+                    if l == i or l == j:
+                        continue
+                    if cond_2_1_0(rules[i], rules[j], rules[l]):
+                        steps.append(SimplifyStep("T8-delete", kept=(i, j), removed=(l,)))
+                        del rules[l]
+                        changed = restart = True
+                        break
+                if restart:
+                    break
+            if restart:
+                break
+    return changed
+
+
+def _reference_pair_replace(rules: list[Rule], steps: list[SimplifyStep]) -> bool:
+    for i in range(len(rules)):
+        for j in range(i + 1, len(rules)):
+            cand = _pair_replacement(rules[i], rules[j])
+            if cand is not None:
+                steps.append(SimplifyStep("T9-replace", removed=(i, j), produced=cand))
+                rules[i] = cand
+                del rules[j]
+                return True
+    return False
+
+
+def reference_simplify(p: Program) -> tuple[Program, SimplifyTrace]:
+    rules = list(p.rules)
+    steps: list[SimplifyStep] = []
+    changed = True
+    while changed:
+        changed = _reference_normalize(rules, steps)
+        changed = _reference_pair_delete(rules, steps) or changed
+        changed = _reference_triple_delete(rules, steps) or changed
+        changed = _reference_pair_replace(rules, steps) or changed
+    return Program(tuple(rules)), SimplifyTrace(tuple(steps))
+
+
+def _sparse_rule(rng: random.Random, atom_count: int) -> Rule:
+    """A canonical rule of exactly four literals over distinct atoms."""
+    fields = [0, 0, 0]
+    for a in rng.sample(range(atom_count), 4):
+        fields[rng.choices((0, 1, 2), (4, 4, 2))[0]] |= 1 << a
+    return Rule(*fields)
+
+
+def redundant_program(rng: random.Random, atom_count: int, base: int, extra: int) -> Program:
+    """`base` random rules plus `extra` rules the simplifier can remove:
+    weakened copies (T6), resolvents of two rules (T8) and self-supporting
+    rules (T5), inserted at random positions."""
+    rules = list(dict.fromkeys(_sparse_rule(rng, atom_count) for _ in range(base)))
+    out = list(rules)
+    while len(out) < len(rules) + extra:
+        roll = rng.random()
+        r1, r2 = rng.choice(rules), rng.choice(rules)
+        if roll < 0.5:
+            free = [a for a in range(atom_count) if not r1.atoms >> a & 1]
+            a = 1 << rng.choice(free)
+            if rng.random() < 0.6:
+                r = Rule(r1.hd, r1.ps | a, r1.ng)
+            else:
+                r = Rule(r1.hd, r1.ps, r1.ng | a)
+        elif roll < 0.85:
+            link = r1.ps & r2.hd
+            if not link:
+                continue
+            b = link & -link
+            r = Rule(r1.hd | r2.hd & ~b, r1.ps & ~b | r2.ps, r1.ng | r2.ng)
+            if not is_canonical(r):
+                continue
+        else:
+            a, b = rng.sample(range(atom_count), 2)
+            r = Rule(1 << a, 1 << a | 1 << b, 0)
+        if r not in out:
+            out.insert(rng.randrange(len(out) + 1), r)
+    return Program(tuple(out))
+
+
+class TestIncrementalScanMatchesReference:
+    def test_criterion_10_programs(self):
+        rng = random.Random(2026)
+        for i in range(3000):
+            p = random_program(rng, 5, 6)
+            assert simplify(p) == reference_simplify(p), f"program #{i}"
+
+    def test_dense_small_programs_with_replacements(self):
+        rng = random.Random(53)
+        kinds: Counter = Counter()
+        for atoms in (2, 3, 4):
+            for i in range(600):
+                p = random_program(rng, atoms, 8, overlap_prob=0.3)
+                out = simplify(p)
+                assert out == reference_simplify(p), f"{atoms} atoms, program #{i}"
+                kinds.update(s.kind for s in out[1].steps)
+        # the comparison must cover every rewrite, repeated replacements too
+        assert kinds["T8-delete"] > 50 and kinds["T9-replace"] > 50
+
+    def test_redundancy_heavy_programs(self):
+        rng = random.Random(59)
+        kinds: Counter = Counter()
+        for i in range(6):
+            p = redundant_program(rng, 14, 14, 14)
+            assert len(p) == 28
+            out = simplify(p)
+            assert out == reference_simplify(p), f"program #{i}"
+            kinds.update(s.kind for s in out[1].steps)
+        assert kinds["T5-delete"] and kinds["T6-delete"] and kinds["T8-delete"]
+
+
+class TestPrefilters:
+    """Each prefilter is a necessary condition: whatever it rejects, the
+    condition it guards rejects too.  Exhaustive over the canonical rules
+    of three atoms, the empty rule included."""
+
+    RULES = [Rule(0, 0, 0), *enumerate_rules(3, canonical_only=True)]
+
+    def test_triple_prefilter_rejects_only_false_triples(self):
+        rules = self.RULES
+        assert len(rules) == 64
+        fits, near = _fit_table(rules)
+        rejected = 0
+        for i, ri in enumerate(rules):
+            for j, rj in enumerate(rules):
+                candidates = _triple_candidates(fits, near, i, j)
+                for l, rl in enumerate(rules):
+                    if l in (i, j) or candidates >> l & 1:
+                        continue
+                    rejected += 1
+                    assert not cond_2_1_0(ri, rj, rl), (ri, rj, rl)
+        # pinned: a looser prefilter rejects fewer
+        assert rejected == 163_776
+
+    def test_pair_replace_prefilter_rejects_only_failing_pairs(self):
+        rejected = 0
+        for r1 in self.RULES:
+            for r2 in self.RULES:
+                if not _may_replace(r1, r2):
+                    rejected += 1
+                    assert _pair_replacement(r1, r2) is None, (r1, r2)
+        assert rejected == 1_024
+
+
+def test_184_random_rules_over_16_atoms():
+    rng = random.Random(2026)
+    p = Program(tuple(random_rule(rng, 16, overlap_prob=0.0) for _ in range(184)))
+    t0 = time.perf_counter()
+    out, trace = simplify(p)
+    elapsed = time.perf_counter() - t0
+    assert len(p) == 184
+    assert (len(out), len(trace.steps)) == (177, 7)
+    assert [s.kind for s in trace.steps].count("T8-delete") == 1
+    assert elapsed < 5, f"{elapsed:.1f} s"
