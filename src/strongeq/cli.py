@@ -8,6 +8,7 @@ guard exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -85,14 +86,23 @@ def _guard_error(message: str) -> int:
     return EXIT_GUARD
 
 
+def _atom_limit(args: argparse.Namespace, default: int) -> int:
+    """The --max-atoms value, or the guard's default when it is not given."""
+    if args.max_atoms is None:
+        return default
+    if args.max_atoms < 0:
+        raise SystemExit(_usage_error(f"--max-atoms must be at least 0, not {args.max_atoms}"))
+    return args.max_atoms
+
+
 def _set_names(mask: int, symbols: Symbols) -> list[str]:
     return sorted(symbols.name(i) for i in bits_of(mask))
 
 
 def cmd_answersets(args: argparse.Namespace) -> int:
+    limit = _atom_limit(args, ANSWER_SET_ATOM_LIMIT)
     symbols = Symbols()
     program = _load_program(args.path, symbols)
-    limit = args.max_atoms if args.max_atoms is not None else ANSWER_SET_ATOM_LIMIT
     try:
         sets = answer_sets(program, max_atoms=limit)
     except TooManyAtomsError as exc:
@@ -110,10 +120,10 @@ def cmd_answersets(args: argparse.Namespace) -> int:
 
 
 def cmd_check_se(args: argparse.Namespace) -> int:
+    limit = _atom_limit(args, SE_ATOM_LIMIT)
     symbols = Symbols()
     p1 = _load_program(args.path1, symbols)
     p2 = _load_program(args.path2, symbols)
-    limit = args.max_atoms if args.max_atoms is not None else SE_ATOM_LIMIT
     try:
         verdict = strongly_equivalent(p1, p2, max_atoms=limit)
     except TooManyAtomsError as exc:
@@ -136,9 +146,9 @@ def cmd_check_se(args: argparse.Namespace) -> int:
 
 
 def cmd_simplify(args: argparse.Namespace) -> int:
+    limit = _atom_limit(args, SE_ATOM_LIMIT)
     symbols = Symbols()
     program = _load_program(args.path, symbols)
-    limit = args.max_atoms if args.max_atoms is not None else SE_ATOM_LIMIT
     for path in (args.out, args.trace):
         if path:
             _check_writable(path)
@@ -191,7 +201,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(f"--atoms must be at least 0, not {args.atoms}")
     if args.jobs < 1:
         return _usage_error(f"--jobs must be at least 1, not {args.jobs}")
-    limit = args.max_atoms if args.max_atoms is not None else ENUM_ATOM_LIMIT
+    limit = _atom_limit(args, ENUM_ATOM_LIMIT)
     if args.atoms > limit:  # before the tuple count, which grows as 8^(atoms * length)
         return _guard_error(str(TooManyAtomsError("rule enumeration", args.atoms, limit)))
     rule_count = (
@@ -240,7 +250,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.mismatch_count == 0 else EXIT_NEGATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parse_args keeps no state between calls, and building the
+    parser costs more than most commands."""
     parser = argparse.ArgumentParser(
         prog="strongeq",
         description="Strong equivalence toolkit for ground disjunctive logic programs.",
@@ -291,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
         if isinstance(exc.code, int):

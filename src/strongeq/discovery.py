@@ -42,12 +42,11 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
-from multiprocessing import Pool
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import TooManyAtomsError
-from .oracle import here_basis, here_mask
-from .syntax import Rule, Symbols, format_rule, iso_canonical_form, subsets_of
+from .oracle import here_mask, y_slices
+from .syntax import Rule, Symbols, format_rule, iso_canonical_form
 
 ENUM_ATOM_LIMIT = 7
 
@@ -170,12 +169,11 @@ def enumerate_tuples(
 def ht_pair_masks(atom_count: int) -> tuple[tuple[int, int, tuple], ...]:
     """The mask layout over the enumeration language: one (offset, y,
     basis) slice per y, in the oracle's y order, covering 3^a bits."""
-    lang = (1 << atom_count) - 1
     layout = []
     offset = 0
-    for y in subsets_of(lang):
-        layout.append((offset, y, here_basis(y)))
-        offset += 1 << y.bit_count()
+    for y, atoms, full, masks in y_slices((1 << atom_count) - 1):
+        layout.append((offset, y, (full, dict(zip(atoms, masks)))))
+        offset += 1 << len(atoms)
     return tuple(layout)
 
 
@@ -359,6 +357,10 @@ def test_conjecture(
         for a, b in ranges
     ]
     if job_count > 1 and len(args) > 1:
+        # imported only here: loading multiprocessing costs about 1 MB of
+        # memory, which no other path of the package needs
+        from multiprocessing import Pool
+
         with Pool(processes=len(args)) as pool:
             parts = pool.starmap(_scan_range, args)
     else:

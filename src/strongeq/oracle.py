@@ -12,10 +12,21 @@ One kernel evaluates that semantics for the whole package.  For a fixed
 y, `here_mask` returns the 2^|y|-bit mask of the x subset y on which a
 rule list holds: bit i stands for the x whose atoms' ranks within y are
 the set bits of i.  Each rule costs a few big-int operations per literal
-against a per-y basis of atom masks (`here_basis`), built once and shared
-by every rule.  Comparing two programs is one XOR per y, walked in the
-countermodel order with early exit: a decision costs up to 2^n slices of
-at most 2^n bits each, and only the current y's masks are alive.
+against a per-y basis of atom masks (`here_basis`), shared by every rule.
+The masks of that basis depend only on the ranks, so `y_slices` builds
+them once per size |y| and pairs them with each y's atoms; only the
+current size's masks are alive.  A rule whose primed implication fails
+at y (`primed_holds`) has no model with world y at all, which needs no
+basis to see.
+
+Comparing two programs is one XOR per y, walked in the countermodel
+order with early exit: a decision costs up to 2^n slices of at most 2^n
+bits each.  The rules the two programs share are split off first: equal
+rule sets are equivalent without a walk; a y at which a shared rule's
+primed implication fails is skipped before its basis is built, since
+both masks are 0 there; elsewhere only the two programs' own rules are
+XORed, and a nonzero difference is then ANDed with the shared rules,
+stopping at 0.  That is the same difference, so the same countermodel.
 `delta_holds` and `ht_pairs` evaluate the same semantics pair by pair
 and are the reference the kernel is tested against.
 """
@@ -23,9 +34,11 @@ and are the reference the kernel is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Iterator
 
 from .errors import TooManyAtomsError
-from .syntax import Program, Rule, Symbols, bits_of, subsets_of
+from .syntax import Program, Rule, Symbols, bits_of, mask_of, subsets_of
 
 SE_ATOM_LIMIT = 24
 
@@ -75,24 +88,58 @@ def ht_pairs(lang: int):
             yield HTPair(x, y)
 
 
-def here_basis(y: int) -> tuple[int, dict[int, int]]:
-    """The all-ones mask over the 2^|y| subsets x of y, and for each atom
-    id in y the mask of the x that contain it."""
+def _rank_masks(size: int) -> tuple[int, list[int]]:
+    """The all-ones mask over the 2^size subsets of a size-atom set, and for
+    each rank within that set the mask of the subsets holding that atom."""
     full, width = 1, 1
     masks: list[int] = []
-    for _ in range(y.bit_count()):
+    for _ in range(size):
         masks = [m | m << width for m in masks]
         masks.append(full << width)
         full |= full << width
         width <<= 1
+    return full, masks
+
+
+def here_basis(y: int) -> tuple[int, dict[int, int]]:
+    """The all-ones mask over the 2^|y| subsets x of y, and for each atom
+    id in y the mask of the x that contain it."""
+    full, masks = _rank_masks(y.bit_count())
     return full, dict(zip(bits_of(y), masks))
 
 
-def here_mask(rules: tuple[Rule, ...], y: int, basis: tuple[int, dict[int, int]]) -> int:
+def y_slices(lang: int) -> Iterator[tuple[int, tuple[int, ...], int, list[int]]]:
+    """Each y subset of lang in `subsets_of` order, as (y, its atom ids
+    ascending, full, rank masks): `full, dict(zip(atoms, masks))` is
+    `here_basis(y)`.  The masks are built once per size |y|."""
+    positions = tuple(bits_of(lang))
+    for size in range(len(positions) + 1):
+        full, masks = _rank_masks(size)
+        for atoms in combinations(positions, size):
+            yield mask_of(atoms), atoms, full, masks
+
+
+def primed_holds(rules: tuple[Rule, ...], y: int) -> bool:
+    """Whether every rule's primed implication holds at y, that is, y is a
+    classical model of the rules' reduct relative to y.  If not, no (x, y)
+    is a model of the rules."""
+    for r in rules:
+        if not (r.ng & y or r.ps & ~y or r.hd & y):
+            return False
+    return True
+
+
+def here_mask(
+    rules: tuple[Rule, ...],
+    y: int,
+    basis: tuple[int, dict[int, int]],
+    start: int | None = None,
+) -> int:
     """Mask of the x subset y (bit layout of `here_basis(y)`) for which
-    every rule holds on (x, y)."""
+    every rule holds on (x, y), ANDed into `start` (default: every x);
+    returns as soon as the mask is 0."""
     full, atom = basis
-    m = full
+    m = full if start is None else start
     for r in rules:
         if r.ng & y or r.ps & ~y:
             continue  # both implications hold vacuously
@@ -106,6 +153,8 @@ def here_mask(rules: tuple[Rule, ...], y: int, basis: tuple[int, dict[int, int]]
         for a in bits_of(hd):
             head |= atom[a]
         m &= (full ^ body) | head
+        if not m:
+            return 0
     return m
 
 
@@ -128,12 +177,21 @@ def strongly_equivalent(
     n = lang.bit_count()
     if n > max_atoms:
         raise TooManyAtomsError("strongly_equivalent", n, max_atoms)
-    r1, r2 = p1.rules, p2.rules
-    for y in subsets_of(lang):
-        basis = here_basis(y)
-        diff = here_mask(r1, y, basis) ^ here_mask(r2, y, basis)
+    in1, in2 = set(p1.rules), set(p2.rules)
+    shared = tuple(r for r in p1.rules if r in in2)
+    only1 = tuple(r for r in p1.rules if r not in in2)
+    only2 = tuple(r for r in p2.rules if r not in in1)
+    if not only1 and not only2:
+        return SEVerdict(True)
+    for y, atoms, full, masks in y_slices(lang):
+        if not primed_holds(shared, y):
+            continue  # both programs' masks are 0 at this y
+        basis = full, dict(zip(atoms, masks))
+        diff = here_mask(only1, y, basis) ^ here_mask(only2, y, basis)
         if diff:
-            return SEVerdict(False, HTPair(_first_x(diff, y), y))
+            diff = here_mask(shared, y, basis, diff)
+            if diff:
+                return SEVerdict(False, HTPair(_first_x(diff, y), y))
     return SEVerdict(True)
 
 

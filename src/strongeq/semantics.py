@@ -2,16 +2,20 @@
 
 Interpretations are atom-set bitmasks.  `answer_sets` reads them off the
 two-world kernel of the oracle: y is an answer set iff (y, y) is the only
-here-and-there model with world y (an equilibrium model), so each of the
-2^n candidates costs one `here_mask` over its 2^|y| subsets.  The
-Gelfond-Lifschitz route (`reduct`, `is_answer_set`) is kept as the
-independent reference that the kernel is tested against.
+here-and-there model with world y (an equilibrium model).  (y, y) is a
+model iff y is a classical model of the reduct relative to y, which
+`primed_holds` checks without a basis, so only the candidates that pass
+it are evaluated over their 2^|y| subsets: the program's rule masks are
+ANDed into the mask of the proper subsets x of y, stopping as soon as it
+reaches 0, which makes y an answer set.  The Gelfond-Lifschitz route
+(`reduct`, `is_answer_set`) is kept as the independent reference that
+the kernel is tested against.
 """
 
 from __future__ import annotations
 
 from .errors import TooManyAtomsError
-from .oracle import here_basis, here_mask
+from .oracle import here_mask, primed_holds, y_slices
 from .syntax import Program, Rule, subsets_of
 
 ANSWER_SET_ATOM_LIMIT = 20
@@ -61,12 +65,15 @@ def answer_sets(p: Program, max_atoms: int = ANSWER_SET_ATOM_LIMIT) -> tuple[int
     if n > max_atoms:
         raise TooManyAtomsError("answer_sets", n, max_atoms)
     rules = p.rules
-    # x = y is bit 2^|y| - 1 of the kernel mask; it must be the only one set
-    return tuple(
-        y
-        for y in subsets_of(lang)
-        if here_mask(rules, y, here_basis(y)) == 1 << ((1 << y.bit_count()) - 1)
-    )
+    found = []
+    for y, atoms, full, masks in y_slices(lang):
+        if not primed_holds(rules, y):
+            continue  # (y, y) is not a model
+        # x = y is the top bit 2^|y| - 1 of the kernel mask; no other may survive
+        proper = full ^ (1 << (1 << len(atoms)) - 1)
+        if not here_mask(rules, y, (full, dict(zip(atoms, masks))), proper):
+            found.append(y)
+    return tuple(found)
 
 
 def equivalent(p1: Program, p2: Program, max_atoms: int = ANSWER_SET_ATOM_LIMIT) -> bool:

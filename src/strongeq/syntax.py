@@ -181,8 +181,10 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             continue
         if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
+            end = text.find("\n", i)
+            end = n if end < 0 else end
+            col += end - i
+            i = end
             continue
         m = ATOM_NAME.match(text, i)
         if m:
@@ -227,11 +229,14 @@ class _Parser:
     def fail(self, message: str) -> ParseError:
         return ParseError(message, self.cur.line, self.cur.col)
 
-    def expect_atom(self, where: str) -> int:
+    def _found(self) -> str:
         tok = self.cur
-        if tok.kind != "atom":
-            what = f"'{tok.text}'" if tok.kind != "eof" else "end of input"
-            raise self.fail(f"expected atom {where}, found {what}")
+        return "end of input" if tok.kind == "eof" else f"'{tok.text}'"
+
+    def expect_atom(self, where: str) -> int:
+        if self.cur.kind != "atom":
+            raise self.fail(f"expected atom {where}, found {self._found()}")
+        tok = self.cur
         self.advance()
         return self.symbols.intern(tok.text)
 
@@ -250,7 +255,7 @@ class _Parser:
                     self.advance()
                     ps, ng = self.literal(ps, ng)
         if self.cur.kind != ".":
-            raise self.fail(f"expected '.' to end statement, found '{self.cur.text}'")
+            raise self.fail(f"expected '.' to end statement, found {self._found()}")
         self.advance()
         return Rule(hd, ps, ng)
 

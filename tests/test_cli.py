@@ -305,6 +305,25 @@ class TestUsage:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["answersets", "check-se", "simplify", "verify"])
+    def test_negative_max_atoms_exits_2_before_reading_input(self, tmp_path, capsys, command):
+        # the input files do not exist: reading them first would give "cannot read"
+        missing = str(tmp_path / "missing.lp")
+        args = {
+            "answersets": [missing],
+            "check-se": [missing, missing],
+            "simplify": [missing],
+            "verify": ["--shape", "0,1,0", "--atoms", "1", "--condition", "cond_0_1_0"],
+        }[command]
+        assert main([command, *args, "--max-atoms", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --max-atoms must be at least 0, not -1\n"
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # only verify --jobs above 1 needs it, and loading it costs about 1 MB
+        code = "import sys, strongeq.cli; print('multiprocessing' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout == "False\n", proc.stderr
+
     def test_console_script_runs(self, tmp_path):
         path = write(tmp_path, "p.lp", "a.")
         proc = subprocess.run(
@@ -314,6 +333,77 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout == "{a}\n"
+
+
+class TestRepeatedCalls:
+    """main() reuses one parser per process; no call may leak into the next."""
+
+    @staticmethod
+    def valid_calls(tmp_path) -> list[list[str]]:
+        p1 = write(tmp_path, "p1.lp", "a :- not b. b :- not a. a :- a.")
+        p2 = write(tmp_path, "p2.lp", "a :- not b. b :- not a.")
+        p3 = write(tmp_path, "p3.lp", "a :- b.")
+        return [
+            ["answersets", p1],
+            ["answersets", p1, "--json"],
+            ["check-se", p1, p2],
+            ["check-se", p1, p3, "--json"],
+            ["simplify", p1],
+            ["simplify", p1, "--verify", "--json"],
+            ["verify", "--shape", "1,1,0", "--atoms", "2", "--condition", "s_implies", "--json"],
+        ]
+
+    @staticmethod
+    def run(argv, capsys) -> tuple[int, str]:
+        code = main(argv)
+        out = capsys.readouterr().out
+        if argv[0] == "verify":  # the report carries its elapsed time
+            payload = json.loads(out)
+            del payload["elapsed_ms"]
+            out = json.dumps(payload)
+        return code, out
+
+    def test_later_calls_match_first_calls(self, tmp_path, capsys):
+        calls = self.valid_calls(tmp_path)
+        cli.build_parser.cache_clear()
+        first = [self.run(argv, capsys) for argv in calls]
+        assert [code for code, _ in first] == [0, 0, 0, 1, 0, 0, 1]
+        assert main(["check-se", "--bogus"]) == 2
+        assert "strongeq check-se: error: " in capsys.readouterr().err
+        assert main(["--help"]) == 0
+        assert "answersets" in capsys.readouterr().out
+        assert [self.run(argv, capsys) for argv in calls] == first
+        # built once: the cache served every call after the first
+        assert cli.build_parser.cache_info().currsize == 1
+
+    def test_defaults_do_not_carry_over(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def scan(shape, atom_count, _predicate, **kwargs):
+            seen.append((kwargs["job_count"], kwargs["max_atoms"], kwargs["modulo_iso"]))
+            return DiscoveryReport(shape, atom_count, 0, 0, 0, 0, (), 0.0)
+
+        monkeypatch.setattr(cli, "test_conjecture", scan)
+        base = ["verify", "--shape", "0,1,0", "--atoms", "1", "--condition", "cond_0_1_0"]
+        assert main(base + ["--jobs", "2", "--max-atoms", "3", "--modulo-iso"]) == 0
+        assert main(base) == 0
+        assert seen == [(2, 3, True), (1, cli.ENUM_ATOM_LIMIT, False)]
+        capsys.readouterr()
+
+        limits = []
+        decide = cli.strongly_equivalent
+
+        def se(p1, p2, max_atoms):
+            limits.append(max_atoms)
+            return decide(p1, p2, max_atoms=max_atoms)
+
+        program = write(tmp_path, "p.lp", "a.")
+        monkeypatch.setattr(cli, "strongly_equivalent", se)
+        assert main(["check-se", program, program, "--max-atoms", "5", "--json"]) == 0
+        assert main(["check-se", program, program]) == 0
+        assert limits == [5, cli.SE_ATOM_LIMIT]
+        assert capsys.readouterr().out.splitlines() == [
+            '{"equivalent": true, "countermodel": null}', "strongly equivalent"]
 
 
 # --- fuzzing the exit-code contract ----------------------------------------

@@ -19,13 +19,16 @@ from strongeq import (
     is_answer_set,
     parse_program,
     parse_rule,
+    reduct,
     rename_program,
+    satisfies,
     simplify,
     strongly_equivalent,
 )
 from strongeq.discovery import ht_pair_masks, rule_mask
+from strongeq.oracle import here_basis, y_slices
 from strongeq.syntax import subsets_of
-from conftest import random_program
+from conftest import random_program, random_rule
 
 
 def build(text: str) -> tuple[Program, Symbols]:
@@ -289,3 +292,100 @@ class TestKernelAgainstReference:
         verdict = strongly_equivalent(p1, p2)
         assert time.perf_counter() - started < 1.0
         assert verdict.countermodel == HTPair(t.mask("x"), t.mask("x"))
+
+
+def perturbed(rng: random.Random, r: Rule, ids: list[int]) -> Rule:
+    """The rule with one atom of the language toggled in one of its fields."""
+    bit = 1 << rng.choice(ids)
+    field = rng.randrange(3)
+    return Rule(r.hd ^ bit * (field == 0), r.ps ^ bit * (field == 1), r.ng ^ bit * (field == 2))
+
+
+def mostly_shared_pairs(rng: random.Random):
+    """(p, q, kind) with q = p plus, minus or with a perturbed version of
+    one rule, p reordered, or a subset of p, over sparse atom ids."""
+    atom_count = rng.randint(2, 6)
+    ids = sorted(rng.sample(SPARSE_IDS, atom_count))
+    rename = dict(enumerate(ids))
+    p = rename_program(random_program(rng, atom_count, 8), rename)
+    rules = list(p.rules)
+    if not rules:
+        return
+    i = rng.randrange(len(rules))
+    extra = rename_program(Program((random_rule(rng, atom_count),)), rename).rules
+    yield p, Program(tuple(rules) + extra), "plus"
+    yield p, Program(tuple(rules[:i] + rules[i + 1:])), "minus"
+    yield p, Program(tuple(rules[:i] + [perturbed(rng, rules[i], ids)] + rules[i + 1:])), "perturbed"
+    yield p, Program(tuple(rng.sample(rules, len(rules)))), "reordered"
+    yield p, Program(tuple(r for r in rules if rng.random() < 0.7)), "subset"
+
+
+def fails_only_the_primed_check(p: Program, y: int) -> bool:
+    """y is not a model of the reduct relative to y, but no proper subset
+    of y is one either: only the (y, y) check rejects y."""
+    red = reduct(p, y).rules
+    model = lambda x: all(satisfies(x, r) for r in red)  # noqa: E731
+    return not model(y) and not any(model(x) for x in subsets_of(y) if x != y)
+
+
+class TestSharedRuleFastPaths:
+    """The kernel splits off the rules two programs share and answer sets
+    skip y that fail the primed check; both must leave every verdict and
+    first countermodel as the pairwise reference gives them."""
+
+    def test_slices_share_rank_masks_and_match_here_basis(self):
+        for lang in (0, 1 << 7, 0b1000_1001_1000, sum(1 << i for i in SPARSE_IDS)):
+            got = [(y, (full, dict(zip(atoms, masks)))) for y, atoms, full, masks in y_slices(lang)]
+            assert got == [(y, here_basis(y)) for y in subsets_of(lang)]
+
+    def test_mostly_shared_programs_match_pairwise_walk(self):
+        rng = random.Random(81)
+        outcomes = {}
+        for _ in range(400):
+            for p, q, kind in mostly_shared_pairs(rng):
+                for a, b in ((p, q), (q, p)):
+                    got = strongly_equivalent(a, b)
+                    assert got == reference_se(a, b), (kind, a, b)
+                    outcomes.setdefault(kind, set()).add(got.equivalent)
+        assert outcomes["reordered"] == {True}
+        for kind in ("plus", "minus", "perturbed", "subset"):
+            assert outcomes[kind] == {True, False}, kind
+
+    def test_equal_rule_sets_need_no_walk(self):
+        # a walk over 3^24 pairs would take weeks
+        wide = Program(tuple(Rule(1 << i, 1 << (i + 1), 0) for i in range(23)))
+        started = time.perf_counter()
+        assert strongly_equivalent(wide, Program(wide.rules[::-1])).equivalent
+        assert time.perf_counter() - started < 1.0
+        assert strongly_equivalent(Program(), Program()) == SEVerdict(True)
+
+    def test_shared_rules_decide_where_the_own_rules_differ(self):
+        # a :- b fails only on pairs whose here world lacks a, and the shared
+        # fact a. fails on all of those: equivalent, though the rules differ
+        t = Symbols()
+        p1, p2 = parse_program("a. a :- b.", t), parse_program("a.", t)
+        assert strongly_equivalent(p1, p2) == reference_se(p1, p2) == SEVerdict(True)
+        # the shared constraint rules out every y holding a, where b :- a
+        # alone fails; the programs still differ at y = {b}
+        p1, p2 = parse_program(":- a. a :- b.", t), parse_program(":- a. b :- a.", t)
+        assert strongly_equivalent(p1, p2) == reference_se(p1, p2) == SEVerdict(
+            False, HTPair(0, t.mask("b")))
+
+    def test_answer_sets_with_constraints_match_reduct_check(self):
+        rng = random.Random(82)
+        primed_only = found = 0
+        for _ in range(300):
+            atom_count = rng.randint(1, 6)
+            ids = sorted(rng.sample(SPARSE_IDS, atom_count))
+            program = random_program(rng, atom_count, 5)
+            constraints = tuple(
+                Rule(0, rule.ps, rule.ng)
+                for rule in (random_rule(rng, atom_count) for _ in range(rng.randint(1, 2)))
+            )
+            p = rename_program(Program(program.rules + constraints), dict(enumerate(ids)))
+            got = answer_sets(p)
+            assert got == tuple(y for y in subsets_of(p.atoms) if is_answer_set(p, y)), p
+            found += len(got)
+            primed_only += sum(fails_only_the_primed_check(p, y) for y in subsets_of(p.atoms))
+        assert found > 100
+        assert primed_only > 100

@@ -121,6 +121,25 @@ class TestParseRule:
         with pytest.raises(ParseError, match="trailing input"):
             parse_rule("a. b.", t)
 
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [("a % comment", 1, 12), ("a. % one\nb % two", 2, 8), ("a :- b %", 1, 9)],
+    )
+    def test_position_after_a_comment_is_past_it(self, text, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_program(text, Symbols())
+        assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize("text", ["a", "a :- b", "a % comment", "a;b :- not c"])
+    def test_missing_period_at_end_of_input_names_it(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_program(text, Symbols())
+        assert str(err.value).endswith("expected '.' to end statement, found end of input")
+
+    def test_missing_period_before_a_token_names_the_token(self):
+        with pytest.raises(ParseError, match="expected '.' to end statement, found ':-'"):
+            parse_rule("a :- b :- c.", Symbols())
+
 
 class TestParseProgram:
     def test_two_rule_program(self):
