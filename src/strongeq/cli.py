@@ -49,8 +49,11 @@ CANONICAL_ONLY = frozenset({"cond_2_1_0", "cond_0_2_1", "cond_0_2_2"})
 
 
 def _load_program(path: str, symbols: Symbols) -> Program:
+    # utf-8-sig drops a leading byte-order mark; text mode turns CR and
+    # CRLF into LF, so error lines and columns count them as one newline
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8-sig") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(_usage_error(f"cannot read {path}: {exc}"))
     try:

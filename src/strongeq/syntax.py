@@ -7,6 +7,7 @@ arithmetic, which is what keeps the exhaustive harness fast.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -155,7 +156,89 @@ class Program:
 # head     := atom (';' atom)*
 # body     := literal (',' literal)*
 # literal  := 'not' atom | atom
-# atom     := [a-z][A-Za-z0-9_]*
+# atom     := [a-z][A-Za-z0-9_]*            'not' alone is never an atom
+#
+# Whitespace is any Unicode whitespace (str.isspace, which is also what \s
+# matches).  It may stand between any two tokens and is needed only between
+# 'not' and its atom: 'notb' is an atom.
+#
+# parse_program and parse_rule read well-formed text with one anchored
+# regex match per statement (_scanner): comments are first blanked to
+# spaces of the same length, then each match yields the statement's head
+# and body text.  Only when the matches reach the end of the text, up to
+# trailing whitespace, are the atoms interned, in textual order (head
+# atoms, then body literals), and the rules built.  Text the scan stops
+# short on goes to the token parser (_Parser) unchanged; it raises the
+# positioned ParseError, and since nothing was interned before it ran the
+# symbol table ends up exactly as the token parser leaves it.
+#
+# The statement pattern gives whitespace exactly one way to match: two
+# adjacent \s* around an optional group make a failing match backtrack
+# quadratically (16,000 spaces and a '?' then take seconds).  Malformed
+# text of any length must fail in time linear in its length;
+# tests/test_syntax.py holds adversarial inputs of 100k characters to it.
+
+_ATOM = r"(?!not(?![A-Za-z0-9_]))[a-z][A-Za-z0-9_]*"
+_LITERAL = rf"(?:not\s+)?{_ATOM}"
+
+
+@functools.cache
+def _scanner():
+    """The statement matcher and the comment blanker, compiled on first use
+    so that importing the package does not pay for them."""
+    statement = re.compile(
+        rf"\s*(?:(?P<head>{_ATOM}(?:\s*;\s*{_ATOM})*)\s*)?"
+        rf"(?::-\s*(?:(?P<body>{_LITERAL}(?:\s*,\s*{_LITERAL})*)\s*)?)?\."
+    )
+    comment = re.compile(r"%[^\n]*")
+    return statement.match, comment.sub
+
+
+def _blank(m: re.Match) -> str:
+    return " " * (m.end() - m.start())
+
+
+def _scan(text: str) -> list[tuple[str | None, str | None]] | None:
+    """The (head, body) text of every statement, or None when the text is
+    not a sequence of well-formed statements."""
+    match, blank_comments = _scanner()
+    if "%" in text:
+        text = blank_comments(_blank, text)
+    statements = []
+    pos = 0
+    while m := match(text, pos):
+        statements.append(m.group("head", "body"))
+        pos = m.end()
+    if pos < len(text) and not text[pos:].isspace():
+        return None
+    return statements
+
+
+def _build_rules(statements: list[tuple[str | None, str | None]], symbols: Symbols) -> list[Rule]:
+    intern = symbols.intern
+    rules = []
+    for head, body in statements:
+        hd = ps = ng = 0
+        if head:
+            for name in head.replace(";", " ").split():
+                hd |= 1 << intern(name)
+        if body:
+            # the text matched, so a word 'not' can only prefix a negated atom
+            negated = False
+            for word in body.replace(",", " ").split():
+                if word == "not":
+                    negated = True
+                elif negated:
+                    ng |= 1 << intern(word)
+                    negated = False
+                else:
+                    ps |= 1 << intern(word)
+        rules.append(Rule(hd, ps, ng))
+    return rules
+
+
+# The token parser: the positioned errors for malformed text, and the
+# reference the statement scan is tested against.
 
 
 class _Token(NamedTuple):
@@ -267,24 +350,44 @@ class _Parser:
             ps |= 1 << self.expect_atom("in body")
         return ps, ng
 
+    def rule(self) -> Rule:
+        rule = self.statement()
+        if self.cur.kind != "eof":
+            raise self.fail(f"trailing input after rule: '{self.cur.text}'")
+        return rule
+
+    def program(self) -> Program:
+        rules: list[Rule] = []
+        while self.cur.kind != "eof":
+            rules.append(self.statement())
+        return Program(tuple(rules))
+
 
 def parse_rule(text: str, symbols: Symbols) -> Rule:
-    """Parse exactly one rule statement."""
-    p = _Parser(text, symbols)
-    rule = p.statement()
-    if p.cur.kind != "eof":
-        raise p.fail(f"trailing input after rule: '{p.cur.text}'")
-    return rule
+    """Parse exactly one rule statement.
+
+    Like parse_program: one statement match, and the token parser only for
+    text that is not exactly one well-formed statement.
+    """
+    statements = _scan(text)
+    if statements is None or len(statements) != 1:
+        return _Parser(text, symbols).rule()
+    return _build_rules(statements, symbols)[0]
 
 
 def parse_program(text: str, symbols: Symbols) -> Program:
     """Parse a whole program; rules keep first-occurrence order and exact
-    duplicates are dropped."""
-    p = _Parser(text, symbols)
-    rules: list[Rule] = []
-    while p.cur.kind != "eof":
-        rules.append(p.statement())
-    return Program(tuple(rules))
+    duplicates are dropped.
+
+    Well-formed text is read with one regex match per statement, in time
+    linear in its length; atoms are interned only once the whole text has
+    matched.  Any other text goes to the token parser, which raises a
+    ParseError carrying the line and column of the first offending token.
+    """
+    statements = _scan(text)
+    if statements is None:
+        return _Parser(text, symbols).program()
+    return Program(tuple(_build_rules(statements, symbols)))
 
 
 def format_rule(r: Rule, symbols: Symbols) -> str:

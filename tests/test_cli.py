@@ -60,6 +60,25 @@ class TestAnswersets:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["answersets", str(tmp_path / "nope.lp")]) == 2
 
+    def test_unreadable_file_is_named_as_given(self, tmp_path, capsys):
+        path = f"{tmp_path}/./nope.lp"
+        assert main(["answersets", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ") and err.endswith(f"'{path}'\n")
+
+    def test_leading_byte_order_mark_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "bom.lp"
+        path.write_bytes(b"\xef\xbb\xbfa. b :- a.\n")
+        assert main(["answersets", str(path)]) == 0
+        assert capsys.readouterr().out == "{a, b}\n"
+
+    @pytest.mark.parametrize("data", [b"a :- b.\r\nb ?", b"a.\rb ?"])
+    def test_carriage_returns_end_a_line_in_error_positions(self, tmp_path, capsys, data):
+        path = tmp_path / "cr.lp"
+        path.write_bytes(data)
+        assert main(["answersets", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:2:3: unexpected character '?'\n"
+
 
 class TestCheckSE:
     def test_equivalent_pair(self, tmp_path, capsys):

@@ -1,10 +1,15 @@
 """Data model, parsing, formatting, renaming, and isomorphism forms."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from strongeq import (
     ParseError,
@@ -22,7 +27,9 @@ from strongeq import (
     rename_program,
     rename_rule,
 )
-from strongeq.syntax import bits_of, mask_of, subsets_of
+from strongeq.syntax import _Parser, bits_of, mask_of, subsets_of
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def fresh(*names: str) -> Symbols:
@@ -163,6 +170,135 @@ class TestParseProgram:
         t = fresh("a", "b", "c")
         p = parse_program("a :- b. c.", t)
         assert p.atoms == 0b111
+
+
+# The statement scan against the token parser it falls back to.  The
+# pieces cover what separates the two: names that start with 'not', the
+# lone ':' and bare '%', comments at the end of the text, and whitespace
+# that is not ASCII or that ends a line without '\n'.
+NAMES = ["a", "b", "x_1", "not", "nota", "notA", "not_"]
+PUNCTUATION = [";", ",", ".", ":-", ":"]
+COMMENTS = ["% note\n", "%"]
+SPACES = [" ", "\n", "\r", "\r\n", "\t", "\x0c", "\xa0", "\u2028"]
+STRAY = ["?", "A", "é", "-"]
+PIECES = NAMES + PUNCTUATION + COMMENTS + SPACES + STRAY
+
+
+@st.composite
+def program_texts(draw):
+    """Mostly well-formed programs, each token followed by a random
+    separator (possibly none), with up to two random pieces spliced in."""
+    tokens = []
+    for _ in range(draw(st.integers(0, 4))):
+        head = draw(st.lists(st.sampled_from(NAMES), max_size=3))
+        tokens += [tok for name in head for tok in (";", name)][1:]
+        if draw(st.booleans()):
+            tokens.append(":-")
+            body = draw(st.lists(st.sampled_from(NAMES), max_size=3))
+            for i, name in enumerate(body):
+                tokens += ([","] if i else []) + (["not"] if draw(st.booleans()) else []) + [name]
+        tokens.append(".")
+    for _ in range(draw(st.integers(0, 2))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(PIECES)))
+    separators = st.sampled_from(["", " ", "  "] + SPACES + COMMENTS)
+    return "".join(tok + draw(separators) for tok in tokens)
+
+
+texts = st.one_of(st.lists(st.sampled_from(PIECES), max_size=30).map("".join), program_texts())
+
+
+def outcome(parse, text):
+    """What a parse leaves behind: its result or its error with position,
+    and the symbol table's names in id order."""
+    symbols = Symbols()
+    try:
+        result = parse(text, symbols)
+    except ParseError as exc:
+        result = (str(exc), exc.line, exc.col)
+    return result, [symbols.name(i) for i in range(len(symbols))]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(texts)
+def test_statement_scan_matches_token_parser(text):
+    assert outcome(parse_program, text) == outcome(lambda s, t: _Parser(s, t).program(), text)
+    assert outcome(parse_rule, text) == outcome(lambda s, t: _Parser(s, t).rule(), text)
+
+
+class TestParserEdges:
+    @pytest.mark.parametrize("text", ["nota.", "notA.", "not_.", "a :- nota, not notb."])
+    def test_names_starting_with_not_are_atoms(self, text):
+        t = Symbols()
+        parse_program(text, t)
+        assert "not" not in [t.name(i) for i in range(len(t))]
+
+    @pytest.mark.parametrize("text", ["not.", "a :- not.", ":- not not a.", "a; not."])
+    def test_not_alone_is_never_an_atom(self, text):
+        with pytest.raises(ParseError):
+            parse_program(text, Symbols())
+
+    def test_not_then_any_whitespace_negates(self):
+        t = fresh("a", "b")
+        assert parse_rule("a :- not b.", t) == Rule(0b01, 0, 0b10)
+        assert parse_rule("a :- not%c\nb.", t) == Rule(0b01, 0, 0b10)
+
+    def test_no_atom_interned_before_an_error(self):
+        t = Symbols()
+        with pytest.raises(ParseError):
+            parse_program("a :- b. c ?", t)
+        assert len(t) == 0
+
+    def test_frozen_table_rejects_a_new_atom_in_well_formed_text(self):
+        t = fresh("a")
+        t.freeze()
+        with pytest.raises(RuntimeError):
+            parse_program("a. b.", t)
+
+
+# Adversarial malformed inputs of about 100k characters, each parsed in a
+# child process so that a regression to quadratic backtracking fails here
+# instead of hanging the suite.
+ADVERSARIAL = {
+    "whitespace run": "' ' * 100_000 + '?'",
+    "long head": "'a' + ' ; a' * 25_000 + ' ?'",
+    "long body": "'a :- ' + 'not b, ' * 14_000 + '?'",
+    "long atom": "'a' * 100_000 + '?'",
+    "many statements": "'a :- b. ' * 12_500 + '?'",
+    "many comment lines": "'% note\\n' * 14_000 + '?'",
+}
+PARSE_TIMER = """
+import json, sys, time
+from strongeq import ParseError, Symbols, parse_program, parse_rule
+text = eval(sys.argv[1])
+times = []
+for parse in (parse_program, parse_rule):
+    start = time.perf_counter()
+    try:
+        parse(text, Symbols())
+    except ParseError:
+        pass
+    times.append(time.perf_counter() - start)
+print(json.dumps([len(text), max(times)]))
+"""
+
+
+@pytest.mark.parametrize("expr", ADVERSARIAL.values(), ids=ADVERSARIAL.keys())
+def test_malformed_input_parses_in_linear_time(expr):
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", PARSE_TIMER, expr],
+            cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"parsing {expr} took over 30 s")
+    assert proc.returncode == 0, proc.stderr
+    length, seconds = json.loads(proc.stdout)
+    assert length >= 98_000
+    assert seconds < 2.0
 
 
 class TestFormatRule:
