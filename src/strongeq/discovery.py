@@ -403,14 +403,21 @@ def discover_positive_tuples(
     max_atoms: int = ENUM_ATOM_LIMIT,
 ) -> Iterator[tuple[Rule, ...]]:
     """Yield exactly the tuples whose oracle verdict is positive, in
-    enumeration order: the raw material for conjecturing new conditions."""
+    enumeration order: the raw material for conjecturing new conditions.
+
+    One outermost rule index is scanned at a time, so the first tuples
+    come before the rest are built; ranges taken in order give the
+    enumeration order, as for `--jobs`."""
     rules, masks, full = _language_masks(atom_count, canonical_only, max_atoms)
     ties = _all_ties(atom_count) if modulo_iso else 0
+    shape_tuple = (shape.k, shape.m, shape.n)
     # Against a condition that never holds, the mismatches are exactly the
-    # oracle-positive tuples; the cap is the tuple count, so none is cut.
-    *_counts, positives = _scan_range(
-        (shape.k, shape.m, shape.n), rules, masks, _never, full,
-        0, len(rules), ties, len(rules) ** shape.length,
-    )
-    for mm in positives:
-        yield mm.rules
+    # oracle-positive tuples; the cap is the range's tuple count, so none
+    # is cut.
+    cap = len(rules) ** (shape.length - 1)
+    for start in range(len(rules)):
+        *_counts, positives = _scan_range(
+            shape_tuple, rules, masks, _never, full, start, start + 1, ties, cap
+        )
+        for mm in positives:
+            yield mm.rules

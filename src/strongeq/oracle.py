@@ -15,25 +15,39 @@ the set bits of i.  Each rule costs a few big-int operations per literal
 against a per-y basis of atom masks (`here_basis`), shared by every rule.
 The masks of that basis depend only on the ranks, so `y_slices` builds
 them once per size |y| and pairs them with each y's atoms; only the
-current size's masks are alive.  A rule whose primed implication fails
-at y (`primed_holds`) has no model with world y at all, which needs no
-basis to see.
+current size's masks are alive.
 
-Comparing two programs is one XOR per y, walked in the countermodel
-order with early exit: a decision costs up to 2^n slices of at most 2^n
-bits each.  The rules the two programs share are split off first: equal
-rule sets are equivalent without a walk; a y at which a shared rule's
-primed implication fails is skipped before its basis is built, since
-both masks are 0 there; elsewhere only the two programs' own rules are
-XORed, and a nonzero difference is then ANDed with the shared rules,
-stopping at 0.  That is the same difference, so the same countermodel.
-`delta_holds` and `ht_pairs` evaluate the same semantics pair by pair
-and are the reference the kernel is tested against.
+Which y need a basis at all is decided first, for all of them at once,
+by one mask over the 2^n worlds of the language (`world_layout`: the
+atom at position k of the ascending atom list weighs 2^(n-1-k) in a
+world's index).  A rule's primed implication fails on a cube of worlds
+(ps inside y, hd and ng outside), and its body holds on a wider one (ps
+inside, ng outside); `cube_worlds` builds either by doubling the mask
+once per free atom.  A y where some rule's primed implication fails has
+no model (x, y) at all.  `kept_slices` then walks only the kept y, in
+the order of `y_slices`: within one size that order is descending
+index, so each size's y are read off the mask from the top, with no
+sort and no list of all candidates.
+
+Comparing two programs is one XOR per kept y, walked in the countermodel
+order with early exit.  The rules the two programs share are split off
+first: equal rule sets are equivalent without a walk.  Otherwise only
+the y of `separating_worlds` are walked: those where every shared rule's
+primed implication holds, the own rules of at least one side all hold
+it, and some own rule's body holds (at any other y both sides have the
+same models, often none; the own rules decide only where they can fail,
+as in Lin's reduction of strong equivalence to classical entailment).
+There only the two programs' own rules are XORed, and a nonzero
+difference is then ANDed with the shared rules, stopping at 0.  That is
+the same difference, so the same countermodel.  `delta_holds` and
+`ht_pairs` evaluate the same semantics pair by pair and are the
+reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterator
 
@@ -119,14 +133,117 @@ def y_slices(lang: int) -> Iterator[tuple[int, tuple[int, ...], int, list[int]]]
             yield mask_of(atoms), atoms, full, masks
 
 
-def primed_holds(rules: tuple[Rule, ...], y: int) -> bool:
-    """Whether every rule's primed implication holds at y, that is, y is a
-    classical model of the rules' reduct relative to y.  If not, no (x, y)
-    is a model of the rules."""
+def world_layout(lang: int) -> tuple[tuple[int, int, int], ...]:
+    """(atom id, atom bit, weight) per atom of lang, highest id first: the
+    atom at position k of the ascending atom list weighs 2^(n-1-k) in the
+    index of a world y, a number below 2^n.  Within one size |y|, the
+    `subsets_of` order of the y is then descending index."""
+    return tuple((a, 1 << a, 1 << w) for w, a in enumerate(sorted(bits_of(lang), reverse=True)))
+
+
+def cube_worlds(layout: tuple[tuple[int, int, int], ...], inside: int, outside: int) -> int:
+    """Mask over the 2^n world indices of `layout` of the y with inside
+    within y and outside disjoint from y."""
+    if inside & outside:
+        return 0
+    m = 1
+    for _a, bit, weight in layout:
+        if inside & bit:
+            m <<= weight
+        elif not outside & bit:
+            m |= m << weight
+    return m
+
+
+def primed_failures(rules: tuple[Rule, ...], layout: tuple[tuple[int, int, int], ...]) -> int:
+    """Mask of the worlds y at which some rule's primed implication fails
+    (ps within y, hd and ng outside it): no (x, y) is a model there."""
+    m = 0
     for r in rules:
-        if not (r.ng & y or r.ps & ~y or r.hd & y):
-            return False
-    return True
+        m |= cube_worlds(layout, r.ps, r.hd | r.ng)
+    return m
+
+
+def separating_worlds(
+    only1: tuple[Rule, ...],
+    only2: tuple[Rule, ...],
+    shared: tuple[Rule, ...],
+    layout: tuple[tuple[int, int, int], ...],
+) -> int:
+    """Mask of the worlds y at which `only1 + shared` and `only2 + shared`
+    can have different models (x, y).  Every other y has none on either
+    side or the same ones: a shared rule's primed implication fails there
+    (both sides have no model), a rule of each side fails it (neither has
+    one), or every own rule is vacuous there, its body false at y (both
+    sides hold exactly where the shared rules hold)."""
+    live = fails1 = fails2 = 0
+    for r in only1:
+        live |= cube_worlds(layout, r.ps, r.ng)
+        fails1 |= cube_worlds(layout, r.ps, r.hd | r.ng)
+    for r in only2:
+        live |= cube_worlds(layout, r.ps, r.ng)
+        fails2 |= cube_worlds(layout, r.ps, r.hd | r.ng)
+    return live & ~(primed_failures(shared, layout) | fails1 & fails2)
+
+
+# kept y are read in blocks of 2^_BLOCK_BITS world indices, so that taking
+# one y off a mask costs a small-int operation however wide the language
+_BLOCK_BITS = 10
+
+
+@cache
+def _sized_indices(bits: int) -> tuple[int, ...]:
+    """For t from 0 to bits, the mask over the indices below 2^bits of
+    those with t set bits (at most _BLOCK_BITS + 1 small tables, kept)."""
+    row = [1]
+    for m in range(bits):
+        row.append(0)
+        for t in range(m + 1, 0, -1):
+            row[t] |= row[t - 1] << (1 << m)
+    return tuple(row)
+
+
+def kept_slices(
+    layout: tuple[tuple[int, int, int], ...], kept: int
+) -> Iterator[tuple[int, tuple[int, ...], int, list[int]]]:
+    """The slices of `y_slices` whose world index is set in `kept`, in the
+    same order.  The index space is cut into blocks of 2^_BLOCK_BITS; a
+    block's number holds the first atoms, so within one size the y come
+    block by block from the top, and each block's y of that size are read
+    off its mask from the top."""
+    n = len(layout)
+    low_bits = min(n, _BLOCK_BITS)
+    step = (1 << low_bits) + 7 >> 3
+    data = kept.to_bytes(step << n - low_bits, "little")
+    blocks = [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
+    del data
+    sized = _sized_indices(low_bits)
+    atom_at = [(a, bit) for a, bit, _weight in layout]
+    for size in range(n + 1):
+        basis = None
+        for high in range(len(blocks) - 1, -1, -1):
+            rest = size - high.bit_count()
+            if not 0 <= rest <= low_bits:
+                continue
+            candidates = blocks[high] & sized[rest]
+            if not candidates:
+                continue
+            if basis is None:
+                basis = _rank_masks(size)
+            base = high << low_bits
+            while candidates:
+                low = candidates.bit_length() - 1
+                candidates ^= 1 << low
+                index = base | low
+                atoms = []
+                y = 0
+                while index:  # the highest index bit is the lowest atom
+                    b = index.bit_length() - 1
+                    index ^= 1 << b
+                    a, bit = atom_at[b]
+                    atoms.append(a)
+                    y |= bit
+                yield y, tuple(atoms), *basis
 
 
 def here_mask(
@@ -183,9 +300,9 @@ def strongly_equivalent(
     only2 = tuple(r for r in p2.rules if r not in in1)
     if not only1 and not only2:
         return SEVerdict(True)
-    for y, atoms, full, masks in y_slices(lang):
-        if not primed_holds(shared, y):
-            continue  # both programs' masks are 0 at this y
+    layout = world_layout(lang)
+    kept = separating_worlds(only1, only2, shared, layout)
+    for y, atoms, full, masks in kept_slices(layout, kept):
         basis = full, dict(zip(atoms, masks))
         diff = here_mask(only1, y, basis) ^ here_mask(only2, y, basis)
         if diff:

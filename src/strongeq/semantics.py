@@ -3,19 +3,20 @@
 Interpretations are atom-set bitmasks.  `answer_sets` reads them off the
 two-world kernel of the oracle: y is an answer set iff (y, y) is the only
 here-and-there model with world y (an equilibrium model).  (y, y) is a
-model iff y is a classical model of the reduct relative to y, which
-`primed_holds` checks without a basis, so only the candidates that pass
-it are evaluated over their 2^|y| subsets: the program's rule masks are
-ANDed into the mask of the proper subsets x of y, stopping as soon as it
-reaches 0, which makes y an answer set.  The Gelfond-Lifschitz route
-(`reduct`, `is_answer_set`) is kept as the independent reference that
-the kernel is tested against.
+model iff y is a classical model of the reduct relative to y, that is,
+no rule's primed implication fails at y; one world mask
+(`primed_failures`) rules out every other y at once, and only the y it
+keeps are evaluated over their 2^|y| subsets, in the oracle's order: the
+program's rule masks are ANDed into the mask of the proper subsets x of
+y, stopping as soon as it reaches 0, which makes y an answer set.  The
+Gelfond-Lifschitz route (`reduct`, `is_answer_set`) is kept as the
+independent reference that the kernel is tested against.
 """
 
 from __future__ import annotations
 
 from .errors import TooManyAtomsError
-from .oracle import here_mask, primed_holds, y_slices
+from .oracle import here_mask, kept_slices, primed_failures, world_layout
 from .syntax import Program, Rule, subsets_of
 
 ANSWER_SET_ATOM_LIMIT = 20
@@ -65,10 +66,10 @@ def answer_sets(p: Program, max_atoms: int = ANSWER_SET_ATOM_LIMIT) -> tuple[int
     if n > max_atoms:
         raise TooManyAtomsError("answer_sets", n, max_atoms)
     rules = p.rules
+    layout = world_layout(lang)
+    models = ((1 << (1 << n)) - 1) & ~primed_failures(rules, layout)
     found = []
-    for y, atoms, full, masks in y_slices(lang):
-        if not primed_holds(rules, y):
-            continue  # (y, y) is not a model
+    for y, atoms, full, masks in kept_slices(layout, models):
         # x = y is the top bit 2^|y| - 1 of the kernel mask; no other may survive
         proper = full ^ (1 << (1 << len(atoms)) - 1)
         if not here_mask(rules, y, (full, dict(zip(atoms, masks))), proper):

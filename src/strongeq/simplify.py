@@ -24,12 +24,23 @@ restarts from index 0 after every deletion:
   - Only T9 adds a rule.  A pass without one leaves every phase at its
     fixpoint (normalized rules stay normalized, deletions cannot make a
     pair or triple fire), so the loop stops after it.
-  - Both wide scans try only candidates that pass a necessary condition
-    read from the misfit of ordered rule pairs (the atoms keeping one rule
-    from fitting inside another): cond_2_1_0(ri, rj, rl) needs rl
-    redundant given ri or rj alone, or each of ri and rj to fit rl outside
-    one atom; a T9 replacement of two rules needs one of them to fit the
-    other outside one atom.  The conditions still decide every candidate.
+  - The wide scans try only candidates that pass a necessary condition
+    read from the misfit of an ordered rule pair (a, b): the atoms of a
+    that keep it from fitting inside b field by field, a's head landing in
+    b's head or negated body (a.hd - (b.hd|b.ng) | a.ps - b.ps |
+    a.ng - b.ng).  cond_1_1_0(a, b) holds iff b is deletable on its own or
+    that misfit is empty; cond_2_1_0(ri, rj, rl) needs rl redundant given
+    ri or rj alone, or each of ri and rj to fit rl outside one atom; a T9
+    replacement of two rules needs one of them to fit the other outside
+    one atom.  The conditions still decide every candidate.
+  - One table per pass (`_FitTable`, built after normalization from
+    per-atom occurrence bitsets, as SAT preprocessors index clauses for
+    backward subsumption) holds, per rule, the rules it fits and the rules
+    it fits outside one atom.  Deletions drop a row and a bit instead of
+    rebuilding it, so no scan walks all pairs or triples: the pair scan
+    reads the fits rows, the triple scan takes j only from the rules that
+    share a near rule with i, and the replacement scan reads near and its
+    transpose.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from dataclasses import dataclass
 
 from .conditions import cond_0_1_0, cond_0_2_1, cond_1_1_0, cond_2_1_0
 from .oracle import SE_ATOM_LIMIT, strongly_equivalent
-from .syntax import Program, Rule, Symbols, format_rule, is_canonical, subsets_of
+from .syntax import Program, Rule, Symbols, bits_of, format_rule, is_canonical, subsets_of
 
 
 @dataclass(frozen=True)
@@ -92,6 +103,7 @@ def normalize_rule(r: Rule) -> Rule | None:
 
 
 def _phase_normalize(rules: list[Rule], steps: list[SimplifyStep]) -> None:
+    seen: dict[Rule, int] = {}  # the rules before i, all distinct, by index
     i = 0
     while i < len(rules):
         nr = normalize_rule(rules[i])
@@ -102,7 +114,7 @@ def _phase_normalize(rules: list[Rule], steps: list[SimplifyStep]) -> None:
         if nr != rules[i]:
             steps.append(SimplifyStep("T7-head-clean", index=i, produced=nr))
             rules[i] = nr
-        first = rules.index(nr)
+        first = seen.setdefault(nr, i)
         if first < i:
             steps.append(SimplifyStep("T6-delete", kept=(first,), removed=(i,)))
             del rules[i]
@@ -110,97 +122,189 @@ def _phase_normalize(rules: list[Rule], steps: list[SimplifyStep]) -> None:
         i += 1
 
 
-def _phase_pair_delete(rules: list[Rule], steps: list[SimplifyStep]) -> None:
+def _drop_bit(rows: list[int], l: int) -> None:
+    """Delete row l and bit l of every other row, shifting higher bits down."""
+    del rows[l]
+    low = (1 << l) - 1
+    high = ~low
+    rows[:] = [row & low | row >> 1 & high for row in rows]
+
+
+class _FitTable:
+    """Per rule a of a list, two bitmasks over the rules b of the list:
+    `fits[a]`, where cond_1_1_0(a, b) holds (b is deletable on its own or
+    misfit(a, b) is empty), and `near[a]`, where misfit(a, b) has at most
+    one atom.  `near_t`, the transpose of `near`, and `reaching`, the rules
+    whose `fits` row holds another rule than their own, are built on first
+    use.
+
+    The rows come from per-atom occurrence bitsets, not from rule pairs:
+    an atom t of a is in misfit(a, b) iff b lacks t in some field of a
+    holding t (ps, ng, or hd|ng for a head atom), so a ones/twos
+    accumulator over a's atoms, each contributing the rules that lack it,
+    counts misfit atoms up to two.  Counting per atom, not per field,
+    keeps the rows exact for rules whose fields overlap.
+
+    A deletion drops its row and its bit from every other row; the other
+    entries are pure functions of their two rules and stay as they are.
+    """
+
+    def __init__(self, rules: list[Rule]) -> None:
+        everyone = (1 << len(rules)) - 1
+        # atom bit -> the rules holding it in hd|ng, in ps, in ng
+        in_hn: dict[int, int] = {}
+        in_ps: dict[int, int] = {}
+        in_ng: dict[int, int] = {}
+        deletable = 0
+        bit = 1
+        for r in rules:
+            for field, index in ((r.hd | r.ng, in_hn), (r.ps, in_ps), (r.ng, in_ng)):
+                while field:
+                    atom = field & -field
+                    index[atom] = index.get(atom, 0) | bit
+                    field ^= atom
+            if cond_0_1_0(r):
+                deletable |= bit
+            bit <<= 1
+        self.fits: list[int] = []
+        self.near: list[int] = []
+        for r in rules:
+            hd, ps, ng = r.hd, r.ps, r.ng
+            ones = twos = 0
+            atoms = hd | ps | ng
+            while atoms:
+                atom = atoms & -atoms
+                atoms ^= atom
+                have = everyone
+                if hd & atom:
+                    have &= in_hn[atom]
+                if ps & atom:
+                    have &= in_ps[atom]
+                if ng & atom:
+                    have &= in_ng[atom]
+                lack = everyone ^ have
+                twos |= ones & lack
+                ones |= lack
+            self.fits.append(deletable | everyone ^ ones)
+            self.near.append(everyone ^ twos)
+        self._near_t: list[int] | None = None
+        self._reaching: int | None = None
+
+    def delete(self, l: int) -> None:
+        _drop_bit(self.fits, l)
+        _drop_bit(self.near, l)
+        if self._near_t is not None:
+            _drop_bit(self._near_t, l)
+        self._reaching = None
+
+    @property
+    def near_t(self) -> list[int]:
+        """The transpose of `near`, built on first use."""
+        if self._near_t is None:
+            self._near_t = [0] * len(self.near)
+            bit = 1
+            for row in self.near:
+                while row:
+                    b = row & -row
+                    self._near_t[b.bit_length() - 1] |= bit
+                    row ^= b
+                bit <<= 1
+        return self._near_t
+
+    @property
+    def reaching(self) -> int:
+        """Bitmask of the a whose row fits[a] has a bit other than a."""
+        if self._reaching is None:
+            self._reaching = 0
+            for a, row in enumerate(self.fits):
+                if row != 1 << a:
+                    self._reaching |= 1 << a
+        return self._reaching
+
+    def triple_candidates(self, i: int, j: int) -> int:
+        """Bitmask of the l for which cond_2_1_0(rules[i], rules[j],
+        rules[l]) can hold: rules[l] is redundant given one of the two
+        rules, or both fit inside it outside a single atom each (a
+        necessary condition for the witness clause; the condition itself
+        decides)."""
+        return (self.near[i] & self.near[j] | self.fits[i] | self.fits[j]) & ~(1 << i | 1 << j)
+
+    def triple_partners(self, i: int) -> int:
+        """Bitmask covering every j != i with a nonzero
+        `triple_candidates(i, j)`: a shared `near` bit, read from
+        `near_t`, or a `fits` row reaching past its own rule."""
+        own = 1 << i
+        if self.fits[i] != own:
+            return ((1 << len(self.fits)) - 1) ^ own
+        partners = self.reaching
+        for l in bits_of(self.near[i] ^ own):
+            partners |= self.near_t[l]
+        return partners & ~own
+
+    def replace_partners(self, i: int) -> int:
+        """Bitmask of the j with `near` bit i or `near[i]` bit j, necessary
+        for _pair_replacement(rules[i], rules[j]) to succeed.  A
+        replacement c fits inside both rules, so misfit(ri, rj) lies within
+        misfit(ri, c) and misfit(rj, ri) within misfit(rj, c); cond_2_1_0(ri,
+        rj, c) needs one of those empty, or both within a single witness
+        atom."""
+        return self.near[i] | self.near_t[i]
+
+
+def _phase_pair_delete(rules: list[Rule], table: _FitTable, steps: list[SimplifyStep]) -> None:
     i0 = j0 = 0
-    while (hit := _first_pair(rules, i0, j0)) is not None:
+    while (hit := _first_pair(rules, table, i0, j0)) is not None:
         i, j = hit
         steps.append(SimplifyStep("T6-delete", kept=(i,), removed=(j,)))
         del rules[j]
+        table.delete(j)
         # every earlier pair failed and, its rules unchanged, still fails:
         # resume at the deleted position, mapped to the shifted indices
         i0, j0 = i - (j < i), j
 
 
-def _first_pair(rules: list[Rule], i0: int, j0: int) -> tuple[int, int] | None:
+def _first_pair(
+    rules: list[Rule], table: _FitTable, i0: int, j0: int
+) -> tuple[int, int] | None:
     """First (i, j) at or after (i0, j0) in scan order with
-    cond_1_1_0(rules[i], rules[j])."""
-    n = len(rules)
-    for i in range(i0, n):
-        for j in range(j0, n):
-            if i != j and cond_1_1_0(rules[i], rules[j]):
+    cond_1_1_0(rules[i], rules[j]); only the table's hits are tried."""
+    for i in range(i0, len(rules)):
+        hits = table.fits[i] & ~(1 << i)
+        if i == i0:
+            hits = hits >> j0 << j0
+        for j in bits_of(hits):
+            if cond_1_1_0(rules[i], rules[j]):
                 return i, j
-        j0 = 0
     return None
 
 
-def _misfit(a: Rule, b: Rule) -> int:
-    """The atoms of a that keep it from fitting inside b field by field
-    (a's head may land in b's head or negated body).  For canonical rules
-    cond_1_1_0(a, b) holds iff this is empty, and cond_2_1_0's witness
-    clause needs misfit(r1, r3) | misfit(r2, r3) to be at most its witness
-    atom."""
-    return a.hd & ~(b.hd | b.ng) | a.ps & ~b.ps | a.ng & ~b.ng
-
-
-def _at_most_one_atom(mask: int) -> bool:
-    return mask & (mask - 1) == 0
-
-
-def _fit_table(rules: list[Rule]) -> tuple[list[int], list[int]]:
-    """Per rule a, two bitmasks over the rules b: `fits`, where
-    cond_1_1_0(a, b) holds, and `near`, where misfit(a, b) has at most one
-    atom."""
-    fits: list[int] = []
-    near: list[int] = []
-    for a in rules:
-        fit = close = 0
-        for l, b in enumerate(rules):
-            if cond_1_1_0(a, b):
-                fit |= 1 << l
-            if _at_most_one_atom(_misfit(a, b)):
-                close |= 1 << l
-        fits.append(fit)
-        near.append(close)
-    return fits, near
-
-
-def _triple_candidates(fits: list[int], near: list[int], i: int, j: int) -> int:
-    """Bitmask of the l for which cond_2_1_0(rules[i], rules[j], rules[l])
-    can hold: rules[l] is redundant given one of the two rules, or both fit
-    inside it outside a single atom each (a necessary condition for the
-    witness clause; the condition itself decides)."""
-    return (near[i] & near[j] | fits[i] | fits[j]) & ~(1 << i | 1 << j)
-
-
-def _phase_triple_delete(rules: list[Rule], steps: list[SimplifyStep]) -> None:
+def _phase_triple_delete(rules: list[Rule], table: _FitTable, steps: list[SimplifyStep]) -> None:
     i0 = j0 = l0 = 0
-    while (hit := _first_triple(rules, i0, j0, l0)) is not None:
+    while (hit := _first_triple(rules, table, i0, j0, l0)) is not None:
         i, j, l = hit
         steps.append(SimplifyStep("T8-delete", kept=(i, j), removed=(l,)))
         del rules[l]
+        table.delete(l)
         i0, j0, l0 = i - (l < i), j - (l < j), l
 
 
 def _first_triple(
-    rules: list[Rule], i0: int, j0: int, l0: int
+    rules: list[Rule], table: _FitTable, i0: int, j0: int, l0: int
 ) -> tuple[int, int, int] | None:
     """First (i, j, l) at or after (i0, j0, l0) in scan order with
-    cond_2_1_0(rules[i], rules[j], rules[l]); only the prefiltered l are
-    tried, in ascending order."""
-    fits, near = _fit_table(rules)
-    n = len(rules)
-    for i in range(i0, n):
-        for j in range(j0, n):
-            if j != i:
-                candidates = _triple_candidates(fits, near, i, j) >> l0 << l0
-                while candidates:
-                    low = candidates & -candidates
-                    candidates ^= low
-                    l = low.bit_length() - 1
-                    if cond_2_1_0(rules[i], rules[j], rules[l]):
-                        return i, j, l
-            l0 = 0
-        j0 = 0
+    cond_2_1_0(rules[i], rules[j], rules[l]); only the table's partners j
+    and candidates l are tried, in ascending order."""
+    for i in range(i0, len(rules)):
+        partners = table.triple_partners(i)
+        if i == i0:
+            partners = partners >> j0 << j0
+        for j in bits_of(partners):
+            candidates = table.triple_candidates(i, j)
+            if i == i0 and j == j0:
+                candidates = candidates >> l0 << l0
+            for l in bits_of(candidates):
+                if cond_2_1_0(rules[i], rules[j], rules[l]):
+                    return i, j, l
     return None
 
 
@@ -228,19 +332,9 @@ def _pair_replacement(r1: Rule, r2: Rule) -> Rule | None:
     return None
 
 
-def _may_replace(r1: Rule, r2: Rule) -> bool:
-    """Necessary for _pair_replacement(r1, r2) to succeed.  A replacement c
-    fits inside both rules, so misfit(r1, r2) lies within misfit(r1, c) and
-    misfit(r2, r1) within misfit(r2, c); cond_2_1_0(r1, r2, c) needs one of
-    those empty, or both within a single witness atom."""
-    return _at_most_one_atom(_misfit(r1, r2)) or _at_most_one_atom(_misfit(r2, r1))
-
-
-def _phase_pair_replace(rules: list[Rule], steps: list[SimplifyStep]) -> bool:
-    for i in range(len(rules)):
-        for j in range(i + 1, len(rules)):
-            if not _may_replace(rules[i], rules[j]):
-                continue
+def _phase_pair_replace(rules: list[Rule], table: _FitTable, steps: list[SimplifyStep]) -> bool:
+    for i in range(len(rules) - 1):
+        for j in bits_of(table.replace_partners(i) >> i + 1 << i + 1):
             cand = _pair_replacement(rules[i], rules[j])
             if cand is not None:
                 steps.append(SimplifyStep("T9-replace", removed=(i, j), produced=cand))
@@ -261,9 +355,10 @@ def simplify(p: Program) -> tuple[Program, SimplifyTrace]:
         # only T9 adds a rule; after a pass without one, a second pass
         # would find every phase at its fixpoint already
         _phase_normalize(rules, steps)
-        _phase_pair_delete(rules, steps)
-        _phase_triple_delete(rules, steps)
-        replaced = _phase_pair_replace(rules, steps)
+        table = _FitTable(rules)
+        _phase_pair_delete(rules, table, steps)
+        _phase_triple_delete(rules, table, steps)
+        replaced = _phase_pair_replace(rules, table, steps)
     return Program(tuple(rules)), SimplifyTrace(tuple(steps))
 
 

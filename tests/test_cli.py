@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from strongeq import cli
 from strongeq.cli import main
 from strongeq.discovery import DiscoveryReport
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write(tmp_path, name, text):
@@ -352,6 +355,27 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout == "{a}\n"
+
+    @pytest.mark.parametrize(
+        "second, verdict, code",
+        [("a :- not b. b :- not a.", "strongly equivalent\n", 0),
+         ("a :- b.", "NOT strongly equivalent\n", 1)],
+        ids=["equivalent", "not-equivalent"],
+    )
+    def test_package_runs_as_module_from_a_checkout(self, tmp_path, second, verdict, code):
+        first = write(tmp_path, "p1.lp", "a :- not b. b :- not a. a :- a.")
+        other = write(tmp_path, "p2.lp", second)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "strongeq", "check-se", first, other],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.startswith(verdict)
 
 
 class TestRepeatedCalls:

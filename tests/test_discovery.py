@@ -225,6 +225,32 @@ class TestDiscoverPositives:
         for r in enumerate_rules(2):
             assert (r, r) in positives
 
+    def test_stream_matches_one_scan_of_every_range(self):
+        # the order of a single scan over all outermost indices, which
+        # builds every positive tuple before the first is returned
+        for shape, iso in ((TupleShape(0, 1, 1), False), (TupleShape(1, 1, 0), True)):
+            rules, masks, full = discovery._language_masks(2, False, discovery.ENUM_ATOM_LIMIT)
+            ties = discovery._all_ties(2) if iso else 0
+            *_counts, whole = discovery._scan_range(
+                (shape.k, shape.m, shape.n), rules, masks, discovery._never, full,
+                0, len(rules), ties, len(rules) ** shape.length)
+            assert list(discover_positive_tuples(shape, 2, modulo_iso=iso)) == [
+                mm.rules for mm in whole]
+
+    def test_first_tuple_needs_one_range(self, monkeypatch):
+        calls = []
+        scan = discovery._scan_range
+
+        def counting(*args):
+            calls.append(args[5:7])
+            return scan(*args)
+
+        monkeypatch.setattr(discovery, "_scan_range", counting)
+        stream = discover_positive_tuples(TupleShape(1, 1, 0), 3)
+        first = next(stream)
+        assert first == (first[0], first[0])
+        assert calls == [(0, 1)]
+
     def test_split_rule_equivalence_for_pure_deletions(self):
         # Two rules are jointly deletable against the empty program exactly
         # when each is deletable alone.

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -26,8 +27,16 @@ from strongeq import (
     strongly_equivalent,
 )
 from strongeq.discovery import ht_pair_masks, rule_mask
-from strongeq.oracle import here_basis, y_slices
-from strongeq.syntax import subsets_of
+from strongeq.oracle import (
+    cube_worlds,
+    here_basis,
+    kept_slices,
+    primed_failures,
+    separating_worlds,
+    world_layout,
+    y_slices,
+)
+from strongeq.syntax import bits_of, subsets_of
 from conftest import random_program, random_rule
 
 
@@ -292,6 +301,14 @@ class TestKernelAgainstReference:
         verdict = strongly_equivalent(p1, p2)
         assert time.perf_counter() - started < 1.0
         assert verdict.countermodel == HTPair(t.mask("x"), t.mask("x"))
+        # the world masks: at most n masks of 2^n bits
+        tracemalloc.start()
+        try:
+            strongly_equivalent(p1, p2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 def perturbed(rng: random.Random, r: Rule, ids: list[int]) -> Rule:
@@ -389,3 +406,139 @@ class TestSharedRuleFastPaths:
             primed_only += sum(fails_only_the_primed_check(p, y) for y in subsets_of(p.atoms))
         assert found > 100
         assert primed_only > 100
+
+
+def world_index(y: int, lang: int) -> int:
+    """The index of world y: the atom at position k of lang's ascending
+    atoms weighs 2^(n-1-k)."""
+    positions = list(bits_of(lang))
+    return sum(1 << len(positions) - 1 - k for k, a in enumerate(positions) if y >> a & 1)
+
+
+def worlds_where(lang: int, holds) -> int:
+    return sum(1 << world_index(y, lang) for y in subsets_of(lang) if holds(y))
+
+
+def primed(r: Rule, y: int) -> bool:
+    return bool(r.ng & y or r.ps & ~y or r.hd & y)
+
+
+def split(p: Program, q: Program) -> tuple[tuple[Rule, ...], ...]:
+    """(p's own rules, q's own rules, shared rules), in program order."""
+    in_p, in_q = set(p.rules), set(q.rules)
+    return (
+        tuple(r for r in p.rules if r not in in_q),
+        tuple(r for r in q.rules if r not in in_p),
+        tuple(r for r in p.rules if r in in_q),
+    )
+
+
+def wide_shared_pairs(rng: random.Random, atom_count: int):
+    """p of 10 rules `h :- b1, b2, not a, not c` over spread-out atom ids,
+    against p plus a copy of one rule with one more body atom, and against
+    p with that rule perturbed."""
+    ids = [3 * i + 1 for i in range(atom_count)]
+    rules = []
+    for _ in range(10):
+        h, b1, b2, a, c = rng.sample(ids, 5)
+        rules.append(Rule(1 << h, 1 << b1 | 1 << b2, 1 << a | 1 << c))
+    p = Program(tuple(rules))
+    r = rng.choice(rules)
+    extra = rng.choice([i for i in ids if not r.atoms >> i & 1])
+    yield p, Program(p.rules + (Rule(r.hd, r.ps | 1 << extra, r.ng),))
+    yield p, Program(tuple(perturbed(rng, x, ids) if x == r else x for x in rules))
+
+
+# the last spans several blocks of the kept walk
+LANGS = (0, 1 << 5, 0b1000_1001_1000, sum(1 << i for i in SPARSE_IDS), sum(1 << 2 * i for i in range(12)))
+
+
+class TestWorldMask:
+    """The world masks that decide which y the kernel walks, against their
+    definitions y by y."""
+
+    def test_cubes_match_definition(self):
+        rng = random.Random(91)
+        for lang in LANGS:
+            layout = world_layout(lang)
+            for _ in range(60):
+                inside = rng.getrandbits(24) & lang
+                outside = rng.getrandbits(24) & lang & ~(inside if rng.random() < 0.8 else 0)
+                expected = worlds_where(lang, lambda y: not inside & ~y and not outside & y)
+                assert cube_worlds(layout, inside, outside) == expected, (lang, inside, outside)
+
+    def test_kept_slices_follow_y_slices(self):
+        rng = random.Random(92)
+        for lang in LANGS:
+            layout = world_layout(lang)
+            every = list(y_slices(lang))
+            assert list(kept_slices(layout, (1 << (1 << lang.bit_count())) - 1)) == every
+            for _ in range(5):
+                kept = rng.getrandbits(1 << lang.bit_count())
+                assert list(kept_slices(layout, kept)) == [
+                    s for s in every if kept >> world_index(s[0], lang) & 1]
+
+    def test_masks_match_definitions_on_mostly_shared_pairs(self):
+        rng = random.Random(93)
+        for _ in range(150):
+            for p, q, _kind in mostly_shared_pairs(rng):
+                only1, only2, shared = split(p, q)
+                lang = p.atoms | q.atoms
+                layout = world_layout(lang)
+                assert primed_failures(p.rules, layout) == worlds_where(
+                    lang, lambda y: not all(primed(r, y) for r in p.rules))
+                assert separating_worlds(only1, only2, shared, layout) == worlds_where(
+                    lang,
+                    lambda y: all(primed(r, y) for r in shared)
+                    and (all(primed(r, y) for r in only1) or all(primed(r, y) for r in only2))
+                    and any(not r.ps & ~y and not r.ng & y for r in only1 + only2),
+                )
+
+    def test_pruned_worlds_never_separate(self):
+        rng = random.Random(94)
+        pruned = 0
+        for _ in range(100):
+            for p, q, _kind in mostly_shared_pairs(rng):
+                only1, only2, shared = split(p, q)
+                lang = p.atoms | q.atoms
+                kept = separating_worlds(only1, only2, shared, world_layout(lang))
+                for y in subsets_of(lang):
+                    if kept >> world_index(y, lang) & 1:
+                        continue
+                    pruned += 1
+                    for x in subsets_of(y):
+                        pair = HTPair(x, y)
+                        assert all(delta_holds(r, pair) for r in p.rules) == all(
+                            delta_holds(r, pair) for r in q.rules), (p, q, pair)
+        assert pruned > 1000
+
+    def test_sparse_walks_match_pairwise_walk(self):
+        # under 10% of the y survive here, most of them in the equivalent pairs
+        rng = random.Random(95)
+        worlds = kept = 0
+        outcomes = set()
+        for _ in range(12):
+            for p, q in wide_shared_pairs(rng, 7):
+                only1, only2, shared = split(p, q)
+                lang = p.atoms | q.atoms
+                worlds += 1 << lang.bit_count()
+                kept += separating_worlds(only1, only2, shared, world_layout(lang)).bit_count()
+                got = strongly_equivalent(p, q)
+                assert got == reference_se(p, q), (p, q)
+                assert strongly_equivalent(q, p) == reference_se(q, p), (p, q)
+                outcomes.add(got.equivalent)
+        assert outcomes == {True, False}
+        assert kept < worlds / 10
+
+    def test_wide_equivalent_pair_stays_small(self):
+        # p against p plus a weakened copy of one rule, 20 atoms
+        rng = random.Random(96)
+        p, q = next(wide_shared_pairs(rng, 20))
+        assert (p.atoms | q.atoms).bit_count() == 20
+        tracemalloc.start()
+        try:
+            assert strongly_equivalent(p, q).equivalent
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"{peak / 2**20:.1f} MB"
