@@ -9,7 +9,7 @@ semantic oracle by exhaustive enumeration.
 from __future__ import annotations
 
 from .errors import NotCanonicalError
-from .syntax import Rule, is_canonical
+from .syntax import Rule
 
 
 def cond_0_1_0(r: Rule) -> bool:
@@ -26,7 +26,7 @@ def cond_1_1_0(r1: Rule, r2: Rule) -> bool:
     r2's (positive and negated parts separately) and r1's head is covered
     by r2's head plus negated body.
     """
-    if cond_0_1_0(r2):
+    if (r2.hd | r2.ng) & r2.ps:
         return True
     return (
         r1.ps & ~r2.ps == 0
@@ -53,7 +53,7 @@ def s_implies(r1: Rule, r2: Rule) -> bool:
 def cond_0_1_1(r1: Rule, r2: Rule) -> bool:
     """Whether two rules are interchangeable: both individually deletable,
     or same bodies and the same head-plus-negated-body closure."""
-    if cond_0_1_0(r1) and cond_0_1_0(r2):
+    if (r1.hd | r1.ng) & r1.ps and (r2.hd | r2.ng) & r2.ps:
         return True
     return (
         r1.ps == r2.ps
@@ -64,7 +64,7 @@ def cond_0_1_1(r1: Rule, r2: Rule) -> bool:
 
 def _require_canonical(*rules: Rule) -> None:
     for r in rules:
-        if not is_canonical(r):
+        if r.hd & r.ps or r.hd & r.ng or r.ps & r.ng:
             raise NotCanonicalError(
                 "this condition is stated for canonical rules only; "
                 "normalize first (see simplify.normalize_rule)"

@@ -7,11 +7,23 @@ bitmasks over all 3^a valuation pairs, so the oracle verdict for a tuple
 is a handful of mask ANDs; the condition is invoked as-is, keeping the
 two routes independent.
 
-A rule's mask is the oracle kernel's `here_mask` for each y over the
-language, concatenated: the slices follow y in `subsets_of` order, the
-slice for y takes 2^|y| bits, and within it bit i stands for the x whose
-atoms' ranks within y are the set bits of i.  The harness only ANDs and
-compares masks, so any fixed layout of the pairs would do.
+The pairs are laid out as the oracle kernel's y slices, concatenated:
+the slices follow y in `subsets_of` order, the slice for y takes 2^|y|
+bits, and within it bit i stands for the x whose atoms' ranks within y
+are the set bits of i.  The harness only ANDs and compares masks, so any
+fixed layout of the pairs would do.  A rule's mask is its translation in
+closed form over four tables indexed by an atom set S (the pairs where S
+is within x, misses x, is within y, misses y), each entry one AND of a
+smaller entry and a per-atom mask; so a rule costs a few big-int
+operations, not one `here_mask` per y.  The tests keep the concatenated
+`here_mask` slices as the reference.
+
+The walk fixes every position but the last, then decides the whole row
+of last rules at once: one `map` of the condition over the row (in row
+order, one call per tuple, as a per-tuple walk would make them), one
+`map` of mask ANDs and compares for the oracle, and counts from the two
+lists of verdicts.  Only a row where the lists differ is walked tuple by
+tuple, to count its mismatches and record them under the cap.
 
 With modulo_iso the walk is orderly (Read 1978; McKay 1998): it visits
 exactly the tuples that are their own `iso_canonical_form`, in enumeration
@@ -41,11 +53,13 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
+from operator import ne, truth
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import TooManyAtomsError
-from .oracle import here_mask, y_slices
+from .oracle import y_slices
 from .syntax import Rule, Symbols, format_rule, iso_canonical_form
 
 ENUM_ATOM_LIMIT = 7
@@ -98,6 +112,14 @@ class DiscoveryReport:
     def to_json(self, symbols: Symbols | None = None) -> dict:
         if symbols is None:
             symbols = language_symbols(self.atom_count)
+        texts: dict[Rule, str] = {}  # mismatches share most of their rules
+
+        def text(r: Rule) -> str:
+            t = texts.get(r)
+            if t is None:
+                t = texts[r] = format_rule(r, symbols)
+            return t
+
         return {
             "shape": [self.shape.k, self.shape.m, self.shape.n],
             "atoms": self.atom_count,
@@ -106,7 +128,7 @@ class DiscoveryReport:
             "cond_positive": self.condition_positive_count,
             "mismatches": [
                 {
-                    "tuple": [format_rule(r, symbols) for r in mm.rules],
+                    "tuple": [text(r) for r in mm.rules],
                     "oracle": mm.oracle,
                     "cond": mm.condition,
                 }
@@ -166,27 +188,41 @@ def enumerate_tuples(
         yield tup
 
 
-def ht_pair_masks(atom_count: int) -> tuple[tuple[int, int, tuple], ...]:
-    """The mask layout over the enumeration language: one (offset, y,
-    basis) slice per y, in the oracle's y order, covering 3^a bits."""
-    layout = []
+def ht_pair_masks(atom_count: int) -> tuple[int, list[int], list[int], list[int], list[int]]:
+    """The all-ones mask over the 3^a pairs of the enumeration language and
+    four tables indexed by an atom set S: the pairs where S is within x,
+    where S misses x, where S is within y and where S misses y.  The pairs
+    are laid out as the oracle's y slices, in `y_slices` order."""
+    in_x = [0] * atom_count
+    in_y = [0] * atom_count
     offset = 0
-    for y, atoms, full, masks in y_slices((1 << atom_count) - 1):
-        layout.append((offset, y, (full, dict(zip(atoms, masks)))))
+    for _y, atoms, full, masks in y_slices((1 << atom_count) - 1):
+        for a, m in zip(atoms, masks):
+            in_x[a] |= m << offset
+            in_y[a] |= full << offset
         offset += 1 << len(atoms)
-    return tuple(layout)
+    full = (1 << offset) - 1
+    tables = []
+    for per_atom in (in_x, [full ^ m for m in in_x], in_y, [full ^ m for m in in_y]):
+        table = [full]
+        for m in per_atom:  # the sets holding atom a follow those that do not
+            table += [t & m for t in table]
+        tables.append(table)
+    return full, *tables
 
 
-def rule_mask(r: Rule, layout: tuple[tuple[int, int, tuple], ...]) -> int:
+def rule_mask(
+    r: Rule, layout: tuple[int, list[int], list[int], list[int], list[int]]
+) -> int:
     """Bitmask with one bit per (x, y) pair of the layout, set iff the
     rule's translation holds there.  A program's two-world models are the
     AND of its rules' masks, and two programs are strongly equivalent iff
-    those ANDs are equal."""
-    rules = (r,)
-    m = 0
-    for offset, y, basis in layout:
-        m |= here_mask(rules, y, basis) << offset
-    return m
+    those ANDs are equal.
+
+    The translation fails exactly where ng misses y and either ps is
+    within x while hd misses x, or ps is within y while hd misses y."""
+    full, ax, nx, ay, ny = layout
+    return full ^ (ny[r.ng] & (ax[r.ps] & nx[r.hd] | ay[r.ps] & ny[r.hd]))
 
 
 def _language_masks(
@@ -196,7 +232,7 @@ def _language_masks(
     rules = list(enumerate_rules(atom_count, canonical_only, max_atoms))
     layout = ht_pair_masks(atom_count)
     masks = [rule_mask(r, layout) for r in rules]
-    return rules, masks, (1 << 3**atom_count) - 1
+    return rules, masks, layout[0]
 
 
 def _all_ties(atom_count: int) -> int:
@@ -269,9 +305,39 @@ def _scan_range(
     # tie mask -> indices of the rules that keep a prefix with those ties
     # least; tie masks recur across prefixes, so each is matched once
     kept_for: dict[int, list[int]] = {}
+    # tie mask -> those rules and their masks, as a row of the last position
+    row_for: dict[int, tuple[list[Rule], list[int]]] = {}
+
+    def decide(
+        prefix: tuple[Rule, ...], ma: int, mb: int, row: list[Rule], row_masks: list[int]
+    ) -> None:
+        """Label every tuple prefix + (rule,) of the row by the oracle and
+        the condition; the condition sees them in row order."""
+        nonlocal total, se, cond_pos, mismatch_total
+        conds = list(map(truth, map(partial(condition, *prefix), row)))
+        if last_in_a and last_in_b:
+            oracle = [ma & mi == mb & mi for mi in row_masks]
+        elif last_in_a:
+            oracle = list(map(mb.__eq__, map(ma.__and__, row_masks)))
+        else:
+            oracle = list(map(ma.__eq__, map(mb.__and__, row_masks)))
+        total += len(row)
+        se += oracle.count(True)
+        cond_pos += conds.count(True)
+        if oracle == conds:
+            return
+        mismatch_total += sum(map(ne, oracle, conds))
+        room = cap - len(mismatches)
+        if room <= 0:
+            return
+        for rule, o, c in zip(row, oracle, conds):
+            if o != c:
+                mismatches.append(Mismatch(prefix + (rule,), o, c))
+                room -= 1
+                if not room:
+                    return
 
     def walk(depth: int, ma: int, mb: int, prefix: tuple[Rule, ...], ties: int) -> None:
-        nonlocal total, se, cond_pos, mismatch_total
         if ties:
             kept = kept_for.get(ties)
             if kept is None:
@@ -283,30 +349,15 @@ def _scan_range(
         else:
             rng = range(start, stop) if depth == 0 else range(count)
         if depth == last:
-            rule_list = rules
-            mask_list = masks
-            cond = condition
-            t_ = s_ = c_ = x_ = 0
-            for i in rng:
-                rule = rule_list[i]
-                mi = mask_list[i]
-                a = ma & mi if last_in_a else ma
-                b = mb & mi if last_in_b else mb
-                o = a == b
-                c = True if cond(*prefix, rule) else False
-                t_ += 1
-                if o:
-                    s_ += 1
-                if c:
-                    c_ += 1
-                if o != c:
-                    x_ += 1
-                    if len(mismatches) < cap:
-                        mismatches.append(Mismatch(prefix + (rule,), o, c))
-            total += t_
-            se += s_
-            cond_pos += c_
-            mismatch_total += x_
+            if depth == 0:  # this range's own row
+                row = [rules[i] for i in rng], [masks[i] for i in rng]
+            elif not ties:
+                row = rules, masks
+            else:
+                row = row_for.get(ties)
+                if row is None:
+                    row = row_for[ties] = [rules[i] for i in rng], [masks[i] for i in rng]
+            decide(prefix, ma, mb, *row)
             return
         in_a = depth < k + m
         in_b = depth < k or depth >= k + m

@@ -2,8 +2,10 @@
 
 import dataclasses
 import functools
+import itertools
 import json
 import random
+from bisect import bisect_left
 from itertools import permutations, product
 
 import pytest
@@ -20,6 +22,7 @@ from strongeq import (
 )
 from strongeq import cond_2_1_0, discovery
 from strongeq.discovery import (
+    MISMATCH_CAP,
     DiscoveryReport,
     TupleShape,
     discover_positive_tuples,
@@ -30,6 +33,7 @@ from strongeq.discovery import (
     rule_mask,
     test_conjecture,
 )
+from strongeq.oracle import here_mask, y_slices
 
 
 def never(*_rules: Rule) -> bool:
@@ -130,6 +134,44 @@ class TestHarnessOracle:
             by_mask = rule_mask(r1, pairs) == rule_mask(r2, pairs)
             by_oracle = strongly_equivalent(Program((r1,)), Program((r2,))).equivalent
             assert by_mask == by_oracle
+
+
+def reference_rule_mask(r, atom_count):
+    """The oracle kernel's here_mask for each y of the language, the
+    slices concatenated in y_slices order."""
+    mask = offset = 0
+    for y, atoms, full, masks in y_slices((1 << atom_count) - 1):
+        mask |= here_mask((r,), y, (full, dict(zip(atoms, masks)))) << offset
+        offset += 1 << len(atoms)
+    return mask
+
+
+class TestRuleMasks:
+    @pytest.mark.parametrize(
+        "atom_count, canonical", [(0, False), (1, False), (2, False), (3, False), (4, True)]
+    )
+    def test_closed_form_equals_concatenated_here_masks(self, atom_count, canonical):
+        layout = ht_pair_masks(atom_count)
+        assert layout[0] == (1 << 3**atom_count) - 1
+        for r in enumerate_rules(atom_count, canonical):
+            assert rule_mask(r, layout) == reference_rule_mask(r, atom_count), r
+
+    def test_test_conjecture_builds_masks_through_the_traced_names(self, monkeypatch):
+        # the benchmark's traced run times mask building by patching these
+        # two names; a path around them would read as no mask work at all
+        calls = {"ht_pair_masks": 0, "rule_mask": 0}
+
+        def counted(name, fn):
+            def shim(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return shim
+
+        for name in calls:
+            monkeypatch.setattr(discovery, name, counted(name, getattr(discovery, name)))
+        test_conjecture(TupleShape(1, 1, 0), 2, cond_1_1_0, canonical_only=True)
+        assert calls == {"ht_pair_masks": 1, "rule_mask": 15}
 
 
 class TestTestConjecture:
@@ -361,3 +403,114 @@ class TestOrderlyWalk:
         assert report.total_tuples == 754_956
         assert report.se_positive_count == 96_558
         assert report.mismatch_count == 0
+
+
+def reference_scan(shape, rules, masks, condition, full, start, stop, ties, cap):
+    """_scan_range as a per-tuple walk: the condition and the oracle are
+    asked about one tuple at a time."""
+    k, m, n = shape
+    last = k + m + n - 1
+    below, tied = zip(*(discovery._order_masks(r, ties) for r in rules)) if ties else ((), ())
+    counts = [0, 0, 0, 0]
+    mismatches = []
+
+    def walk(depth, ma, mb, prefix, ties):
+        if ties:
+            rng = [i for i, b in enumerate(below) if not b & ties]
+            if depth == 0:
+                rng = rng[bisect_left(rng, start):bisect_left(rng, stop)]
+        else:
+            rng = range(start, stop) if depth == 0 else range(len(rules))
+        in_a = depth < k + m
+        in_b = depth < k or depth >= k + m
+        for i in rng:
+            a = ma & masks[i] if in_a else ma
+            b = mb & masks[i] if in_b else mb
+            tup = prefix + (rules[i],)
+            if depth < last:
+                walk(depth + 1, a, b, tup, ties and ties & tied[i])
+                continue
+            o = a == b
+            c = True if condition(*tup) else False
+            counts[0] += 1
+            counts[1] += o
+            counts[2] += c
+            if o != c:
+                counts[3] += 1
+                if len(mismatches) < cap:
+                    mismatches.append(discovery.Mismatch(tup, o, c))
+
+    walk(0, full, full, (), ties)
+    return (*counts, mismatches)
+
+
+def odd_positive_body(*rules):
+    return rules[-1].ps & 1  # an int
+
+
+def heads_seen(*rules):
+    return [r for r in rules if r.hd]  # a list, empty or not
+
+
+class TestBatchedScan:
+    """The last position is decided a row at a time; the counts, the
+    mismatches and the condition's calls must be those of a walk that
+    decides one tuple at a time."""
+
+    @pytest.mark.parametrize("shape", SHAPES_UP_TO_THREE, ids=shape_id)
+    def test_equals_the_per_tuple_walk(self, shape):
+        shape_tuple = (shape.k, shape.m, shape.n)
+        for atoms, canonical, iso in product((0, 1, 2), (False, True), (False, True)):
+            if shape.length == 3 and atoms == 2 and not canonical:
+                continue  # 250,047 tuples per walk: the canonical case covers it
+            rules, masks, full = discovery._language_masks(atoms, canonical, 7)
+            ties = discovery._all_ties(atoms) if iso else 0
+            ranges = [(0, len(rules)), (1, len(rules) - 1), (len(rules) // 2, len(rules))]
+            for condition, (start, stop), cap in product(
+                (odd_positive_body, heads_seen), ranges, (7, 10**6)
+            ):
+                seen = ([], [])
+
+                def recording(*tup, log=None):
+                    log.append(tup)
+                    return condition(*tup)
+
+                args = (full, start, stop, ties, cap)
+                got = discovery._scan_range(
+                    shape_tuple, rules, masks, functools.partial(recording, log=seen[0]), *args)
+                want = reference_scan(
+                    shape_tuple, rules, masks, functools.partial(recording, log=seen[1]), *args)
+                case = (atoms, canonical, iso, condition.__name__, start, stop, cap)
+                assert got == want, case
+                assert seen[0] == seen[1], case
+
+    def test_an_exception_in_the_condition_propagates(self):
+        rules, masks, full = discovery._language_masks(2, False, 7)
+        calls = []
+
+        def failing(*tup):
+            calls.append(tup)
+            if len(calls) == 100:
+                raise RuntimeError("condition failed")
+            return True
+
+        with pytest.raises(RuntimeError, match="condition failed"):
+            discovery._scan_range((1, 1, 0), rules, masks, failing, full, 0, len(rules), 0, 5)
+        assert len(calls) == 100
+
+    @pytest.mark.parametrize("job_count", [1, 2])
+    def test_capped_mismatches_come_in_enumeration_order(self, job_count):
+        report = test_conjecture(TupleShape(1, 1, 0), 2, always_wrong_1_1_0, job_count=job_count)
+        assert report.total_tuples == report.mismatch_count == 63**2
+        tuples = list(itertools.islice(enumerate_tuples(TupleShape(1, 1, 0), 2), MISMATCH_CAP))
+        assert [mm.rules for mm in report.mismatches] == tuples
+        assert all(mm.oracle != mm.condition for mm in report.mismatches)
+
+
+_LAYOUT_2 = ht_pair_masks(2)
+
+
+def always_wrong_1_1_0(r1, r2):
+    """The negation of the oracle's verdict on {r1, r2} versus {r1}."""
+    m1 = rule_mask(r1, _LAYOUT_2)
+    return m1 & rule_mask(r2, _LAYOUT_2) != m1
