@@ -304,12 +304,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_v.set_defaults(fn=cmd_verify)
 
+    # the subcommands' own parsers, by name, for main's direct route
+    parser.commands = sub.choices
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What the full parser makes of argv.  When argv[0] names a
+    subcommand, the full parser would hand the rest of argv to that
+    subcommand's parser unread, so that parser is called directly,
+    saving the top-level pass; any other argv goes through the full
+    parser."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
     except SystemExit as exc:
         if isinstance(exc.code, int):

@@ -19,11 +19,13 @@ operations, not one `here_mask` per y.  The tests keep the concatenated
 `here_mask` slices as the reference.
 
 The walk fixes every position but the last, then decides the whole row
-of last rules at once: one `map` of the condition over the row (in row
-order, one call per tuple, as a per-tuple walk would make them), one
-`map` of mask ANDs and compares for the oracle, and counts from the two
-lists of verdicts.  Only a row where the lists differ is walked tuple by
-tuple, to count its mismatches and record them under the cap.
+of last rules at once: one list comprehension calls the condition on
+each tuple of the row (in row order, one call per tuple, as a per-tuple
+walk would make them) with the fixed rules unpacked once per row,
+another ANDs and compares masks for the oracle, and the counts come
+from the two lists of verdicts.  Only a row where the lists differ is
+walked tuple by tuple, to count its mismatches and record them under
+the cap.
 
 With modulo_iso the walk is orderly (Read 1978; McKay 1998): it visits
 exactly the tuples that are their own `iso_canonical_form`, in enumeration
@@ -51,11 +53,9 @@ are identical for any job count.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
-from operator import ne, truth
+from operator import ne
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import TooManyAtomsError
@@ -253,6 +253,15 @@ def _order_masks(r: Rule, ties: int) -> tuple[int, int]:
     return below, ties & ~(ng >> 1 ^ ng)
 
 
+def _order_table(rules: list[Rule], ties: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Every rule's two `_order_masks` against the empty prefix's tie mask
+    `ties`, as a column each; empty for a full scan (ties 0)."""
+    if not ties:
+        return (), ()
+    below, tied = zip(*(_order_masks(r, ties) for r in rules))
+    return below, tied
+
+
 def _stabilizer_order(ties: int) -> int:
     """Number of atom permutations that map each run of tied atoms to
     itself: the product of the runs' factorials."""
@@ -288,11 +297,12 @@ def _scan_range(
     start: int,
     stop: int,
     ties: int,
+    order: tuple[tuple[int, ...], tuple[int, ...]],
     cap: int,
 ) -> tuple[int, int, int, int, list[Mismatch]]:
     """Scan all tuples whose outermost index lies in [start, stop); with
     the empty prefix's tie mask `ties`, only those least in their orbit
-    (ties 0 scans them all)."""
+    (ties 0 scans them all).  `order` is `_order_table(rules, ties)`."""
     k, m, n = shape
     tlen = k + m + n
     last = tlen - 1
@@ -301,7 +311,7 @@ def _scan_range(
     count = len(rules)
     total = se = cond_pos = mismatch_total = 0
     mismatches: list[Mismatch] = []
-    below, tied = zip(*(_order_masks(r, ties) for r in rules)) if ties else ((), ())
+    below, tied = order
     # tie mask -> indices of the rules that keep a prefix with those ties
     # least; tie masks recur across prefixes, so each is matched once
     kept_for: dict[int, list[int]] = {}
@@ -314,13 +324,22 @@ def _scan_range(
         """Label every tuple prefix + (rule,) of the row by the oracle and
         the condition; the condition sees them in row order."""
         nonlocal total, se, cond_pos, mismatch_total
-        conds = list(map(truth, map(partial(condition, *prefix), row)))
+        if not prefix:
+            conds = [True if condition(r) else False for r in row]
+        elif len(prefix) == 1:
+            (p0,) = prefix
+            conds = [True if condition(p0, r) else False for r in row]
+        elif len(prefix) == 2:
+            p0, p1 = prefix
+            conds = [True if condition(p0, p1, r) else False for r in row]
+        else:
+            conds = [True if condition(*prefix, r) else False for r in row]
         if last_in_a and last_in_b:
             oracle = [ma & mi == mb & mi for mi in row_masks]
         elif last_in_a:
-            oracle = list(map(mb.__eq__, map(ma.__and__, row_masks)))
+            oracle = [ma & mi == mb for mi in row_masks]
         else:
-            oracle = list(map(ma.__eq__, map(mb.__and__, row_masks)))
+            oracle = [ma == mb & mi for mi in row_masks]
         total += len(row)
         se += oracle.count(True)
         cond_pos += conds.count(True)
@@ -339,13 +358,12 @@ def _scan_range(
 
     def walk(depth: int, ma: int, mb: int, prefix: tuple[Rule, ...], ties: int) -> None:
         if ties:
-            kept = kept_for.get(ties)
-            if kept is None:
-                kept = kept_for[ties] = [i for i, b in enumerate(below) if not b & ties]
             if depth == 0:
-                rng = kept[bisect_left(kept, start):bisect_left(kept, stop)]
+                rng = [i for i in range(start, stop) if not below[i] & ties]
             else:
-                rng = kept
+                rng = kept_for.get(ties)
+                if rng is None:
+                    rng = kept_for[ties] = [i for i, b in enumerate(below) if not b & ties]
         else:
             rng = range(start, stop) if depth == 0 else range(count)
         if depth == last:
@@ -393,18 +411,19 @@ def test_conjecture(
     started = time.perf_counter()
     rules, masks, full = _language_masks(atom_count, canonical_only, max_atoms)
     ties = _all_ties(atom_count) if modulo_iso else 0
+    order = _order_table(rules, ties)
     weights = [1.0] * len(rules)
     if ties and job_count > 1:
         # A least first rule with stabilizer S heads about 1/|S| of a full
         # subtree: balance the ranges by that.
         weights = [
             0.0 if below else 1.0 / _stabilizer_order(tied)
-            for below, tied in (_order_masks(r, ties) for r in rules)
+            for below, tied in zip(*order)
         ]
     ranges = _split_ranges(weights, job_count)
     shape_tuple = (shape.k, shape.m, shape.n)
     args = [
-        (shape_tuple, rules, masks, condition, full, a, b, ties, MISMATCH_CAP)
+        (shape_tuple, rules, masks, condition, full, a, b, ties, order, MISMATCH_CAP)
         for a, b in ranges
     ]
     if job_count > 1 and len(args) > 1:
@@ -461,6 +480,7 @@ def discover_positive_tuples(
     enumeration order, as for `--jobs`."""
     rules, masks, full = _language_masks(atom_count, canonical_only, max_atoms)
     ties = _all_ties(atom_count) if modulo_iso else 0
+    order = _order_table(rules, ties)
     shape_tuple = (shape.k, shape.m, shape.n)
     # Against a condition that never holds, the mismatches are exactly the
     # oracle-positive tuples; the cap is the range's tuple count, so none
@@ -468,7 +488,7 @@ def discover_positive_tuples(
     cap = len(rules) ** (shape.length - 1)
     for start in range(len(rules)):
         *_counts, positives = _scan_range(
-            shape_tuple, rules, masks, _never, full, start, start + 1, ties, cap
+            shape_tuple, rules, masks, _never, full, start, start + 1, ties, order, cap
         )
         for mm in positives:
             yield mm.rules

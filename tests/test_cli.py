@@ -291,7 +291,88 @@ class TestVerifyCommand:
         assert payload["se_positive"] == payload["cond_positive"]
 
 
+TOP_USAGE = "usage: strongeq [-h] {answersets,check-se,simplify,verify} ...\n"
+
+# main's exit code, stdout and stderr for argv that end in argparse or
+# before any file is read, at a terminal width of 80 columns
+PINNED_PARSES = [
+    (["check-se", "a", "b", "--bogus"], 2, "",
+     TOP_USAGE + "strongeq: error: unrecognized arguments: --bogus\n"),
+    (["verify", "--shape", "1"], 2, "",
+     "usage: strongeq verify [-h] --shape SHAPE --atoms ATOMS --condition CONDITION\n"
+     "                       [--canonical] [--modulo-iso] [--jobs JOBS]\n"
+     "                       [--report REPORT] [--json] [--max-atoms MAX_ATOMS]\n"
+     "                       [--allow-long]\n"
+     "strongeq verify: error: the following arguments are required: --atoms, --condition\n"),
+    (["simplify"], 2, "",
+     "usage: strongeq simplify [-h] [--out OUT] [--verify] [--trace TRACE] [--json]\n"
+     "                         [--max-atoms MAX_ATOMS]\n"
+     "                         path\n"
+     "strongeq simplify: error: the following arguments are required: path\n"),
+    (["answersets", "-h"], 0,
+     "usage: strongeq answersets [-h] [--json] [--max-atoms MAX_ATOMS] path\n"
+     "\n"
+     "positional arguments:\n"
+     "  path\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --json\n"
+     "  --max-atoms MAX_ATOMS\n", ""),
+    (["check-se", "--", "a", "b"], 2, "",
+     "error: cannot read a: [Errno 2] No such file or directory: 'a'\n"),
+    ([], 2, "",
+     TOP_USAGE + "strongeq: error: the following arguments are required: command\n"),
+    (["nosuch"], 2, "",
+     TOP_USAGE + "strongeq: error: argument command: invalid choice: 'nosuch' "
+     "(choose from 'answersets', 'check-se', 'simplify', 'verify')\n"),
+    (["--help"], 0,
+     TOP_USAGE
+     + "\n"
+     "Strong equivalence toolkit for ground disjunctive logic programs.\n"
+     "\n"
+     "positional arguments:\n"
+     "  {answersets,check-se,simplify,verify}\n"
+     "    answersets          print the answer sets of a program file\n"
+     "    check-se            decide strong equivalence of two program files\n"
+     "    simplify            simplify a program, preserving strong equivalence\n"
+     "    verify              exhaustively check a condition against the oracle\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n", ""),
+]
+
+
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        PINNED_PARSES,
+        ids=["unknown-option", "missing-options", "missing-path", "subcommand-help",
+             "double-dash", "empty", "unknown-command", "help"],
+    )
+    def test_parse_outcomes_are_pinned(self, tmp_path, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)  # "a" is a missing file
+        assert main(argv) == code
+        assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("argv", [argv for argv, *_ in PINNED_PARSES] + [
+        ["verify", "--shape", "0,1,0", "--atoms", "1", "--condition", "cond_0_1_0", "x", "-y"],
+        ["check-se", "--bogus"],
+        ["simplify", "p.lp", "--out"],
+    ])
+    def test_direct_route_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        outcomes = []
+        for parse in (cli._parse, cli.build_parser().parse_args):
+            try:
+                args = parse(argv)
+                outcomes.append(sorted((k, v) for k, v in vars(args).items()))
+            except SystemExit as exc:
+                outcomes.append(exc.code)
+            outcomes.append(capsys.readouterr())
+        assert outcomes[:2] == outcomes[2:]
+
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
 

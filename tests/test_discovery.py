@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import multiprocessing
 import random
 from bisect import bisect_left
 from itertools import permutations, product
@@ -38,6 +39,22 @@ from strongeq.oracle import here_mask, y_slices
 
 def never(*_rules: Rule) -> bool:
     return False
+
+
+class InlinePool:
+    """A stand-in for multiprocessing.Pool that runs the work here."""
+
+    def __init__(self, processes):
+        self.processes = processes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc):
+        return False
+
+    def starmap(self, fn, args):
+        return list(itertools.starmap(fn, args))
 
 
 class TestShapes:
@@ -275,7 +292,8 @@ class TestDiscoverPositives:
             ties = discovery._all_ties(2) if iso else 0
             *_counts, whole = discovery._scan_range(
                 (shape.k, shape.m, shape.n), rules, masks, discovery._never, full,
-                0, len(rules), ties, len(rules) ** shape.length)
+                0, len(rules), ties, discovery._order_table(rules, ties),
+                len(rules) ** shape.length)
             assert list(discover_positive_tuples(shape, 2, modulo_iso=iso)) == [
                 mm.rules for mm in whole]
 
@@ -292,6 +310,27 @@ class TestDiscoverPositives:
         first = next(stream)
         assert first == (first[0], first[0])
         assert calls == [(0, 1)]
+
+    @pytest.mark.parametrize("stream", [True, False], ids=["positives", "test_conjecture"])
+    def test_order_masks_once_per_rule(self, monkeypatch, stream):
+        calls = []
+        real = discovery._order_masks
+
+        def counting(r, ties):
+            calls.append(r)
+            return real(r, ties)
+
+        monkeypatch.setattr(discovery, "_order_masks", counting)
+        # the --jobs ranges run in this process, so their calls count too
+        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+        shape = TupleShape(0, 1, 1)
+        if stream:
+            list(discover_positive_tuples(shape, 3, canonical_only=True, modulo_iso=True))
+        else:
+            for job_count in (1, 2):  # the --jobs weights reuse the same masks
+                test_conjecture(shape, 3, never, True, modulo_iso=True, job_count=job_count)
+        rules = list(enumerate_rules(3, canonical_only=True))
+        assert calls == rules * (1 if stream else 2)
 
     def test_split_rule_equivalence_for_pure_deletions(self):
         # Two rules are jointly deletable against the empty program exactly
@@ -405,9 +444,10 @@ class TestOrderlyWalk:
         assert report.mismatch_count == 0
 
 
-def reference_scan(shape, rules, masks, condition, full, start, stop, ties, cap):
+def reference_scan(shape, rules, masks, condition, full, start, stop, ties, _order, cap):
     """_scan_range as a per-tuple walk: the condition and the oracle are
-    asked about one tuple at a time."""
+    asked about one tuple at a time.  It takes _scan_range's arguments but
+    makes its own order masks."""
     k, m, n = shape
     last = k + m + n - 1
     below, tied = zip(*(discovery._order_masks(r, ties) for r in rules)) if ties else ((), ())
@@ -452,22 +492,37 @@ def heads_seen(*rules):
     return [r for r in rules if r.hd]  # a list, empty or not
 
 
+def odd_values(*rules):
+    """None, 0, 2 or [] by the tuple: each value's truth, never a bool."""
+    return (None, 0, 2, [])[sum(r.hd + 2 * r.ps + r.ng for r in rules) % 4]
+
+
 class TestBatchedScan:
     """The last position is decided a row at a time; the counts, the
     mismatches and the condition's calls must be those of a walk that
     decides one tuple at a time."""
 
-    @pytest.mark.parametrize("shape", SHAPES_UP_TO_THREE, ids=shape_id)
+    @pytest.mark.parametrize(
+        "shape", SHAPES_UP_TO_THREE + [TupleShape(0, 2, 2), TupleShape(1, 1, 2)], ids=shape_id)
     def test_equals_the_per_tuple_walk(self, shape):
         shape_tuple = (shape.k, shape.m, shape.n)
-        for atoms, canonical, iso in product((0, 1, 2), (False, True), (False, True)):
-            if shape.length == 3 and atoms == 2 and not canonical:
-                continue  # 250,047 tuples per walk: the canonical case covers it
+        if shape.length == 4:
+            # the row's condition calls take a prefix of three rules; one
+            # atom has no ties, so the tied case takes two canonical atoms
+            cases = [(1, False, False), (1, True, False), (2, True, True)]
+        else:
+            cases = [
+                (atoms, canonical, iso)
+                for atoms, canonical, iso in product((0, 1, 2), (False, True), (False, True))
+                # 250,047 tuples per walk: the canonical case covers it
+                if not (shape.length == 3 and atoms == 2 and not canonical)
+            ]
+        for atoms, canonical, iso in cases:
             rules, masks, full = discovery._language_masks(atoms, canonical, 7)
             ties = discovery._all_ties(atoms) if iso else 0
             ranges = [(0, len(rules)), (1, len(rules) - 1), (len(rules) // 2, len(rules))]
             for condition, (start, stop), cap in product(
-                (odd_positive_body, heads_seen), ranges, (7, 10**6)
+                (odd_positive_body, heads_seen, odd_values), ranges, (7, 10**6)
             ):
                 seen = ([], [])
 
@@ -475,7 +530,7 @@ class TestBatchedScan:
                     log.append(tup)
                     return condition(*tup)
 
-                args = (full, start, stop, ties, cap)
+                args = (full, start, stop, ties, discovery._order_table(rules, ties), cap)
                 got = discovery._scan_range(
                     shape_tuple, rules, masks, functools.partial(recording, log=seen[0]), *args)
                 want = reference_scan(
@@ -483,6 +538,8 @@ class TestBatchedScan:
                 case = (atoms, canonical, iso, condition.__name__, start, stop, cap)
                 assert got == want, case
                 assert seen[0] == seen[1], case
+                # 1 == True, so equality alone would let an unnormalized verdict by
+                assert all(type(mm.condition) is bool for mm in got[4]), case
 
     def test_an_exception_in_the_condition_propagates(self):
         rules, masks, full = discovery._language_masks(2, False, 7)
@@ -495,7 +552,8 @@ class TestBatchedScan:
             return True
 
         with pytest.raises(RuntimeError, match="condition failed"):
-            discovery._scan_range((1, 1, 0), rules, masks, failing, full, 0, len(rules), 0, 5)
+            discovery._scan_range(
+                (1, 1, 0), rules, masks, failing, full, 0, len(rules), 0, ((), ()), 5)
         assert len(calls) == 100
 
     @pytest.mark.parametrize("job_count", [1, 2])
