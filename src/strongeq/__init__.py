@@ -39,7 +39,6 @@ from .oracle import HTPair, SEVerdict, countermodel_json, delta_holds, ht_pairs,
 from .semantics import answer_sets, equivalent, is_answer_set, reduct, satisfies
 from .simplify import SimplifyStep, SimplifyTrace, normalize_rule, simplify, verify_simplification
 from .syntax import (
-    Atom,
     Program,
     Rule,
     Symbols,
@@ -56,7 +55,6 @@ from .syntax import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom",
     "DiscoveryReport",
     "HTPair",
     "Mismatch",

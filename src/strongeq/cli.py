@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import conditions
-from .discovery import ENUM_ATOM_LIMIT, TupleShape, language_symbols, test_conjecture
+from .discovery import ENUM_ATOM_LIMIT, TupleShape, test_conjecture
 from .errors import ParseError, TooManyAtomsError
 from .oracle import SE_ATOM_LIMIT, countermodel_json, strongly_equivalent
 from .semantics import ANSWER_SET_ATOM_LIMIT, answer_sets
@@ -84,11 +84,6 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _guard_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_GUARD
-
-
 def _atom_limit(args: argparse.Namespace, default: int) -> int:
     """The --max-atoms value, or the guard's default when it is not given."""
     if args.max_atoms is None:
@@ -106,10 +101,7 @@ def cmd_answersets(args: argparse.Namespace) -> int:
     limit = _atom_limit(args, ANSWER_SET_ATOM_LIMIT)
     symbols = Symbols()
     program = _load_program(args.path, symbols)
-    try:
-        sets = answer_sets(program, max_atoms=limit)
-    except TooManyAtomsError as exc:
-        return _guard_error(str(exc))
+    sets = answer_sets(program, max_atoms=limit)
     listed = sorted((_set_names(x, symbols) for x in sets), key=lambda s: (len(s), s))
     if args.json:
         print(json.dumps(listed))
@@ -127,10 +119,7 @@ def cmd_check_se(args: argparse.Namespace) -> int:
     symbols = Symbols()
     p1 = _load_program(args.path1, symbols)
     p2 = _load_program(args.path2, symbols)
-    try:
-        verdict = strongly_equivalent(p1, p2, max_atoms=limit)
-    except TooManyAtomsError as exc:
-        return _guard_error(str(exc))
+    verdict = strongly_equivalent(p1, p2, max_atoms=limit)
     if args.json:
         payload = {
             "equivalent": verdict.equivalent,
@@ -159,7 +148,7 @@ def cmd_simplify(args: argparse.Namespace) -> int:
     if args.verify and atom_count > limit:
         # the result's atoms are a subset of the input's, so this is the
         # refusal the re-check would give, before any work or output
-        return _guard_error(str(TooManyAtomsError("strongly_equivalent", atom_count, limit)))
+        raise TooManyAtomsError("strongly_equivalent", atom_count, limit)
     simplified, trace = simplify(program)
     text = format_program(simplified, symbols)
     if args.trace:
@@ -206,7 +195,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(f"--jobs must be at least 1, not {args.jobs}")
     limit = _atom_limit(args, ENUM_ATOM_LIMIT)
     if args.atoms > limit:  # before the tuple count, which grows as 8^(atoms * length)
-        return _guard_error(str(TooManyAtomsError("rule enumeration", args.atoms, limit)))
+        raise TooManyAtomsError("rule enumeration", args.atoms, limit)
     rule_count = (
         4**args.atoms - 1 if args.canonical else 2 ** (3 * args.atoms) - 1
     )
@@ -225,19 +214,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     if args.report:
         _check_writable(args.report)
-    try:
-        report = test_conjecture(
-            shape,
-            args.atoms,
-            predicate,
-            canonical_only=args.canonical,
-            modulo_iso=args.modulo_iso,
-            job_count=args.jobs,
-            max_atoms=limit,
-        )
-    except TooManyAtomsError as exc:
-        return _guard_error(str(exc))
-    payload = report.to_json(language_symbols(args.atoms))
+    report = test_conjecture(
+        shape,
+        args.atoms,
+        predicate,
+        canonical_only=args.canonical,
+        modulo_iso=args.modulo_iso,
+        job_count=args.jobs,
+        max_atoms=limit,
+    )
+    payload = report.to_json()
     if args.report:
         _write_text(args.report, json.dumps(payload, indent=2) + "\n")
     if args.json:
@@ -329,6 +315,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
+    except TooManyAtomsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code

@@ -109,9 +109,9 @@ class DiscoveryReport:
     mismatches: tuple[Mismatch, ...]
     elapsed_ms: float
 
-    def to_json(self, symbols: Symbols | None = None) -> dict:
-        if symbols is None:
-            symbols = language_symbols(self.atom_count)
+    def to_json(self) -> dict:
+        """The report with its rules written over `language_symbols`."""
+        symbols = language_symbols(self.atom_count)
         texts: dict[Rule, str] = {}  # mismatches share most of their rules
 
         def text(r: Rule) -> str:

@@ -12,10 +12,11 @@ One kernel evaluates that semantics for the whole package.  For a fixed
 y, `here_mask` returns the 2^|y|-bit mask of the x subset y on which a
 rule list holds: bit i stands for the x whose atoms' ranks within y are
 the set bits of i.  Each rule costs a few big-int operations per literal
-against a per-y basis of atom masks (`here_basis`), shared by every rule.
-The masks of that basis depend only on the ranks, so `y_slices` builds
-them once per size |y| and pairs them with each y's atoms; only the
-current size's masks are alive.
+against a per-y basis shared by every rule: the all-ones mask over the
+x, and for each atom of y the mask of the x that contain it.  The masks
+of that basis depend only on the ranks, so `y_slices` builds them once
+per size |y| and pairs them with each y's atoms; only the current size's
+masks are alive.
 
 Which y need a basis at all is decided first, for all of them at once,
 by one mask over the 2^n worlds of the language (`world_layout`: the
@@ -115,17 +116,10 @@ def _rank_masks(size: int) -> tuple[int, list[int]]:
     return full, masks
 
 
-def here_basis(y: int) -> tuple[int, dict[int, int]]:
-    """The all-ones mask over the 2^|y| subsets x of y, and for each atom
-    id in y the mask of the x that contain it."""
-    full, masks = _rank_masks(y.bit_count())
-    return full, dict(zip(bits_of(y), masks))
-
-
 def y_slices(lang: int) -> Iterator[tuple[int, tuple[int, ...], int, list[int]]]:
     """Each y subset of lang in `subsets_of` order, as (y, its atom ids
-    ascending, full, rank masks): `full, dict(zip(atoms, masks))` is
-    `here_basis(y)`.  The masks are built once per size |y|."""
+    ascending, full, rank masks): `full, dict(zip(atoms, masks))` is the
+    basis of `here_mask` at y.  The masks are built once per size |y|."""
     positions = tuple(bits_of(lang))
     for size in range(len(positions) + 1):
         full, masks = _rank_masks(size)
@@ -252,9 +246,10 @@ def here_mask(
     basis: tuple[int, dict[int, int]],
     start: int | None = None,
 ) -> int:
-    """Mask of the x subset y (bit layout of `here_basis(y)`) for which
-    every rule holds on (x, y), ANDed into `start` (default: every x);
-    returns as soon as the mask is 0."""
+    """Mask of the x subset y for which every rule holds on (x, y), bit i
+    standing for the x whose atoms' ranks within y are the set bits of i,
+    ANDed into `start` (default: every x); returns as soon as the mask is
+    0."""
     full, atom = basis
     m = full if start is None else start
     for r in rules:

@@ -33,14 +33,21 @@ restarts from index 0 after every deletion:
     ri or rj alone, or each of ri and rj to fit rl outside one atom; a T9
     replacement of two rules needs one of them to fit the other outside
     one atom.  The conditions still decide every candidate.
+  - Each phase leaves a contract the later ones rely on: after
+    normalization no rule is deletable on its own, and after the pair
+    phase no rule fits another, so the triple and replacement scans need
+    only the rules that fit another outside one atom.
+  - cond_2_1_0 is symmetric in its first two rules, so the triple scan
+    tries each rule pair once, as (i, j) with i < j: (j, i, l) comes
+    later in scan order than (i, j, l) and has the same verdict.
   - One table per pass (`_FitTable`, built after normalization from
     per-atom occurrence bitsets, as SAT preprocessors index clauses for
     backward subsumption) holds, per rule, the rules it fits and the rules
-    it fits outside one atom.  Deletions drop a row and a bit instead of
-    rebuilding it, so no scan walks all pairs or triples: the pair scan
-    reads the fits rows, the triple scan takes j only from the rules that
-    share a near rule with i, and the replacement scan reads near and its
-    transpose.
+    it fits outside one atom, with the transpose of the latter.  Deletions
+    drop a row and a bit instead of rebuilding it, so no scan walks all
+    pairs or triples: the pair scan reads the fits rows, the triple scan
+    takes j only from the rules that share a near rule with i, and the
+    replacement scan reads near and its transpose.
 """
 
 from __future__ import annotations
@@ -131,12 +138,15 @@ def _drop_bit(rows: list[int], l: int) -> None:
 
 
 class _FitTable:
-    """Per rule a of a list, two bitmasks over the rules b of the list:
-    `fits[a]`, where cond_1_1_0(a, b) holds (b is deletable on its own or
-    misfit(a, b) is empty), and `near[a]`, where misfit(a, b) has at most
-    one atom.  `near_t`, the transpose of `near`, and `reaching`, the rules
-    whose `fits` row holds another rule than their own, are built on first
-    use.
+    """Per rule a of a list, bitmasks over the rules b of the list:
+    `fits[a]`, where misfit(a, b) is empty, `near[a]`, where misfit(a, b)
+    has at most one atom, and `near_t`, the transpose of `near`.
+
+    The phase order is the table's contract.  It is built after
+    normalization, when no rule is deletable on its own, so b is in
+    `fits[a]` iff cond_1_1_0(a, b) holds.  After the pair phase no rule
+    fits another, so the triple and replacement scans read `near` and
+    `near_t` only.
 
     The rows come from per-atom occurrence bitsets, not from rule pairs:
     an atom t of a is in misfit(a, b) iff b lacks t in some field of a
@@ -155,7 +165,6 @@ class _FitTable:
         in_hn: dict[int, int] = {}
         in_ps: dict[int, int] = {}
         in_ng: dict[int, int] = {}
-        deletable = 0
         bit = 1
         for r in rules:
             for field, index in ((r.hd | r.ng, in_hn), (r.ps, in_ps), (r.ng, in_ng)):
@@ -163,8 +172,6 @@ class _FitTable:
                     atom = field & -field
                     index[atom] = index.get(atom, 0) | bit
                     field ^= atom
-            if cond_0_1_0(r):
-                deletable |= bit
             bit <<= 1
         self.fits: list[int] = []
         self.near: list[int] = []
@@ -185,58 +192,33 @@ class _FitTable:
                 lack = everyone ^ have
                 twos |= ones & lack
                 ones |= lack
-            self.fits.append(deletable | everyone ^ ones)
+            self.fits.append(everyone ^ ones)
             self.near.append(everyone ^ twos)
-        self._near_t: list[int] | None = None
-        self._reaching: int | None = None
+        self.near_t = [0] * len(rules)
+        bit = 1
+        for row in self.near:
+            for b in bits_of(row):
+                self.near_t[b] |= bit
+            bit <<= 1
 
     def delete(self, l: int) -> None:
         _drop_bit(self.fits, l)
         _drop_bit(self.near, l)
-        if self._near_t is not None:
-            _drop_bit(self._near_t, l)
-        self._reaching = None
-
-    @property
-    def near_t(self) -> list[int]:
-        """The transpose of `near`, built on first use."""
-        if self._near_t is None:
-            self._near_t = [0] * len(self.near)
-            bit = 1
-            for row in self.near:
-                while row:
-                    b = row & -row
-                    self._near_t[b.bit_length() - 1] |= bit
-                    row ^= b
-                bit <<= 1
-        return self._near_t
-
-    @property
-    def reaching(self) -> int:
-        """Bitmask of the a whose row fits[a] has a bit other than a."""
-        if self._reaching is None:
-            self._reaching = 0
-            for a, row in enumerate(self.fits):
-                if row != 1 << a:
-                    self._reaching |= 1 << a
-        return self._reaching
+        _drop_bit(self.near_t, l)
 
     def triple_candidates(self, i: int, j: int) -> int:
         """Bitmask of the l for which cond_2_1_0(rules[i], rules[j],
-        rules[l]) can hold: rules[l] is redundant given one of the two
-        rules, or both fit inside it outside a single atom each (a
-        necessary condition for the witness clause; the condition itself
-        decides)."""
-        return (self.near[i] & self.near[j] | self.fits[i] | self.fits[j]) & ~(1 << i | 1 << j)
+        rules[l]) can hold once no rule fits another: both rules fit
+        inside rules[l] outside a single atom each (a necessary condition
+        for the witness clause; the condition itself decides)."""
+        return self.near[i] & self.near[j] & ~(1 << i | 1 << j)
 
     def triple_partners(self, i: int) -> int:
         """Bitmask covering every j != i with a nonzero
-        `triple_candidates(i, j)`: a shared `near` bit, read from
-        `near_t`, or a `fits` row reaching past its own rule."""
+        `triple_candidates(i, j)`: the rules sharing a `near` bit with i,
+        read from `near_t`."""
         own = 1 << i
-        if self.fits[i] != own:
-            return ((1 << len(self.fits)) - 1) ^ own
-        partners = self.reaching
+        partners = 0
         for l in bits_of(self.near[i] ^ own):
             partners |= self.near_t[l]
         return partners & ~own
@@ -293,9 +275,13 @@ def _first_triple(
 ) -> tuple[int, int, int] | None:
     """First (i, j, l) at or after (i0, j0, l0) in scan order with
     cond_2_1_0(rules[i], rules[j], rules[l]); only the table's partners j
-    and candidates l are tried, in ascending order."""
+    and candidates l are tried, in ascending order.
+
+    cond_2_1_0 is symmetric in its first two rules, so only j > i is
+    tried: (i, j, l) with j < i was tried as (j, i, l), earlier in scan
+    order, and every tuple before the resume point has failed."""
     for i in range(i0, len(rules)):
-        partners = table.triple_partners(i)
+        partners = table.triple_partners(i) >> i + 1 << i + 1
         if i == i0:
             partners = partners >> j0 << j0
         for j in bits_of(partners):

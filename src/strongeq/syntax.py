@@ -45,14 +45,6 @@ def subsets_of(mask: int) -> Iterator[int]:
             yield mask_of(combo)
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    """A propositional symbol with its dense per-session id."""
-
-    id: int
-    name: str
-
-
 class Symbols:
     """Append-only per-session symbol table; atom ids are dense from 0.
 
@@ -85,12 +77,6 @@ class Symbols:
 
     def name(self, atom_id: int) -> str:
         return self._names[atom_id]
-
-    def atom(self, name: str) -> Atom:
-        return Atom(self.intern(name), name)
-
-    def atoms(self) -> tuple[Atom, ...]:
-        return tuple(Atom(i, n) for i, n in enumerate(self._names))
 
     def mask(self, *names: str) -> int:
         return mask_of(self.intern(n) for n in names)

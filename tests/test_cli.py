@@ -109,6 +109,14 @@ class TestCheckSE:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"equivalent": False, "countermodel": {"x": [], "y": ["b"]}}
 
+    def test_guard_exits_3_with_one_error_line(self, tmp_path, capsys):
+        p1 = write(tmp_path, "p1.lp", "a :- b.")
+        p2 = write(tmp_path, "p2.lp", "a :- c.")
+        assert main(["check-se", p1, p2, "--max-atoms", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: strongly_equivalent: 3 atoms exceeds the limit of 2\n"
+
     def test_shared_symbol_table_across_files(self, tmp_path, capsys):
         # The same atom names must line up between the two files.
         p1 = write(tmp_path, "p1.lp", "x :- y.")

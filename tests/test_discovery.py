@@ -30,7 +30,6 @@ from strongeq.discovery import (
     enumerate_rules,
     enumerate_tuples,
     ht_pair_masks,
-    language_symbols,
     rule_mask,
     test_conjecture,
 )
@@ -250,7 +249,7 @@ class TestTestConjecture:
 
     def test_report_json_schema(self):
         report = test_conjecture(TupleShape(0, 1, 0), 2, never)
-        payload = report.to_json(language_symbols(2))
+        payload = report.to_json()
         assert set(payload) == {
             "shape",
             "atoms",

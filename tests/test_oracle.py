@@ -29,7 +29,6 @@ from strongeq import (
 from strongeq.discovery import ht_pair_masks, rule_mask
 from strongeq.oracle import (
     cube_worlds,
-    here_basis,
     kept_slices,
     primed_failures,
     separating_worlds,
@@ -350,10 +349,18 @@ class TestSharedRuleFastPaths:
     skip y that fail the primed check; both must leave every verdict and
     first countermodel as the pairwise reference gives them."""
 
-    def test_slices_share_rank_masks_and_match_here_basis(self):
+    def test_slices_share_rank_masks_and_match_the_rank_definition(self):
+        def rank_basis(y: int) -> tuple[int, dict[int, int]]:
+            # bit i of a mask stands for the x whose atoms' ranks within y
+            # are the set bits of i
+            count = 1 << y.bit_count()
+            atom = {a: sum(1 << i for i in range(count) if i >> k & 1)
+                    for k, a in enumerate(bits_of(y))}
+            return (1 << count) - 1, atom
+
         for lang in (0, 1 << 7, 0b1000_1001_1000, sum(1 << i for i in SPARSE_IDS)):
             got = [(y, (full, dict(zip(atoms, masks)))) for y, atoms, full, masks in y_slices(lang)]
-            assert got == [(y, here_basis(y)) for y in subsets_of(lang)]
+            assert got == [(y, rank_basis(y)) for y in subsets_of(lang)]
 
     def test_mostly_shared_programs_match_pairwise_walk(self):
         rng = random.Random(81)

@@ -1,6 +1,7 @@
 """Simplifier rewrites, traces, and the strong-equivalence contract."""
 
 import hashlib
+import importlib
 import json
 import random
 import time
@@ -22,6 +23,9 @@ from strongeq import (
 from strongeq.conditions import cond_0_1_0, cond_1_1_0, cond_2_1_0
 from strongeq.discovery import enumerate_rules
 from strongeq.simplify import _FitTable, _pair_replacement
+
+# the module, not the `simplify` function the package exports under its name
+SIMPLIFY_MODULE = importlib.import_module("strongeq.simplify")
 from strongeq.syntax import is_canonical
 from conftest import random_program, random_rule
 
@@ -117,17 +121,32 @@ class TestTrace:
             assert replay(p, trace) == out
 
     def test_json_lines_schema(self):
-        p, t = build("a :- not a. a :- not b. b :- not a. c :- c.")
+        # one program taking each of the five rewrites once
+        p, t = build(
+            "a :- not a. a :- not b. b :- not a. c :- c. "
+            "e :- d. f :- not d. f :- not e. "
+            "h :- g, not k. g;h :- not k."
+        )
         out, trace = simplify(p)
         lines = [json.loads(line) for line in trace.json_lines(t).splitlines()]
-        kinds = {line["step"] for line in lines}
-        assert kinds <= {"T5-delete", "T7-head-clean", "T6-delete", "T8-delete", "T9-replace"}
+        schema = {
+            "T5-delete": {"removed": int},
+            "T7-head-clean": {"index": int, "rule": str},
+            "T6-delete": {"kept": int, "removed": int},
+            "T8-delete": {"kept": list, "removed": int},
+            "T9-replace": {"removed": list, "rule": str},
+        }
+        assert sorted(line["step"] for line in lines) == sorted(schema)
         for line in lines:
-            if line["step"] == "T6-delete":
-                assert set(line) == {"step", "kept", "removed"}
-                assert isinstance(line["kept"], int) and isinstance(line["removed"], int)
-            if line["step"] == "T7-head-clean":
-                assert set(line) == {"step", "index", "rule"}
+            fields = schema[line["step"]]
+            assert set(line) == {"step", *fields}
+            for key, kind in fields.items():
+                assert type(line[key]) is kind, (line, key)
+            for key in ("kept", "removed"):
+                if fields.get(key) is list:
+                    assert len(line[key]) == 2 and all(type(v) is int for v in line[key])
+        assert lines[3] == {"step": "T8-delete", "kept": [2, 3], "removed": 4}
+        assert lines[4] == {"step": "T9-replace", "removed": [4, 5], "rule": "h :- not k."}
 
     def test_step_indices_refer_to_pre_step_program(self):
         p, _ = build("a :- a. b :- b.")
@@ -386,6 +405,51 @@ class TestIncrementalScanMatchesReference:
         assert kinds["T5-delete"] and kinds["T6-delete"] and kinds["T8-delete"]
 
 
+class TestPhaseContract:
+    """The table's contract: when the triple phase starts, no rule is
+    deletable on its own and no rule fits another, so the triple and
+    replacement scans need only `near` and its transpose."""
+
+    def test_no_rule_fits_another_when_the_triple_phase_starts(self, monkeypatch):
+        phase = SIMPLIFY_MODULE._phase_triple_delete
+        starts = 0
+
+        def checked(rules, table, steps):
+            nonlocal starts
+            starts += 1
+            for i, ri in enumerate(rules):
+                assert not cond_0_1_0(ri), ri
+                for j, rj in enumerate(rules):
+                    assert i == j or not cond_1_1_0(ri, rj), (ri, rj)
+                assert table.fits[i] == 1 << i
+            return phase(rules, table, steps)
+
+        monkeypatch.setattr(SIMPLIFY_MODULE, "_phase_triple_delete", checked)
+        rng = random.Random(2026)  # the criterion-10 programs
+        for _ in range(1000):
+            simplify(random_program(rng, 5, 6))
+        rng = random.Random(53)  # dense programs with repeated replacements
+        for atoms in (2, 3, 4):
+            for _ in range(300):
+                simplify(random_program(rng, atoms, 8, overlap_prob=0.3))
+        assert starts > 1900
+
+    def test_triple_scan_condition_calls_on_1000_rules(self, monkeypatch):
+        # each unordered pair of kept rules is tried once: 269,015 calls
+        # when both orders of every pair were tried
+        calls = 0
+
+        def counted(r1, r2, r3):
+            nonlocal calls
+            calls += 1
+            return cond_2_1_0(r1, r2, r3)
+
+        monkeypatch.setattr(SIMPLIFY_MODULE, "cond_2_1_0", counted)
+        out, trace = simplify(seeded_rules(1, 1000, 60))
+        assert (len(out), len(trace.steps)) == (534, 463)
+        assert calls == 142_595
+
+
 def misfit(a: Rule, b: Rule) -> int:
     """The pairwise definition: the atoms of a that keep it from fitting
     inside b field by field, a's head landing in b's head or negated body."""
@@ -394,7 +458,7 @@ def misfit(a: Rule, b: Rule) -> int:
 
 def pairwise_table(rules: list[Rule]) -> tuple[list[int], list[int]]:
     """fits and near rows read off every ordered pair, one at a time."""
-    fits = [sum(1 << l for l, b in enumerate(rules) if cond_1_1_0(a, b)) for a in rules]
+    fits = [sum(1 << l for l, b in enumerate(rules) if misfit(a, b) == 0) for a in rules]
     near = [
         sum(1 << l for l, b in enumerate(rules) if misfit(a, b).bit_count() <= 1)
         for a in rules
@@ -432,14 +496,13 @@ class TestFitTable:
             for _ in range(5):
                 rules = list(rules)
                 table = _FitTable(rules)
-                assert table.near_t and table.reaching is not None  # built before deleting
                 while len(rules) > 2:
                     l = rng.randrange(len(rules))
                     del rules[l]
                     table.delete(l)
                     fresh = _FitTable(rules)
-                    assert (table.fits, table.near, table.near_t, table.reaching) == (
-                        fresh.fits, fresh.near, fresh.near_t, fresh.reaching)
+                    assert (table.fits, table.near, table.near_t) == (
+                        fresh.fits, fresh.near, fresh.near_t)
 
     def test_triple_partners_cover_every_candidate(self):
         for rules in (CANONICAL_3, ALL_2):
@@ -460,6 +523,8 @@ class TestPrefilters:
     RULES = CANONICAL_3
 
     def test_triple_prefilter_rejects_only_false_triples(self):
+        # the triple phase starts after the pair phase, when no rule fits
+        # another: the triples where ri or rj fits rl never reach it
         rules = self.RULES
         assert len(rules) == 64
         table = _FitTable(rules)
@@ -469,6 +534,8 @@ class TestPrefilters:
                 candidates = table.triple_candidates(i, j)
                 for l, rl in enumerate(rules):
                     if l in (i, j) or candidates >> l & 1:
+                        continue
+                    if cond_1_1_0(ri, rl) or cond_1_1_0(rj, rl):
                         continue
                     rejected += 1
                     assert not cond_2_1_0(ri, rj, rl), (ri, rj, rl)
