@@ -23,11 +23,11 @@ from strongeq import (
 from strongeq.conditions import cond_0_1_0, cond_1_1_0, cond_2_1_0
 from strongeq.discovery import enumerate_rules
 from strongeq.simplify import _FitTable, _pair_replacement
+from strongeq.syntax import is_canonical
+from conftest import random_program, random_rule
 
 # the module, not the `simplify` function the package exports under its name
 SIMPLIFY_MODULE = importlib.import_module("strongeq.simplify")
-from strongeq.syntax import is_canonical
-from conftest import random_program, random_rule
 
 
 def build(text: str) -> tuple[Program, Symbols]:
@@ -142,9 +142,6 @@ class TestTrace:
             assert set(line) == {"step", *fields}
             for key, kind in fields.items():
                 assert type(line[key]) is kind, (line, key)
-            for key in ("kept", "removed"):
-                if fields.get(key) is list:
-                    assert len(line[key]) == 2 and all(type(v) is int for v in line[key])
         assert lines[3] == {"step": "T8-delete", "kept": [2, 3], "removed": 4}
         assert lines[4] == {"step": "T9-replace", "removed": [4, 5], "rule": "h :- not k."}
 
