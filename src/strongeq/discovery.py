@@ -52,8 +52,8 @@ are identical for any job count.
 
 from __future__ import annotations
 
+import os
 import time
-from dataclasses import dataclass
 from itertools import product
 from operator import ne
 from typing import Callable, Iterator, NamedTuple
@@ -69,17 +69,21 @@ MISMATCH_CAP = 1000
 Condition = Callable[..., bool]
 
 
-@dataclass(frozen=True, slots=True)
-class TupleShape:
-    """Counts of shared / left-side / right-side rules in a k-m-n question."""
-
+class _TupleShapeFields(NamedTuple):
     k: int
     m: int
     n: int
 
-    def __post_init__(self) -> None:
-        if min(self.k, self.m, self.n) < 0 or self.k + self.m + self.n < 1:
+
+class TupleShape(_TupleShapeFields):
+    """Counts of shared / left-side / right-side rules in a k-m-n question."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, m: int, n: int) -> TupleShape:
+        if min(k, m, n) < 0 or k + m + n < 1:
             raise ValueError("shape needs nonnegative k, m, n with k+m+n >= 1")
+        return tuple.__new__(cls, (k, m, n))
 
     @property
     def length(self) -> int:
@@ -92,8 +96,7 @@ class Mismatch(NamedTuple):
     condition: bool
 
 
-@dataclass(frozen=True)
-class DiscoveryReport:
+class DiscoveryReport(NamedTuple):
     """Outcome of one exhaustive condition-vs-oracle run.
 
     The three counters and mismatch_count are always exact; the mismatch
@@ -273,6 +276,14 @@ def _stabilizer_order(ties: int) -> int:
     return order
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _split_ranges(weights: list[float], parts: int) -> list[tuple[int, int]]:
     """At most `parts` contiguous ranges of the outermost rule index, in
     index order, of about equal total weight."""
@@ -407,8 +418,10 @@ def test_conjecture(
 
     With job_count > 1 the condition must be picklable (a module-level
     function); each worker owns a contiguous range of the outermost index.
+    No more workers are started than this process has CPUs to run on.
     """
     started = time.perf_counter()
+    job_count = min(job_count, _usable_cpus())
     rules, masks, full = _language_masks(atom_count, canonical_only, max_atoms)
     ties = _all_ties(atom_count) if modulo_iso else 0
     order = _order_table(rules, ties)

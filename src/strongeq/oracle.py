@@ -47,10 +47,9 @@ reference the kernel is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import TooManyAtomsError
 from .syntax import Program, Rule, Symbols, bits_of, mask_of, subsets_of
@@ -58,26 +57,34 @@ from .syntax import Program, Rule, Symbols, bits_of, mask_of, subsets_of
 SE_ATOM_LIMIT = 24
 
 
-@dataclass(frozen=True, slots=True)
-class HTPair:
-    """Two-world valuation (x, y) with x subset y, both atom-set masks."""
-
+class _HTPairFields(NamedTuple):
     x: int
     y: int
 
-    def __post_init__(self) -> None:
-        if self.x & ~self.y:
+
+class HTPair(_HTPairFields):
+    """Two-world valuation (x, y) with x subset y, both atom-set masks."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: int) -> HTPair:
+        if x & ~y:
             raise ValueError("HTPair requires x to be a subset of y")
+        return tuple.__new__(cls, (x, y))
 
 
-@dataclass(frozen=True, slots=True)
-class SEVerdict:
+class _SEVerdictFields(NamedTuple):
     equivalent: bool
     countermodel: HTPair | None = None
 
-    def __post_init__(self) -> None:
-        if self.equivalent == (self.countermodel is not None):
+
+class SEVerdict(_SEVerdictFields):
+    __slots__ = ()
+
+    def __new__(cls, equivalent: bool, countermodel: HTPair | None = None) -> SEVerdict:
+        if equivalent == (countermodel is not None):
             raise ValueError("countermodel must be present exactly when not equivalent")
+        return tuple.__new__(cls, (equivalent, countermodel))
 
 
 def _delta(r: Rule, x: int, y: int) -> bool:

@@ -24,6 +24,9 @@ restarts from index 0 after every deletion:
   - Only T9 adds a rule.  A pass without one leaves every phase at its
     fixpoint (normalized rules stay normalized, deletions cannot make a
     pair or triple fire), so the loop stops after it.
+  - A T9 replacement is a pure function of its two rules, so the rule
+    pairs found to have none are kept for the whole run and not tried
+    again in later passes.
   - The wide scans try only candidates that pass a necessary condition
     read from the misfit of an ordered rule pair (a, b): the atoms of a
     that keep it from fitting inside b field by field, a's head landing in
@@ -53,15 +56,14 @@ restarts from index 0 after every deletion:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .conditions import cond_0_1_0, cond_0_2_1, cond_1_1_0, cond_2_1_0
 from .oracle import SE_ATOM_LIMIT, strongly_equivalent
 from .syntax import Program, Rule, Symbols, bits_of, format_rule, is_canonical, subsets_of
 
 
-@dataclass(frozen=True)
-class SimplifyStep:
+class SimplifyStep(NamedTuple):
     """One applied rewrite; indices refer to the rule list as it stood
     immediately before this step."""
 
@@ -91,8 +93,7 @@ class SimplifyStep:
         }
 
 
-@dataclass(frozen=True)
-class SimplifyTrace:
+class SimplifyTrace(NamedTuple):
     steps: tuple[SimplifyStep, ...] = ()
 
     def json_lines(self, symbols: Symbols) -> str:
@@ -318,15 +319,28 @@ def _pair_replacement(r1: Rule, r2: Rule) -> Rule | None:
     return None
 
 
-def _phase_pair_replace(rules: list[Rule], table: _FitTable, steps: list[SimplifyStep]) -> bool:
+def _phase_pair_replace(
+    rules: list[Rule],
+    table: _FitTable,
+    steps: list[SimplifyStep],
+    failed: set[tuple[Rule, Rule]],
+) -> bool:
+    """Apply the first T9 replacement in scan order, if any, skipping the
+    rule pairs in `failed`, which earlier passes found no replacement
+    for; this pass adds its own."""
     for i in range(len(rules) - 1):
         for j in bits_of(table.replace_partners(i) >> i + 1 << i + 1):
-            cand = _pair_replacement(rules[i], rules[j])
-            if cand is not None:
-                steps.append(SimplifyStep("T9-replace", removed=(i, j), produced=cand))
-                rules[i] = cand
-                del rules[j]
-                return True
+            pair = (rules[i], rules[j])
+            if pair in failed:
+                continue
+            cand = _pair_replacement(*pair)
+            if cand is None:
+                failed.add(pair)
+                continue
+            steps.append(SimplifyStep("T9-replace", removed=(i, j), produced=cand))
+            rules[i] = cand
+            del rules[j]
+            return True
     return False
 
 
@@ -336,6 +350,7 @@ def simplify(p: Program) -> tuple[Program, SimplifyTrace]:
     re-checks against the semantic oracle."""
     rules = list(p.rules)
     steps: list[SimplifyStep] = []
+    failed: set[tuple[Rule, Rule]] = set()
     replaced = True
     while replaced:
         # only T9 adds a rule; after a pass without one, a second pass
@@ -344,7 +359,7 @@ def simplify(p: Program) -> tuple[Program, SimplifyTrace]:
         table = _FitTable(rules)
         _phase_pair_delete(rules, table, steps)
         _phase_triple_delete(rules, table, steps)
-        replaced = _phase_pair_replace(rules, table, steps)
+        replaced = _phase_pair_replace(rules, table, steps, failed)
     return Program(tuple(rules)), SimplifyTrace(tuple(steps))
 
 

@@ -429,9 +429,12 @@ class TestUsage:
         assert main([command, *args, "--max-atoms", "-1"]) == 2
         assert capsys.readouterr().err == "error: --max-atoms must be at least 0, not -1\n"
 
-    def test_import_leaves_multiprocessing_unloaded(self):
-        # only verify --jobs above 1 needs it, and loading it costs about 1 MB
-        code = "import sys, strongeq.cli; print('multiprocessing' in sys.modules)"
+    @pytest.mark.parametrize("module", ["multiprocessing", "dataclasses", "inspect"])
+    def test_import_leaves_module_unloaded(self, module):
+        # every command starts a fresh interpreter: only verify --jobs above
+        # 1 needs multiprocessing (about 1 MB), and dataclasses with the
+        # inspect it loads took about a quarter of the import
+        code = f"import sys, strongeq.cli; print({module!r} in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.stdout == "False\n", proc.stderr
 

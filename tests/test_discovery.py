@@ -1,10 +1,10 @@
 """Enumeration, isomorphism quotients, and the condition-vs-oracle harness."""
 
-import dataclasses
 import functools
 import itertools
 import json
 import multiprocessing
+import os
 import random
 from bisect import bisect_left
 from itertools import permutations, product
@@ -231,6 +231,32 @@ class TestTestConjecture:
             assert other.mismatch_count == one.mismatch_count
             assert other.mismatches == one.mismatches
 
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, workers",
+        [({0, 1, 2}, 64, 3), ({5}, 64, 1), (None, 4, 4), (None, None, 1)],
+        ids=["three-cpus", "one-cpu", "no-affinity", "unknown-count"],
+    )
+    def test_workers_are_bounded_by_usable_cpus(self, monkeypatch, affinity, cpu_count, workers):
+        # 63 rules would allow 63 ranges: the fake pool only records how
+        # many processes it was asked for and runs the ranges here
+        started = []
+
+        class RecordingPool(InlinePool):
+            def __init__(self, processes):
+                started.append(processes)
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        shape = TupleShape(1, 1, 0)
+        report = test_conjecture(shape, 3, cond_1_1_0, True, job_count=5000)
+        assert started == ([workers] if workers > 1 else [])
+        one = test_conjecture(shape, 3, cond_1_1_0, True, job_count=1)
+        assert report._replace(elapsed_ms=0) == one._replace(elapsed_ms=0)
+
     def test_job_count_with_mismatches_is_deterministic(self):
         one = test_conjecture(TupleShape(0, 1, 1), 2, never, job_count=1)
         three = test_conjecture(TupleShape(0, 1, 1), 2, never, job_count=3)
@@ -408,7 +434,7 @@ class TestOrderlyWalk:
             for jobs in (1, 2)
         )
         assert one.total_tuples > 0
-        assert dataclasses.replace(one, elapsed_ms=0) == dataclasses.replace(two, elapsed_ms=0)
+        assert one._replace(elapsed_ms=0) == two._replace(elapsed_ms=0)
 
     @pytest.mark.parametrize(
         "mutant",

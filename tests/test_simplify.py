@@ -446,6 +446,23 @@ class TestPhaseContract:
         assert (len(out), len(trace.steps)) == (534, 463)
         assert calls == 142_595
 
+    def test_pair_replacement_calls_on_1000_rules(self, monkeypatch):
+        # each rule pair is tried once per run: 17,559 calls when every
+        # pass tried again the pairs earlier passes had found no
+        # replacement for
+        calls = 0
+        real = SIMPLIFY_MODULE._pair_replacement
+
+        def counted(r1, r2):
+            nonlocal calls
+            calls += 1
+            return real(r1, r2)
+
+        monkeypatch.setattr(SIMPLIFY_MODULE, "_pair_replacement", counted)
+        out, trace = simplify(seeded_rules(1, 1000, 60))
+        assert (len(out), len(trace.steps)) == (534, 463)
+        assert calls == 6_362
+
 
 def misfit(a: Rule, b: Rule) -> int:
     """The pairwise definition: the atoms of a that keep it from fitting
