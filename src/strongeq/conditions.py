@@ -62,13 +62,10 @@ def cond_0_1_1(r1: Rule, r2: Rule) -> bool:
     )
 
 
-def _require_canonical(*rules: Rule) -> None:
-    for r in rules:
-        if r.hd & r.ps or r.hd & r.ng or r.ps & r.ng:
-            raise NotCanonicalError(
-                "this condition is stated for canonical rules only; "
-                "normalize first (see simplify.normalize_rule)"
-            )
+_NOT_CANONICAL = (
+    "this condition is stated for canonical rules only; "
+    "normalize first (see simplify.normalize_rule)"
+)
 
 
 def subsume_witness(r1: Rule, r2: Rule, r3: Rule) -> int | None:
@@ -104,31 +101,99 @@ def subsume_witness(r1: Rule, r2: Rule, r3: Rule) -> int | None:
     return None
 
 
+def _redundant(
+    hd1: int, ps1: int, ng1: int, hd2: int, ps2: int, ng2: int, hd3: int, ps3: int, ng3: int
+) -> bool:
+    """cond_2_1_0 on canonical fields: whether r3 is redundant given r1
+    and r2.
+
+    The misfit of ri is the set of its atoms that do not fit inside r3
+    field-wise (heads may land in hd3|ng3); cond_1_1_0(ri, r3) holds iff
+    it is empty, as a canonical r3 is never deletable on its own.  With
+    both misfits nonempty, a witness p of subsume_witness must be the
+    whole of each: their union is then that single atom, and it must lie
+    in (ps1|ps2) & (hd1|hd2|ng1|ng2) and pass the two cross checks."""
+    hn3 = hd3 | ng3
+    m1 = hd1 & ~hn3 | ps1 & ~ps3 | ng1 & ~ng3
+    if not m1:
+        return True
+    m2 = hd2 & ~hn3 | ps2 & ~ps3 | ng2 & ~ng3
+    if not m2:
+        return True
+    p = m1 | m2
+    return not (
+        p & (p - 1)
+        or not p & (ps1 | ps2) & (hd1 | hd2 | ng1 | ng2)
+        or p & ps1 & ng2 and hd1 & hd3
+        or p & ps2 & ng1 and hd2 & hd3
+    )
+
+
 def cond_2_1_0(r1: Rule, r2: Rule, r3: Rule) -> bool:
     """Whether {r1, r2, r3} is strongly equivalent to {r1, r2}, for
     canonical rules: r3 is deletable given either rule alone, or the two
-    rules jointly subsume it through a witness atom."""
-    _require_canonical(r1, r2, r3)
-    if cond_1_1_0(r1, r3) or cond_1_1_0(r2, r3):
-        return True
-    return subsume_witness(r1, r2, r3) is not None
+    rules jointly subsume it through a witness atom.
+
+    That is, cond_1_1_0(r1, r3) or cond_1_1_0(r2, r3) or
+    subsume_witness(r1, r2, r3) is not None, decided in one pass over the
+    rules' fields."""
+    hd1, ps1, ng1 = r1.hd, r1.ps, r1.ng
+    hd2, ps2, ng2 = r2.hd, r2.ps, r2.ng
+    hd3, ps3, ng3 = r3.hd, r3.ps, r3.ng
+    if (
+        hd1 & (ps1 | ng1) | ps1 & ng1
+        | hd2 & (ps2 | ng2) | ps2 & ng2
+        | hd3 & (ps3 | ng3) | ps3 & ng3
+    ):
+        raise NotCanonicalError(_NOT_CANONICAL)
+    return _redundant(hd1, ps1, ng1, hd2, ps2, ng2, hd3, ps3, ng3)
 
 
 def cond_0_2_1(r1: Rule, r2: Rule, r3: Rule) -> bool:
     """Whether {r1, r2} is strongly equivalent to {r3}, for canonical
     rules: r3 is redundant given the pair, and each of the pair is
-    redundant given r3."""
-    return cond_2_1_0(r1, r2, r3) and cond_1_1_0(r3, r1) and cond_1_1_0(r3, r2)
+    redundant given r3.
+
+    That is, cond_2_1_0(r1, r2, r3) and cond_1_1_0(r3, r1) and
+    cond_1_1_0(r3, r2); the last two say that r3 fits inside r1 and
+    inside r2 field-wise, and are tested first."""
+    hd1, ps1, ng1 = r1.hd, r1.ps, r1.ng
+    hd2, ps2, ng2 = r2.hd, r2.ps, r2.ng
+    hd3, ps3, ng3 = r3.hd, r3.ps, r3.ng
+    if (
+        hd1 & (ps1 | ng1) | ps1 & ng1
+        | hd2 & (ps2 | ng2) | ps2 & ng2
+        | hd3 & (ps3 | ng3) | ps3 & ng3
+    ):
+        raise NotCanonicalError(_NOT_CANONICAL)
+    if hd3 & ~((hd1 | ng1) & (hd2 | ng2)) or ps3 & ~(ps1 & ps2) or ng3 & ~(ng1 & ng2):
+        return False
+    return _redundant(hd1, ps1, ng1, hd2, ps2, ng2, hd3, ps3, ng3)
 
 
 def cond_0_2_2(r1: Rule, r2: Rule, r3: Rule, r4: Rule) -> bool:
     """Whether {r1, r2} is strongly equivalent to {r3, r4}, for canonical
-    rules: each side's rules are redundant given the other side."""
+    rules: each side's rules are redundant given the other side.
+
+    That is, cond_2_1_0(r1, r2, r3) and cond_2_1_0(r1, r2, r4) and
+    cond_2_1_0(r3, r4, r1) and cond_2_1_0(r3, r4, r2), with all four
+    rules required canonical before any of them is tested."""
+    hd1, ps1, ng1 = r1.hd, r1.ps, r1.ng
+    hd2, ps2, ng2 = r2.hd, r2.ps, r2.ng
+    hd3, ps3, ng3 = r3.hd, r3.ps, r3.ng
+    hd4, ps4, ng4 = r4.hd, r4.ps, r4.ng
+    if (
+        hd1 & (ps1 | ng1) | ps1 & ng1
+        | hd2 & (ps2 | ng2) | ps2 & ng2
+        | hd3 & (ps3 | ng3) | ps3 & ng3
+        | hd4 & (ps4 | ng4) | ps4 & ng4
+    ):
+        raise NotCanonicalError(_NOT_CANONICAL)
     return (
-        cond_2_1_0(r1, r2, r3)
-        and cond_2_1_0(r1, r2, r4)
-        and cond_2_1_0(r3, r4, r1)
-        and cond_2_1_0(r3, r4, r2)
+        _redundant(hd1, ps1, ng1, hd2, ps2, ng2, hd3, ps3, ng3)
+        and _redundant(hd1, ps1, ng1, hd2, ps2, ng2, hd4, ps4, ng4)
+        and _redundant(hd3, ps3, ng3, hd4, ps4, ng4, hd1, ps1, ng1)
+        and _redundant(hd3, ps3, ng3, hd4, ps4, ng4, hd2, ps2, ng2)
     )
 
 

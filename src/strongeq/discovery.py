@@ -23,9 +23,13 @@ of last rules at once: one list comprehension calls the condition on
 each tuple of the row (in row order, one call per tuple, as a per-tuple
 walk would make them) with the fixed rules unpacked once per row,
 another ANDs and compares masks for the oracle, and the counts come
-from the two lists of verdicts.  Only a row where the lists differ is
-walked tuple by tuple, to count its mismatches and record them under
-the cap.
+from the two lists of verdicts.  Where the side the last rule joins has
+no other rule yet (the only side of 0,1,0, the right side of 0,1,1 and
+0,2,1), its mask is all-ones and the oracle's verdict is whether the
+rule's mask equals the other side's: that list is read from an index of
+the row's positions per distinct mask.  Only a row where the lists
+differ is walked tuple by tuple, to count its mismatches and record them
+under the cap.
 
 With modulo_iso the walk is orderly (Read 1978; McKay 1998): it visits
 exactly the tuples that are their own `iso_canonical_form`, in enumeration
@@ -163,14 +167,31 @@ def enumerate_rules(
     rules only."""
     _check_atom_count(atom_count, max_atoms)
     space = 1 << atom_count
+    if canonical_only:
+        yield from _canonical_rules(space - 1)
+        return
     for hd in range(space):
         for ps in range(space):
-            overlap = hd & ps
             for ng in range(space):
-                if not (hd | ps | ng):
-                    continue
-                if canonical_only and (overlap or ng & (hd | ps)):
-                    continue
+                if hd | ps | ng:
+                    yield Rule(hd, ps, ng)
+
+
+def _canonical_rules(full: int) -> Iterator[Rule]:
+    """The 4^a - 1 rules with pairwise disjoint fields over the atoms of
+    `full`, in `enumerate_rules` order: ps runs over the submasks of the
+    atoms hd leaves, and ng over those hd and ps leave, each ascending."""
+    # submasks[c]: the submasks of c, ascending; those of c holding its top
+    # atom follow those of c without it, in the same order
+    submasks = [[0]]
+    for c in range(1, full + 1):
+        top = 1 << c.bit_length() - 1
+        below = submasks[c ^ top]
+        submasks.append(below + [s | top for s in below])
+    for hd in range(full + 1):
+        for ps in submasks[full ^ hd]:
+            ngs = submasks[full ^ hd ^ ps]
+            for ng in ngs if hd | ps else ngs[1:]:
                 yield Rule(hd, ps, ng)
 
 
@@ -299,6 +320,42 @@ def _split_ranges(weights: list[float], parts: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
+class _Row:
+    """The rules a last position runs over and their masks, with the
+    verdicts `mask == target` for the whole row.  From a row's second
+    request on, those are set from an index of the positions of each
+    distinct mask, into a copy of one all-False list that is itself the
+    answer for a target that is no rule's mask.  A row asked once, such as
+    the only row of a one-rule shape, is compared directly: building the
+    index costs about two comparisons of the row."""
+
+    __slots__ = ("rules", "masks", "_asked", "_positions", "_none")
+
+    def __init__(self, rules: list[Rule], masks: list[int]) -> None:
+        self.rules = rules
+        self.masks = masks
+        self._asked = False
+        self._positions: dict[int, list[int]] | None = None
+        self._none: list[bool] = []
+
+    def equal(self, target: int) -> list[bool]:
+        if not self._asked:
+            self._asked = True
+            return [mi == target for mi in self.masks]
+        if self._positions is None:
+            self._positions = {}
+            for i, mi in enumerate(self.masks):
+                self._positions.setdefault(mi, []).append(i)
+            self._none = [False] * len(self.masks)
+        positions = self._positions.get(target)
+        if positions is None:
+            return self._none
+        verdicts = self._none.copy()
+        for i in positions:
+            verdicts[i] = True
+        return verdicts
+
+
 def _scan_range(
     shape: tuple[int, int, int],
     rules: list[Rule],
@@ -327,14 +384,14 @@ def _scan_range(
     # least; tie masks recur across prefixes, so each is matched once
     kept_for: dict[int, list[int]] = {}
     # tie mask -> those rules and their masks, as a row of the last position
-    row_for: dict[int, tuple[list[Rule], list[int]]] = {}
+    row_for: dict[int, _Row] = {}
+    full_row = _Row(rules, masks)
 
-    def decide(
-        prefix: tuple[Rule, ...], ma: int, mb: int, row: list[Rule], row_masks: list[int]
-    ) -> None:
+    def decide(prefix: tuple[Rule, ...], ma: int, mb: int, last_row: _Row) -> None:
         """Label every tuple prefix + (rule,) of the row by the oracle and
         the condition; the condition sees them in row order."""
         nonlocal total, se, cond_pos, mismatch_total
+        row, row_masks = last_row.rules, last_row.masks
         if not prefix:
             conds = [True if condition(r) else False for r in row]
         elif len(prefix) == 1:
@@ -345,12 +402,14 @@ def _scan_range(
             conds = [True if condition(p0, p1, r) else False for r in row]
         else:
             conds = [True if condition(*prefix, r) else False for r in row]
+        # where the side the last rule joins is still all-ones, the verdict
+        # is whether the rule's mask equals the other side's
         if last_in_a and last_in_b:
             oracle = [ma & mi == mb & mi for mi in row_masks]
         elif last_in_a:
-            oracle = [ma & mi == mb for mi in row_masks]
+            oracle = last_row.equal(mb) if ma == full else [ma & mi == mb for mi in row_masks]
         else:
-            oracle = [ma == mb & mi for mi in row_masks]
+            oracle = last_row.equal(ma) if mb == full else [ma == mb & mi for mi in row_masks]
         total += len(row)
         se += oracle.count(True)
         cond_pos += conds.count(True)
@@ -379,14 +438,14 @@ def _scan_range(
             rng = range(start, stop) if depth == 0 else range(count)
         if depth == last:
             if depth == 0:  # this range's own row
-                row = [rules[i] for i in rng], [masks[i] for i in rng]
+                row = _Row([rules[i] for i in rng], [masks[i] for i in rng])
             elif not ties:
-                row = rules, masks
+                row = full_row
             else:
                 row = row_for.get(ties)
                 if row is None:
-                    row = row_for[ties] = [rules[i] for i in rng], [masks[i] for i in rng]
-            decide(prefix, ma, mb, *row)
+                    row = row_for[ties] = _Row([rules[i] for i in rng], [masks[i] for i in rng])
+            decide(prefix, ma, mb, row)
             return
         in_a = depth < k + m
         in_b = depth < k or depth >= k + m

@@ -13,6 +13,8 @@ from strongeq import (
     answer_sets,
     cond_0_1_0,
     cond_0_1_1,
+    cond_0_2_1,
+    cond_0_2_2,
     cond_1_1_0,
     cond_2_1_0,
     exhaustive_atom_bound,
@@ -224,4 +226,36 @@ def test_criterion_12_subsumption_special_case():
         12,
         f"s_implies within cond_1_1_0 across 261,121 pairs, zero violations, "
         f"in {elapsed:.1f} s (budget 60 s)",
+    )
+
+
+def test_criterion_13_exhaustive_pair_to_single_classes_at_four_atoms():
+    jobs = os.cpu_count() or 1
+    rep = test_conjecture(
+        TupleShape(0, 2, 1), 4, cond_0_2_1, canonical_only=True, modulo_iso=True, job_count=jobs
+    )
+    assert rep.total_tuples == 754_956
+    assert rep.se_positive_count == rep.condition_positive_count == 612
+    assert rep.mismatch_count == 0
+    assert rep.elapsed_ms < 60_000
+    report(
+        13,
+        f"754,956 canonical 0-2-1 classes, 612 equivalent, zero mismatches in "
+        f"{rep.elapsed_ms / 1000:.1f} s with {jobs} jobs (budget 60 s)",
+    )
+
+
+def test_criterion_14_exhaustive_pair_to_pair_classes_at_three_atoms():
+    jobs = os.cpu_count() or 1
+    rep = test_conjecture(
+        TupleShape(0, 2, 2), 3, cond_0_2_2, canonical_only=True, modulo_iso=True, job_count=jobs
+    )
+    assert rep.total_tuples == 2_650_833
+    assert rep.se_positive_count == rep.condition_positive_count == 7_943
+    assert rep.mismatch_count == 0
+    assert rep.elapsed_ms < 120_000
+    report(
+        14,
+        f"2,650,833 canonical 0-2-2 classes, 7,943 equivalent, zero mismatches in "
+        f"{rep.elapsed_ms / 1000:.1f} s with {jobs} jobs (budget 2 min)",
     )

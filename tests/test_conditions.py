@@ -1,7 +1,7 @@
 """Syntactic condition predicates against the semantic oracle."""
 
 import random
-from itertools import permutations
+from itertools import product
 
 import pytest
 
@@ -17,6 +17,7 @@ from strongeq import (
     cond_1_1_0,
     cond_2_1_0,
     exhaustive_atom_bound,
+    is_canonical,
     parse_rule,
     rename_rule,
     s_implies,
@@ -25,6 +26,8 @@ from strongeq import (
 )
 from strongeq.discovery import enumerate_rules
 from strongeq.syntax import subsets_of
+
+import reference
 
 
 def rules(text: str, symbols: Symbols | None = None) -> list[Rule]:
@@ -190,6 +193,65 @@ class TestPairToSingle:
         assert not oracle([r1, r2], [r3])
 
 
+def outcome(condition, rules):
+    """The condition's verdict on the rules, or NotCanonicalError."""
+    try:
+        return condition(*rules)
+    except NotCanonicalError:
+        return NotCanonicalError
+
+
+class TestFlatConditionsMatchTheirStatements:
+    """The flat conditions against their compositional statements in
+    tests/reference.py, on verdicts and on NotCanonicalError."""
+
+    @pytest.mark.parametrize("name", ["cond_2_1_0", "cond_0_2_1"])
+    @pytest.mark.parametrize(
+        "atoms, canonical", [(2, False), (3, True)], ids=["all-2-atoms", "canonical-3-atoms"])
+    def test_triples(self, name, atoms, canonical):
+        flat, composed = globals()[name], getattr(reference, name)
+        triples = list(product(enumerate_rules(atoms, canonical), repeat=3))
+        assert len(triples) == 250_047
+        got = [outcome(flat, t) for t in triples]
+        assert got == [outcome(composed, t) for t in triples]
+        assert True in got and False in got
+        assert (NotCanonicalError in got) is not canonical
+
+    def test_canonical_quadruples_over_two_atoms(self):
+        quadruples = list(product(enumerate_rules(2, canonical_only=True), repeat=4))
+        assert len(quadruples) == 50_625
+        got = [cond_0_2_2(*q) for q in quadruples]
+        assert got == [reference.cond_0_2_2(*q) for q in quadruples]
+        assert True in got and False in got
+
+    def test_quadruples_over_one_atom_raise_for_any_non_canonical_rule(self):
+        # the compositional form checks r4 only once cond_2_1_0(r1, r2, r3)
+        # holds, so it answers False where only r4 is non-canonical and the
+        # first triple fails; checking all four first raises there
+        quadruples = list(product(enumerate_rules(1), repeat=4))
+        assert len(quadruples) == 2_401
+        differ = []
+        for q in quadruples:
+            got, want = outcome(cond_0_2_2, q), outcome(reference.cond_0_2_2, q)
+            assert got == (NotCanonicalError if not all(map(is_canonical, q)) else want), q
+            if got != want:
+                differ.append(q)
+        assert len(differ) == 28
+        for q in differ:
+            assert all(map(is_canonical, q[:3])) and not is_canonical(q[3])
+            assert not cond_2_1_0(*q[:3])
+
+    def test_cond_2_1_0_is_its_compositional_statement(self):
+        # cond_2_1_0 holds iff r3 is deletable given r1 or given r2 alone,
+        # or subsume_witness finds a witness atom
+        for r1, r2, r3 in product(enumerate_rules(2, canonical_only=True), repeat=3):
+            assert cond_2_1_0(r1, r2, r3) == (
+                cond_1_1_0(r1, r3)
+                or cond_1_1_0(r2, r3)
+                or subsume_witness(r1, r2, r3) is not None
+            )
+
+
 class TestPairToPair:
     def test_identity(self):
         r1, r2 = rules("a :- b. c :- not d.")
@@ -204,6 +266,15 @@ class TestPairToPair:
         r1, r2 = rules("a :- b. a :- c.")
         assert not cond_0_2_2(r1, r1, r2, r2)
         assert not oracle([r1], [r2])
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_requires_every_rule_canonical(self, position):
+        # b :- a. is not redundant given a :- b. twice, so a check made only
+        # where each rule is first tested would never reach r4
+        quadruple = rules("a :- b. a :- b. b :- a. b :- a.")
+        quadruple[position] = Rule(0b1, 0b1, 0)
+        with pytest.raises(NotCanonicalError):
+            cond_0_2_2(*quadruple)
 
 
 class TestRenameInvariance:

@@ -35,6 +35,8 @@ from strongeq.discovery import (
 )
 from strongeq.oracle import here_mask, y_slices
 
+import reference
+
 
 def never(*_rules: Rule) -> bool:
     return False
@@ -97,6 +99,14 @@ class TestEnumerateRules:
     def test_atom_guard(self):
         with pytest.raises(TooManyAtomsError):
             list(enumerate_rules(8))
+        with pytest.raises(TooManyAtomsError):
+            list(enumerate_rules(8, canonical_only=True))
+
+    @pytest.mark.parametrize("canonical", [False, True])
+    @pytest.mark.parametrize("atom_count", range(6))
+    def test_equals_the_filtered_triple_loop(self, atom_count, canonical):
+        got = list(enumerate_rules(atom_count, canonical))
+        assert got == reference.enumerate_rules(atom_count, canonical)
 
 
 class TestEnumerateTuples:
@@ -565,6 +575,16 @@ class TestBatchedScan:
                 assert seen[0] == seen[1], case
                 # 1 == True, so equality alone would let an unnormalized verdict by
                 assert all(type(mm.condition) is bool for mm in got[4]), case
+
+    @pytest.mark.parametrize("atoms, canonical", [(2, False), (3, True)])
+    def test_row_equality_verdicts_match_direct_comparison(self, atoms, canonical):
+        # every rule's mask, a mask of no rule, and each asked twice: the
+        # first request, the index built on the second, the kept lists
+        rules, masks, full = discovery._language_masks(atoms, canonical, 7)
+        row = discovery._Row(rules[::3], masks[::3])
+        targets = [full, masks[1], *masks[::3], full ^ 1, masks[1]]
+        for target in targets * 2:
+            assert row.equal(target) == [mi == target for mi in row.masks], target
 
     def test_an_exception_in_the_condition_propagates(self):
         rules, masks, full = discovery._language_masks(2, False, 7)
