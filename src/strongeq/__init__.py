@@ -36,7 +36,7 @@ from .errors import (
     UnmappedAtomError,
 )
 from .oracle import HTPair, SEVerdict, countermodel_json, delta_holds, ht_pairs, strongly_equivalent
-from .semantics import answer_sets, equivalent, is_answer_set, reduct, satisfies
+from .semantics import answer_sets, is_answer_set, reduct, satisfies
 from .simplify import SimplifyStep, SimplifyTrace, normalize_rule, simplify, verify_simplification
 from .syntax import (
     Program,
@@ -82,7 +82,6 @@ __all__ = [
     "discover_positive_tuples",
     "enumerate_rules",
     "enumerate_tuples",
-    "equivalent",
     "exhaustive_atom_bound",
     "format_program",
     "format_rule",

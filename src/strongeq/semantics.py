@@ -75,11 +75,3 @@ def answer_sets(p: Program, max_atoms: int = ANSWER_SET_ATOM_LIMIT) -> tuple[int
         if not here_mask(rules, y, (full, dict(zip(atoms, masks))), proper):
             found.append(y)
     return tuple(found)
-
-
-def equivalent(p1: Program, p2: Program, max_atoms: int = ANSWER_SET_ATOM_LIMIT) -> bool:
-    """Ordinary equivalence: the same answer sets."""
-    n = (p1.atoms | p2.atoms).bit_count()
-    if n > max_atoms:
-        raise TooManyAtomsError("equivalent", n, max_atoms)
-    return answer_sets(p1, max_atoms) == answer_sets(p2, max_atoms)

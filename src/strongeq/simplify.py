@@ -17,10 +17,15 @@ different, equally valid fixpoints; no confluence is claimed.
 The scans are incremental but apply exactly the steps of a scan that
 restarts from index 0 after every deletion:
 
-  - After T6 or T8 deletes a rule, the pair or triple scan resumes at the
-    deleted position, mapped to the shifted indices.  The conditions are
-    pure functions of their rules and a deletion keeps the others in
-    order, so every earlier tuple failed before and still fails.
+  - Within a pass every rule keeps its index, in the rule list and in the
+    table.  A T6, T8 or T9 deletion clears the rule's bit in an `alive`
+    mask, the scans skip the rules whose bit is clear, and the list is
+    compacted once at the end of the pass.  Each scan goes on after a
+    hit: the conditions are pure functions of their rules and a deletion
+    leaves the other rules as they were, so every earlier tuple failed
+    before the deletion and still fails.  A step records each index as
+    its rank among the live rules, which is the rule's position in the
+    list as it stood before the step.
   - Only T9 adds a rule.  A pass without one leaves every phase at its
     fixpoint (normalized rules stay normalized, deletions cannot make a
     pair or triple fire), so the loop stops after it.
@@ -46,11 +51,10 @@ restarts from index 0 after every deletion:
   - One table per pass (`_FitTable`, built after normalization from
     per-atom occurrence bitsets, as SAT preprocessors index clauses for
     backward subsumption) holds, per rule, the rules it fits and the rules
-    it fits outside one atom, with the transpose of the latter.  Deletions
-    drop a row and a bit instead of rebuilding it, so no scan walks all
-    pairs or triples: the pair scan reads the fits rows, the triple scan
-    takes j only from the rules that share a near rule with i, and the
-    replacement scan reads near and its transpose.
+    it fits outside one atom, with the transpose of the latter.  No scan
+    walks all pairs or triples: the pair scan reads the fits rows, the
+    triple scan takes j only from the rules that share a near rule with
+    i, and the replacement scan reads near and its transpose.
 """
 
 from __future__ import annotations
@@ -130,14 +134,6 @@ def _phase_normalize(rules: list[Rule], steps: list[SimplifyStep]) -> None:
         i += 1
 
 
-def _drop_bit(rows: list[int], l: int) -> None:
-    """Delete row l and bit l of every other row, shifting higher bits down."""
-    del rows[l]
-    low = (1 << l) - 1
-    high = ~low
-    rows[:] = [row & low | row >> 1 & high for row in rows]
-
-
 class _FitTable:
     """Per rule a of a list, bitmasks over the rules b of the list:
     `fits[a]`, where misfit(a, b) is empty, `near[a]`, where misfit(a, b)
@@ -156,8 +152,8 @@ class _FitTable:
     counts misfit atoms up to two.  Counting per atom, not per field,
     keeps the rows exact for rules whose fields overlap.
 
-    A deletion drops its row and its bit from every other row; the other
-    entries are pure functions of their two rules and stay as they are.
+    Every entry is a pure function of its two rules, so a deletion leaves
+    the table as it is; the scans mask its rows with the live rules.
     """
 
     def __init__(self, rules: list[Rule]) -> None:
@@ -202,11 +198,6 @@ class _FitTable:
                 self.near_t[b] |= bit
             bit <<= 1
 
-    def delete(self, l: int) -> None:
-        _drop_bit(self.fits, l)
-        _drop_bit(self.near, l)
-        _drop_bit(self.near_t, l)
-
     def triple_candidates(self, i: int, j: int) -> int:
         """Bitmask of the l for which cond_2_1_0(rules[i], rules[j],
         rules[l]) can hold once no rule fits another: both rules fit
@@ -234,65 +225,54 @@ class _FitTable:
         return self.near[i] | self.near_t[i]
 
 
-def _phase_pair_delete(rules: list[Rule], table: _FitTable, steps: list[SimplifyStep]) -> None:
-    i0 = j0 = 0
-    while (hit := _first_pair(rules, table, i0, j0)) is not None:
-        i, j = hit
-        steps.append(SimplifyStep("T6-delete", kept=(i,), removed=(j,)))
-        del rules[j]
-        table.delete(j)
-        # every earlier pair failed and, its rules unchanged, still fails:
-        # resume at the deleted position, mapped to the shifted indices
-        i0, j0 = i - (j < i), j
+def _rank(alive: int, k: int) -> int:
+    """Index of live rule k in the list of the live rules."""
+    return (alive & (1 << k) - 1).bit_count()
 
 
-def _first_pair(
-    rules: list[Rule], table: _FitTable, i0: int, j0: int
-) -> tuple[int, int] | None:
-    """First (i, j) at or after (i0, j0) in scan order with
-    cond_1_1_0(rules[i], rules[j]); only the table's hits are tried."""
-    for i in range(i0, len(rules)):
-        hits = table.fits[i] & ~(1 << i)
-        if i == i0:
-            hits = hits >> j0 << j0
-        for j in bits_of(hits):
+def _phase_pair_delete(
+    rules: list[Rule], table: _FitTable, alive: int, steps: list[SimplifyStep]
+) -> int:
+    """Apply T6 to the live rules, (i, j) in scan order, where
+    cond_1_1_0(rules[i], rules[j]) holds; only the table's hits are
+    tried.  Returns the mask of the rules still alive."""
+    for i in range(len(rules)):
+        if not alive >> i & 1:
+            continue
+        for j in bits_of(table.fits[i] & alive & ~(1 << i)):
             if cond_1_1_0(rules[i], rules[j]):
-                return i, j
-    return None
+                steps.append(SimplifyStep(
+                    "T6-delete", kept=(_rank(alive, i),), removed=(_rank(alive, j),)))
+                alive ^= 1 << j
+    return alive
 
 
-def _phase_triple_delete(rules: list[Rule], table: _FitTable, steps: list[SimplifyStep]) -> None:
-    i0 = j0 = l0 = 0
-    while (hit := _first_triple(rules, table, i0, j0, l0)) is not None:
-        i, j, l = hit
-        steps.append(SimplifyStep("T8-delete", kept=(i, j), removed=(l,)))
-        del rules[l]
-        table.delete(l)
-        i0, j0, l0 = i - (l < i), j - (l < j), l
-
-
-def _first_triple(
-    rules: list[Rule], table: _FitTable, i0: int, j0: int, l0: int
-) -> tuple[int, int, int] | None:
-    """First (i, j, l) at or after (i0, j0, l0) in scan order with
-    cond_2_1_0(rules[i], rules[j], rules[l]); only the table's partners j
-    and candidates l are tried, in ascending order.
+def _phase_triple_delete(
+    rules: list[Rule], table: _FitTable, alive: int, steps: list[SimplifyStep]
+) -> int:
+    """Apply T8 to the live rules, (i, j, l) in scan order, where
+    cond_2_1_0(rules[i], rules[j], rules[l]) holds; only the table's
+    partners j and candidates l are tried.  Returns the mask of the rules
+    still alive.
 
     cond_2_1_0 is symmetric in its first two rules, so only j > i is
     tried: (i, j, l) with j < i was tried as (j, i, l), earlier in scan
-    order, and every tuple before the resume point has failed."""
-    for i in range(i0, len(rules)):
-        partners = table.triple_partners(i) >> i + 1 << i + 1
-        if i == i0:
-            partners = partners >> j0 << j0
-        for j in bits_of(partners):
-            candidates = table.triple_candidates(i, j)
-            if i == i0 and j == j0:
-                candidates = candidates >> l0 << l0
-            for l in bits_of(candidates):
+    order."""
+    for i in range(len(rules)):
+        if not alive >> i & 1:
+            continue
+        for j in bits_of(table.triple_partners(i) >> i + 1 << i + 1):
+            if not alive >> j & 1:
+                continue
+            for l in bits_of(table.triple_candidates(i, j) & alive):
                 if cond_2_1_0(rules[i], rules[j], rules[l]):
-                    return i, j, l
-    return None
+                    steps.append(SimplifyStep(
+                        "T8-delete",
+                        kept=(_rank(alive, i), _rank(alive, j)),
+                        removed=(_rank(alive, l),),
+                    ))
+                    alive ^= 1 << l
+    return alive
 
 
 def _pair_replacement(r1: Rule, r2: Rule) -> Rule | None:
@@ -322,14 +302,16 @@ def _pair_replacement(r1: Rule, r2: Rule) -> Rule | None:
 def _phase_pair_replace(
     rules: list[Rule],
     table: _FitTable,
+    alive: int,
     steps: list[SimplifyStep],
     failed: set[tuple[Rule, Rule]],
-) -> bool:
-    """Apply the first T9 replacement in scan order, if any, skipping the
-    rule pairs in `failed`, which earlier passes found no replacement
-    for; this pass adds its own."""
-    for i in range(len(rules) - 1):
-        for j in bits_of(table.replace_partners(i) >> i + 1 << i + 1):
+) -> int:
+    """Apply the first T9 replacement of two live rules in scan order, if
+    any, skipping the rule pairs in `failed`, which earlier passes found
+    no replacement for; this pass adds its own.  Returns the mask of the
+    rules still alive."""
+    for i in bits_of(alive):
+        for j in bits_of(table.replace_partners(i) & alive >> i + 1 << i + 1):
             pair = (rules[i], rules[j])
             if pair in failed:
                 continue
@@ -337,11 +319,11 @@ def _phase_pair_replace(
             if cand is None:
                 failed.add(pair)
                 continue
-            steps.append(SimplifyStep("T9-replace", removed=(i, j), produced=cand))
+            steps.append(SimplifyStep(
+                "T9-replace", removed=(_rank(alive, i), _rank(alive, j)), produced=cand))
             rules[i] = cand
-            del rules[j]
-            return True
-    return False
+            return alive ^ 1 << j
+    return alive
 
 
 def simplify(p: Program) -> tuple[Program, SimplifyTrace]:
@@ -357,9 +339,11 @@ def simplify(p: Program) -> tuple[Program, SimplifyTrace]:
         # would find every phase at its fixpoint already
         _phase_normalize(rules, steps)
         table = _FitTable(rules)
-        _phase_pair_delete(rules, table, steps)
-        _phase_triple_delete(rules, table, steps)
-        replaced = _phase_pair_replace(rules, table, steps, failed)
+        alive = _phase_pair_delete(rules, table, (1 << len(rules)) - 1, steps)
+        alive = _phase_triple_delete(rules, table, alive, steps)
+        kept = _phase_pair_replace(rules, table, alive, steps, failed)
+        replaced = kept != alive
+        rules = [rules[k] for k in bits_of(kept)]
     return Program(tuple(rules)), SimplifyTrace(tuple(steps))
 
 

@@ -1,4 +1,4 @@
-"""Reduct, satisfaction, answer sets, and ordinary equivalence."""
+"""Reduct, satisfaction and answer sets."""
 
 import random
 
@@ -10,7 +10,6 @@ from strongeq import (
     Symbols,
     TooManyAtomsError,
     answer_sets,
-    equivalent,
     is_answer_set,
     parse_program,
     parse_rule,
@@ -125,23 +124,3 @@ class TestAnswerSets:
             p = random_program(rng, 4, 4)
             doomed = Program(p.rules + (Rule(0, 0, 0),))
             assert answer_sets(doomed) == ()
-
-
-class TestEquivalent:
-    def test_facts_about_absent_atoms(self):
-        t = Symbols()
-        p1 = parse_program("a :- b.", t)
-        p2 = parse_program("a :- c.", t)
-        assert equivalent(p1, p2)
-
-    def test_differing_families(self):
-        t = Symbols()
-        p1 = parse_program("a;b. c :- not a.", t)
-        p2 = parse_program("a;b.", t)
-        # Independent check: the second program's families are {a} and {b}.
-        assert set(answer_sets(p2)) == {t.mask("a"), t.mask("b")}
-        assert not equivalent(p1, p2)
-
-    def test_reflexive(self):
-        p, _ = build("a :- not b. b :- not a.")
-        assert equivalent(p, p)
