@@ -177,13 +177,11 @@ def separating_worlds(
     (both sides have no model), a rule of each side fails it (neither has
     one), or every own rule is vacuous there, its body false at y (both
     sides hold exactly where the shared rules hold)."""
-    live = fails1 = fails2 = 0
-    for r in only1:
+    live = 0
+    for r in only1 + only2:
         live |= cube_worlds(layout, r.ps, r.ng)
-        fails1 |= cube_worlds(layout, r.ps, r.hd | r.ng)
-    for r in only2:
-        live |= cube_worlds(layout, r.ps, r.ng)
-        fails2 |= cube_worlds(layout, r.ps, r.hd | r.ng)
+    fails1 = primed_failures(only1, layout)
+    fails2 = primed_failures(only2, layout)
     return live & ~(primed_failures(shared, layout) | fails1 & fails2)
 
 

@@ -20,41 +20,25 @@ restarts from index 0 after every deletion:
   - Within a pass every rule keeps its index, in the rule list and in the
     table.  A T6, T8 or T9 deletion clears the rule's bit in an `alive`
     mask, the scans skip the rules whose bit is clear, and the list is
-    compacted once at the end of the pass.  Each scan goes on after a
-    hit: the conditions are pure functions of their rules and a deletion
-    leaves the other rules as they were, so every earlier tuple failed
-    before the deletion and still fails.  A step records each index as
-    its rank among the live rules, which is the rule's position in the
+    compacted once at the end of the pass.  The conditions are pure
+    functions of their rules and a deletion leaves the other rules as they
+    were, so a tuple that failed still fails: the pair scan goes on after
+    a hit, and the triple scan finds all its hits first and applies them
+    in scan order while their rules are alive.  A step records each index
+    as its rank among the live rules, which is the rule's position in the
     list as it stood before the step.
   - Only T9 adds a rule.  A pass without one leaves every phase at its
     fixpoint (normalized rules stay normalized, deletions cannot make a
     pair or triple fire), so the loop stops after it.
-  - A T9 replacement is a pure function of its two rules, so the rule
-    pairs found to have none are kept for the whole run and not tried
-    again in later passes.
-  - The wide scans try only candidates that pass a necessary condition
-    read from the misfit of an ordered rule pair (a, b): the atoms of a
-    that keep it from fitting inside b field by field, a's head landing in
-    b's head or negated body (a.hd - (b.hd|b.ng) | a.ps - b.ps |
-    a.ng - b.ng).  cond_1_1_0(a, b) holds iff b is deletable on its own or
-    that misfit is empty; cond_2_1_0(ri, rj, rl) needs rl redundant given
-    ri or rj alone, or each of ri and rj to fit rl outside one atom; a T9
-    replacement of two rules needs one of them to fit the other outside
-    one atom.  The conditions still decide every candidate.
   - Each phase leaves a contract the later ones rely on: after
     normalization no rule is deletable on its own, and after the pair
-    phase no rule fits another, so the triple and replacement scans need
-    only the rules that fit another outside one atom.
-  - cond_2_1_0 is symmetric in its first two rules, so the triple scan
-    tries each rule pair once, as (i, j) with i < j: (j, i, l) comes
-    later in scan order than (i, j, l) and has the same verdict.
-  - One table per pass (`_FitTable`, built after normalization from
-    per-atom occurrence bitsets, as SAT preprocessors index clauses for
-    backward subsumption) holds, per rule, the rules it fits and the rules
-    it fits outside one atom, with the transpose of the latter.  No scan
-    walks all pairs or triples: the pair scan reads the fits rows, the
-    triple scan takes j only from the rules that share a near rule with
-    i, and the replacement scan reads near and its transpose.
+    phase no rule fits another.
+  - One index per pass (`_FitTable`) holds, per rule, the rules it fits
+    inside and, per atom p, the rules that fit inside it outside p alone.  With the
+    contract, cond_2_1_0(ri, rj, rl) needs ri and rj to fit rl outside the
+    same single atom, and a T9 replacement of ri and rj needs each to fit
+    the other outside the same single atom, so no scan walks all pairs or
+    triples.  The conditions still decide every candidate.
 """
 
 from __future__ import annotations
@@ -135,25 +119,30 @@ def _phase_normalize(rules: list[Rule], steps: list[SimplifyStep]) -> None:
 
 
 class _FitTable:
-    """Per rule a of a list, bitmasks over the rules b of the list:
-    `fits[a]`, where misfit(a, b) is empty, `near[a]`, where misfit(a, b)
-    has at most one atom, and `near_t`, the transpose of `near`.
+    """Per rule of a list, the rules of the list it relates to through the
+    misfit of a rule a against a rule b: the atoms of a that keep it from
+    fitting inside b field by field, a's head landing in b's head or negated
+    body (a.hd - (b.hd|b.ng) | a.ps - b.ps | a.ng - b.ng).  `fits[a]` is
+    the bitmask of the b where misfit(a, b) is empty; `single[l]` maps an
+    atom bit p to the ascending indices of the a where misfit(a, l) = {p}.
+    Index lists, not bitmasks: most parts hold one rule, and a bitmask
+    would take up to one bit per rule of the list.
 
     The phase order is the table's contract.  It is built after
     normalization, when no rule is deletable on its own, so b is in
     `fits[a]` iff cond_1_1_0(a, b) holds.  After the pair phase no rule
-    fits another, so the triple and replacement scans read `near` and
-    `near_t` only.
+    fits another, so the triple and replacement scans read `single` only.
 
-    The rows come from per-atom occurrence bitsets, not from rule pairs:
-    an atom t of a is in misfit(a, b) iff b lacks t in some field of a
-    holding t (ps, ng, or hd|ng for a head atom), so a ones/twos
-    accumulator over a's atoms, each contributing the rules that lack it,
-    counts misfit atoms up to two.  Counting per atom, not per field,
-    keeps the rows exact for rules whose fields overlap.
+    The rows come from per-atom occurrence bitsets, not from rule pairs, as
+    SAT preprocessors index clauses for backward subsumption: an atom t of
+    a is in misfit(a, b) iff b lacks t in some field of a holding t (ps, ng,
+    or hd|ng for a head atom), so a ones/twos accumulator over a's atoms,
+    each contributing the rules that lack it, counts misfit atoms up to
+    two.  Counting per atom, not per field, keeps the rows exact for rules
+    whose fields overlap.
 
     Every entry is a pure function of its two rules, so a deletion leaves
-    the table as it is; the scans mask its rows with the live rules.
+    the table as it is; the scans skip the rules that are no longer live.
     """
 
     def __init__(self, rules: list[Rule]) -> None:
@@ -171,10 +160,11 @@ class _FitTable:
                     field ^= atom
             bit <<= 1
         self.fits: list[int] = []
-        self.near: list[int] = []
-        for r in rules:
+        self.single: list[dict[int, list[int]]] = [{} for _ in rules]
+        for a, r in enumerate(rules):
             hd, ps, ng = r.hd, r.ps, r.ng
             ones = twos = 0
+            lacks = []
             atoms = hd | ps | ng
             while atoms:
                 atom = atoms & -atoms
@@ -187,42 +177,15 @@ class _FitTable:
                 if ng & atom:
                     have &= in_ng[atom]
                 lack = everyone ^ have
+                lacks.append((atom, lack))
                 twos |= ones & lack
                 ones |= lack
             self.fits.append(everyone ^ ones)
-            self.near.append(everyone ^ twos)
-        self.near_t = [0] * len(rules)
-        bit = 1
-        for row in self.near:
-            for b in bits_of(row):
-                self.near_t[b] |= bit
-            bit <<= 1
-
-    def triple_candidates(self, i: int, j: int) -> int:
-        """Bitmask of the l for which cond_2_1_0(rules[i], rules[j],
-        rules[l]) can hold once no rule fits another: both rules fit
-        inside rules[l] outside a single atom each (a necessary condition
-        for the witness clause; the condition itself decides)."""
-        return self.near[i] & self.near[j] & ~(1 << i | 1 << j)
-
-    def triple_partners(self, i: int) -> int:
-        """Bitmask covering every j != i with a nonzero
-        `triple_candidates(i, j)`: the rules sharing a `near` bit with i,
-        read from `near_t`."""
-        own = 1 << i
-        partners = 0
-        for l in bits_of(self.near[i] ^ own):
-            partners |= self.near_t[l]
-        return partners & ~own
-
-    def replace_partners(self, i: int) -> int:
-        """Bitmask of the j with `near` bit i or `near[i]` bit j, necessary
-        for _pair_replacement(rules[i], rules[j]) to succeed.  A
-        replacement c fits inside both rules, so misfit(ri, rj) lies within
-        misfit(ri, c) and misfit(rj, ri) within misfit(rj, c); cond_2_1_0(ri,
-        rj, c) needs one of those empty, or both within a single witness
-        atom."""
-        return self.near[i] | self.near_t[i]
+            exact = ones & ~twos
+            if exact:
+                for atom, lack in lacks:
+                    for l in bits_of(lack & exact):
+                        self.single[l].setdefault(atom, []).append(a)
 
 
 def _rank(alive: int, k: int) -> int:
@@ -251,27 +214,36 @@ def _phase_triple_delete(
     rules: list[Rule], table: _FitTable, alive: int, steps: list[SimplifyStep]
 ) -> int:
     """Apply T8 to the live rules, (i, j, l) in scan order, where
-    cond_2_1_0(rules[i], rules[j], rules[l]) holds; only the table's
-    partners j and candidates l are tried.  Returns the mask of the rules
-    still alive.
+    cond_2_1_0(rules[i], rules[j], rules[l]) holds.  Returns the mask of
+    the rules still alive.
 
-    cond_2_1_0 is symmetric in its first two rules, so only j > i is
-    tried: (i, j, l) with j < i was tried as (j, i, l), earlier in scan
-    order."""
-    for i in range(len(rules)):
-        if not alive >> i & 1:
-            continue
-        for j in bits_of(table.triple_partners(i) >> i + 1 << i + 1):
-            if not alive >> j & 1:
+    As no live rule fits another, the condition needs misfit(ri, rl) =
+    misfit(rj, rl) = {p} for one atom p, so only the pairs within one part
+    of `single[l]` are tried, each once as i < j: the condition is
+    symmetric in its first two rules, and (j, i, l) comes later in scan
+    order.  The hits are applied in scan order while their three rules
+    are alive."""
+    hits = []
+    for l in bits_of(alive):
+        rl = rules[l]
+        for part in table.single[l].values():
+            if len(part) < 2:
                 continue
-            for l in bits_of(table.triple_candidates(i, j) & alive):
-                if cond_2_1_0(rules[i], rules[j], rules[l]):
-                    steps.append(SimplifyStep(
-                        "T8-delete",
-                        kept=(_rank(alive, i), _rank(alive, j)),
-                        removed=(_rank(alive, l),),
-                    ))
-                    alive ^= 1 << l
+            group = [a for a in part if alive >> a & 1]
+            for x, i in enumerate(group):
+                ri = rules[i]
+                for j in group[x + 1:]:
+                    if cond_2_1_0(ri, rules[j], rl):
+                        hits.append((i, j, l))
+    hits.sort()
+    for i, j, l in hits:
+        if alive >> i & alive >> j & alive >> l & 1:
+            steps.append(SimplifyStep(
+                "T8-delete",
+                kept=(_rank(alive, i), _rank(alive, j)),
+                removed=(_rank(alive, l),),
+            ))
+            alive ^= 1 << l
     return alive
 
 
@@ -300,29 +272,28 @@ def _pair_replacement(r1: Rule, r2: Rule) -> Rule | None:
 
 
 def _phase_pair_replace(
-    rules: list[Rule],
-    table: _FitTable,
-    alive: int,
-    steps: list[SimplifyStep],
-    failed: set[tuple[Rule, Rule]],
+    rules: list[Rule], table: _FitTable, alive: int, steps: list[SimplifyStep]
 ) -> int:
     """Apply the first T9 replacement of two live rules in scan order, if
-    any, skipping the rule pairs in `failed`, which earlier passes found
-    no replacement for; this pass adds its own.  Returns the mask of the
-    rules still alive."""
+    any.  Returns the mask of the rules still alive.
+
+    A replacement c fits inside both rules, so misfit(ri, c) holds
+    misfit(ri, rj) and misfit(rj, c) holds misfit(rj, ri).  As no live
+    rule fits another, cond_2_1_0(ri, rj, c) then needs both to be the
+    same single atom p, so only the j with i in `single[j][p]` and j in
+    `single[i][p]` are tried."""
+    single = table.single
     for i in bits_of(alive):
-        for j in bits_of(table.replace_partners(i) & alive >> i + 1 << i + 1):
-            pair = (rules[i], rules[j])
-            if pair in failed:
-                continue
-            cand = _pair_replacement(*pair)
-            if cand is None:
-                failed.add(pair)
-                continue
-            steps.append(SimplifyStep(
-                "T9-replace", removed=(_rank(alive, i), _rank(alive, j)), produced=cand))
-            rules[i] = cand
-            return alive ^ 1 << j
+        partners = sorted(
+            j for atom, part in single[i].items() for j in part
+            if j > i and alive >> j & 1 and i in single[j].get(atom, ()))
+        for j in partners:
+            cand = _pair_replacement(rules[i], rules[j])
+            if cand is not None:
+                steps.append(SimplifyStep(
+                    "T9-replace", removed=(_rank(alive, i), _rank(alive, j)), produced=cand))
+                rules[i] = cand
+                return alive ^ 1 << j
     return alive
 
 
@@ -332,7 +303,6 @@ def simplify(p: Program) -> tuple[Program, SimplifyTrace]:
     re-checks against the semantic oracle."""
     rules = list(p.rules)
     steps: list[SimplifyStep] = []
-    failed: set[tuple[Rule, Rule]] = set()
     replaced = True
     while replaced:
         # only T9 adds a rule; after a pass without one, a second pass
@@ -341,7 +311,7 @@ def simplify(p: Program) -> tuple[Program, SimplifyTrace]:
         table = _FitTable(rules)
         alive = _phase_pair_delete(rules, table, (1 << len(rules)) - 1, steps)
         alive = _phase_triple_delete(rules, table, alive, steps)
-        kept = _phase_pair_replace(rules, table, alive, steps, failed)
+        kept = _phase_pair_replace(rules, table, alive, steps)
         replaced = kept != alive
         rules = [rules[k] for k in bits_of(kept)]
     return Program(tuple(rules)), SimplifyTrace(tuple(steps))
