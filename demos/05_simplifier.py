@@ -7,7 +7,7 @@ down.  The simplifier removes whatever the redundancy conditions license
 and re-checks its output against the oracle.
 """
 
-from strongeq import Symbols, format_program, parse_program, simplify, verify_simplification
+from strongeq import Rule, Symbols, format_program, parse_program, simplify, verify_simplification
 
 symbols = Symbols()
 
@@ -38,6 +38,10 @@ print("two rules fold into one strictly shorter rule:")
 program = parse_program("a2 :- a1, not a3. a1;a2 :- not a3.", symbols)
 simplified, trace = simplify(program)
 print(format_program(simplified, symbols), end="")
+# the rules differ only in a1, so the one candidate is what they share
+r1, r2 = program.rules
+common = Rule(r1.hd & r2.hd, r1.ps & r2.ps, r1.ng & r2.ng)
+print("    the pair's common part, the literals both rules share:", simplified.rules == (common,))
 print("    trace:")
 print("   ", trace.json_lines(symbols).strip())
 

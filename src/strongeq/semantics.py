@@ -36,23 +36,15 @@ def satisfies(x: int, r: Rule) -> bool:
     return bool(r.ps & ~x) or bool(r.hd & x)
 
 
-def _model_of(x: int, rules: tuple[Rule, ...]) -> bool:
-    for r in rules:
-        if not (r.ps & ~x or r.hd & x):
-            return False
-    return True
-
-
 def is_answer_set(p: Program, x: int) -> bool:
     """True iff x satisfies every rule of reduct(p, x) and no proper subset
     of x does."""
     red = reduct(p, x).rules
-    if not _model_of(x, red):
-        return False
-    for sub in subsets_of(x):
-        if sub != x and _model_of(sub, red):
-            return False
-    return True
+
+    def model(y: int) -> bool:
+        return all(satisfies(y, r) for r in red)
+
+    return model(x) and not any(model(sub) for sub in subsets_of(x) if sub != x)
 
 
 def answer_sets(p: Program, max_atoms: int = ANSWER_SET_ATOM_LIMIT) -> tuple[int, ...]:

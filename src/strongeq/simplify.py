@@ -34,11 +34,12 @@ restarts from index 0 after every deletion:
     normalization no rule is deletable on its own, and after the pair
     phase no rule fits another.
   - One index per pass (`_FitTable`) holds, per rule, the rules it fits
-    inside and, per atom p, the rules that fit inside it outside p alone.  With the
-    contract, cond_2_1_0(ri, rj, rl) needs ri and rj to fit rl outside the
-    same single atom, and a T9 replacement of ri and rj needs each to fit
-    the other outside the same single atom, so no scan walks all pairs or
-    triples.  The conditions still decide every candidate.
+    inside and, per atom p, the rules that fit inside it outside p alone.
+    With the contract, cond_2_1_0(ri, rj, rl) needs ri and rj to fit rl
+    outside the same single atom, and a T9 replacement of ri and rj needs
+    each to fit the other outside the same single atom p, when the only
+    candidate is their common part off p.  No scan walks all pairs or
+    triples, and the conditions still decide every candidate.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import NamedTuple
 
 from .conditions import cond_0_1_0, cond_0_2_1, cond_1_1_0, cond_2_1_0
 from .oracle import SE_ATOM_LIMIT, strongly_equivalent
-from .syntax import Program, Rule, Symbols, bits_of, format_rule, is_canonical, subsets_of
+from .syntax import Program, Rule, Symbols, bits_of, format_rule
 
 
 class SimplifyStep(NamedTuple):
@@ -247,28 +248,23 @@ def _phase_triple_delete(
     return alive
 
 
-def _pair_replacement(r1: Rule, r2: Rule) -> Rule | None:
-    """Smallest single canonical rule strongly equivalent to {r1, r2}, if
-    one exists with strictly fewer literals.
+def _pair_replacement(ri: Rule, rj: Rule, p: int) -> Rule | None:
+    """The one rule strongly equivalent to {ri, rj} if any, for canonical
+    rules with misfit(ri, rj) = misfit(rj, ri) = {p}: their common part
+    off p, when cond_0_2_1 accepts it.
 
-    Any viable replacement c must satisfy cond_1_1_0(c, r1) and
-    cond_1_1_0(c, r2) with canonical (hence not individually deletable)
-    r1 and r2, which pins c's fields inside the intersections below; only
-    those candidates are searched, smallest sets first.
+    (i) Off p each rule fits the other, so ps and ng agree there, and so
+        do the heads, which miss their own ng, the other's off p.
+    (ii) A replacement c fits inside both, so misfit(ri, c) and
+         misfit(rj, c) hold p and neither is empty (else ri would fit rj
+         through c); c does not hold p, which each rule holds where the
+         other lacks it.
+    (iii) cond_2_1_0(ri, rj, c) then needs misfit(ri, c) = {p}: the common
+          part and c fit inside each other, and canonical rules that do
+          are equal.
     """
-    budget = r1.literal_count + r2.literal_count
-    hd_bound = (r1.hd | r1.ng) & (r2.hd | r2.ng)
-    ps_bound = r1.ps & r2.ps
-    ng_bound = r1.ng & r2.ng
-    for hd in subsets_of(hd_bound):
-        for ps in subsets_of(ps_bound):
-            for ng in subsets_of(ng_bound):
-                cand = Rule(hd, ps, ng)
-                if cand.literal_count >= budget or not is_canonical(cand):
-                    continue
-                if cond_0_2_1(r1, r2, cand):
-                    return cand
-    return None
+    common = Rule(ri.hd & ~p, ri.ps & ~p, ri.ng & ~p)
+    return common if cond_0_2_1(ri, rj, common) else None
 
 
 def _phase_pair_replace(
@@ -281,14 +277,14 @@ def _phase_pair_replace(
     misfit(ri, rj) and misfit(rj, c) holds misfit(rj, ri).  As no live
     rule fits another, cond_2_1_0(ri, rj, c) then needs both to be the
     same single atom p, so only the j with i in `single[j][p]` and j in
-    `single[i][p]` are tried."""
+    `single[i][p]` are tried, each on its common part off p."""
     single = table.single
     for i in bits_of(alive):
         partners = sorted(
-            j for atom, part in single[i].items() for j in part
+            (j, atom) for atom, part in single[i].items() for j in part
             if j > i and alive >> j & 1 and i in single[j].get(atom, ()))
-        for j in partners:
-            cand = _pair_replacement(rules[i], rules[j])
+        for j, atom in partners:
+            cand = _pair_replacement(rules[i], rules[j], atom)
             if cand is not None:
                 steps.append(SimplifyStep(
                     "T9-replace", removed=(_rank(alive, i), _rank(alive, j)), produced=cand))

@@ -4,6 +4,7 @@ computes a faster way.  Tests compare the package against these."""
 from __future__ import annotations
 
 from strongeq import NotCanonicalError, Rule, cond_1_1_0, is_canonical, subsume_witness
+from strongeq.syntax import subsets_of
 
 
 def _require_canonical(*rules: Rule) -> None:
@@ -35,6 +36,26 @@ def cond_0_2_2(r1: Rule, r2: Rule, r3: Rule, r4: Rule) -> bool:
         and cond_2_1_0(r3, r4, r1)
         and cond_2_1_0(r3, r4, r2)
     )
+
+
+def pair_replacement(r1: Rule, r2: Rule) -> Rule | None:
+    """Smallest single canonical rule strongly equivalent to {r1, r2}, if
+    one exists with strictly fewer literals, by search.
+
+    A replacement c fits inside r1 and r2 (cond_1_1_0(c, r1) and
+    cond_1_1_0(c, r2)), which pins c's fields inside the intersections
+    below; every candidate there is tried, smallest sets first."""
+    budget = r1.literal_count + r2.literal_count
+    hd_bound = (r1.hd | r1.ng) & (r2.hd | r2.ng)
+    ps_bound = r1.ps & r2.ps
+    ng_bound = r1.ng & r2.ng
+    for hd in subsets_of(hd_bound):
+        for ps in subsets_of(ps_bound):
+            for ng in subsets_of(ng_bound):
+                cand = Rule(hd, ps, ng)
+                if cand.literal_count < budget and is_canonical(cand) and cond_0_2_1(r1, r2, cand):
+                    return cand
+    return None
 
 
 def enumerate_rules(atom_count: int, canonical_only: bool = False) -> list[Rule]:

@@ -25,6 +25,7 @@ from strongeq.discovery import enumerate_rules
 from strongeq.simplify import _FitTable, _pair_replacement
 from strongeq.syntax import bits_of, is_canonical
 from conftest import random_program, random_rule
+import reference
 
 # the module, not the `simplify` function the package exports under its name
 SIMPLIFY_MODULE = importlib.import_module("strongeq.simplify")
@@ -232,7 +233,8 @@ class TestVerifySimplification:
 # --- reference: the restart-based scans the incremental simplifier replaced --
 #
 # Each scan restarts from index 0 after every deletion and the fixpoint
-# loop re-runs all four phases after any change.  The simplifier must
+# loop re-runs all four phases after any change; T9 searches every
+# candidate rule (`reference.pair_replacement`).  The simplifier must
 # produce exactly this output and trace.
 
 
@@ -304,7 +306,7 @@ def _reference_triple_delete(rules: list[Rule], steps: list[SimplifyStep]) -> bo
 def _reference_pair_replace(rules: list[Rule], steps: list[SimplifyStep]) -> bool:
     for i in range(len(rules)):
         for j in range(i + 1, len(rules)):
-            cand = _pair_replacement(rules[i], rules[j])
+            cand = reference.pair_replacement(rules[i], rules[j])
             if cand is not None:
                 steps.append(SimplifyStep("T9-replace", removed=(i, j), produced=cand))
                 rules[i] = cand
@@ -449,14 +451,15 @@ class TestPhaseContract:
 
     def test_pair_replacement_calls_on_1000_rules(self, monkeypatch):
         # pinned: only rules that each fit the other outside the same
-        # single atom are tried
+        # single atom are tried, each with that atom
         calls = 0
         real = SIMPLIFY_MODULE._pair_replacement
 
-        def counted(r1, r2):
+        def counted(ri, rj, p):
             nonlocal calls
             calls += 1
-            return real(r1, r2)
+            assert misfit(ri, rj) == misfit(rj, ri) == p
+            return real(ri, rj, p)
 
         monkeypatch.setattr(SIMPLIFY_MODULE, "_pair_replacement", counted)
         out, trace = simplify(seeded_rules(1, 1000, 60))
@@ -550,9 +553,40 @@ class TestPrefilters:
                 if cond_1_1_0(r1, r2) or cond_1_1_0(r2, r1):
                     continue
                 rejected += 1
-                assert _pair_replacement(r1, r2) is None, (r1, r2)
+                assert reference.pair_replacement(r1, r2) is None, (r1, r2)
         # pinned: a looser prefilter rejects fewer
         assert rejected == 2_944
+
+
+class TestClosedFormReplacement:
+    """A pair the replacement scan tries has one candidate, its common
+    part off the atom p it differs in.  Exhaustive over the ordered pairs
+    of distinct canonical rules of three and four atoms, against the
+    search of every candidate."""
+
+    def test_common_part_is_the_only_replacement(self):
+        for atoms, expected in ((3, (3_906, 192, 150)), (4, (64_770, 1_024, 728))):
+            rules = list(enumerate_rules(atoms, canonical_only=True))
+            pairs = contract = replaced = 0
+            for r1 in rules:
+                for r2 in rules:
+                    if r1 == r2:
+                        continue
+                    pairs += 1
+                    m12, m21 = misfit(r1, r2), misfit(r2, r1)
+                    if not m12 or not m21:
+                        continue  # after the pair phase no rule fits another
+                    found = reference.pair_replacement(r1, r2)
+                    if m12 != m21 or m12.bit_count() != 1:
+                        assert found is None, (r1, r2)
+                        continue
+                    contract += 1
+                    # the two rules agree outside p
+                    assert (r1.hd ^ r2.hd | r1.ps ^ r2.ps | r1.ng ^ r2.ng) & ~m12 == 0
+                    assert _pair_replacement(r1, r2, m12) == found, (r1, r2)
+                    replaced += found is not None
+            # pinned: contract pairs, and those with a replacement
+            assert (pairs, contract, replaced) == expected, atoms
 
 
 def test_184_random_rules_over_16_atoms():
@@ -634,3 +668,24 @@ class TestScale:
         assert digest(trace.steps) == "9266b3f6d12fae14"
         assert digest(out.rules) == "839eedee4eaa4c4f"
         assert elapsed < 5, f"{elapsed:.1f} s"
+
+    # two rules of 22 literals each: a search of the candidates inside both
+    # takes 8-10 s on these, doubling with each literal
+    WIDE_BODY = ", ".join(f"b{k}" for k in range(20))
+
+    def test_wide_pair_folds_to_its_common_part_within_budget(self):
+        p, t = build(f"h; p :- {self.WIDE_BODY}. h :- {self.WIDE_BODY}, p.")
+        started = time.perf_counter()
+        out, trace = simplify(p)
+        elapsed = time.perf_counter() - started
+        assert out == parse_program(f"h :- {self.WIDE_BODY}.", t)
+        assert [s.kind for s in trace.steps] == ["T9-replace"]
+        assert elapsed < 0.5, f"{elapsed:.2f} s"
+
+    def test_wide_pair_without_replacement_within_budget(self):
+        p, _ = build(f"h :- {self.WIDE_BODY}, p. h :- {self.WIDE_BODY}, not p.")
+        started = time.perf_counter()
+        out, trace = simplify(p)
+        elapsed = time.perf_counter() - started
+        assert (out, trace.steps) == (p, ())
+        assert elapsed < 0.5, f"{elapsed:.2f} s"
