@@ -33,19 +33,19 @@ restarts from index 0 after every deletion:
   - Each phase leaves a contract the later ones rely on: after
     normalization no rule is deletable on its own, and after the pair
     phase no rule fits another.
-  - One index per pass (`_FitTable`) holds, per rule, the rules it fits
-    inside and, per atom p, the rules that fit inside it outside p alone.
+  - One index per pass (`_FitTable`) holds, per rule, the mask of the
+    rules it fits inside and, per atom p, of those it fits outside p alone.
     With the contract, cond_2_1_0(ri, rj, rl) needs ri and rj to fit rl
     outside the same single atom, and a T9 replacement of ri and rj needs
     each to fit the other outside the same single atom p, when the only
-    candidate is their common part off p.  No scan walks all pairs or
-    triples, and the conditions still decide every candidate.
+    candidate is their common part off p.  Both scans walk only the pairs
+    that share such an atom, and the conditions decide every candidate.
 """
 
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .conditions import cond_0_1_0, cond_0_2_1, cond_1_1_0, cond_2_1_0
 from .oracle import SE_ATOM_LIMIT, strongly_equivalent
@@ -124,23 +124,21 @@ class _FitTable:
     misfit of a rule a against a rule b: the atoms of a that keep it from
     fitting inside b field by field, a's head landing in b's head or negated
     body (a.hd - (b.hd|b.ng) | a.ps - b.ps | a.ng - b.ng).  `fits[a]` is
-    the bitmask of the b where misfit(a, b) is empty; `single[l]` maps an
-    atom bit p to the ascending indices of the a where misfit(a, l) = {p}.
-    Index lists, not bitmasks: most parts hold one rule, and a bitmask
-    would take up to one bit per rule of the list.
+    the bitmask of the b where misfit(a, b) is empty; `near[a]` maps each
+    atom bit p to the nonzero bitmask of the b where misfit(a, b) = {p}.
 
     The phase order is the table's contract.  It is built after
     normalization, when no rule is deletable on its own, so b is in
     `fits[a]` iff cond_1_1_0(a, b) holds.  After the pair phase no rule
-    fits another, so the triple and replacement scans read `single` only.
+    fits another, so the triple and replacement scans read `near` only.
 
     The rows come from per-atom occurrence bitsets, not from rule pairs, as
     SAT preprocessors index clauses for backward subsumption: an atom t of
     a is in misfit(a, b) iff b lacks t in some field of a holding t (ps, ng,
     or hd|ng for a head atom), so a ones/twos accumulator over a's atoms,
     each contributing the rules that lack it, counts misfit atoms up to
-    two.  Counting per atom, not per field, keeps the rows exact for rules
-    whose fields overlap.
+    two; `near[a][p]` is p's lack among the rules counted once.  Counting
+    per atom, not per field, keeps the rows exact where fields overlap.
 
     Every entry is a pure function of its two rules, so a deletion leaves
     the table as it is; the scans skip the rules that are no longer live.
@@ -161,8 +159,8 @@ class _FitTable:
                     field ^= atom
             bit <<= 1
         self.fits: list[int] = []
-        self.single: list[dict[int, list[int]]] = [{} for _ in rules]
-        for a, r in enumerate(rules):
+        self.near: list[dict[int, int]] = []
+        for r in rules:
             hd, ps, ng = r.hd, r.ps, r.ng
             ones = twos = 0
             lacks = []
@@ -183,10 +181,19 @@ class _FitTable:
                 ones |= lack
             self.fits.append(everyone ^ ones)
             exact = ones & ~twos
-            if exact:
-                for atom, lack in lacks:
-                    for l in bits_of(lack & exact):
-                        self.single[l].setdefault(atom, []).append(a)
+            self.near.append({atom: near for atom, lack in lacks if (near := lack & exact)})
+
+
+def _near_pairs(table: _FitTable, alive: int) -> Iterator[tuple[int, int, int]]:
+    """Each (i, j, p) once, for live i < j whose `near` rows both hold p."""
+    groups: dict[int, list[int]] = {}
+    for i in bits_of(alive):
+        for atom in table.near[i]:
+            groups.setdefault(atom, []).append(i)
+    for atom, group in groups.items():
+        for x, i in enumerate(group):
+            for j in group[x + 1:]:
+                yield i, j, atom
 
 
 def _rank(alive: int, k: int) -> int:
@@ -219,23 +226,18 @@ def _phase_triple_delete(
     the rules still alive.
 
     As no live rule fits another, the condition needs misfit(ri, rl) =
-    misfit(rj, rl) = {p} for one atom p, so only the pairs within one part
-    of `single[l]` are tried, each once as i < j: the condition is
-    symmetric in its first two rules, and (j, i, l) comes later in scan
-    order.  The hits are applied in scan order while their three rules
-    are alive."""
+    misfit(rj, rl) = {p} for one atom p, so only the l in both rules'
+    `near[p]` are tried, each pair once as i < j (the condition is
+    symmetric in its first two).  The hits are applied in scan order
+    while their three rules are alive."""
+    near = table.near
     hits = []
-    for l in bits_of(alive):
-        rl = rules[l]
-        for part in table.single[l].values():
-            if len(part) < 2:
-                continue
-            group = [a for a in part if alive >> a & 1]
-            for x, i in enumerate(group):
-                ri = rules[i]
-                for j in group[x + 1:]:
-                    if cond_2_1_0(ri, rules[j], rl):
-                        hits.append((i, j, l))
+    for i, j, atom in _near_pairs(table, alive):
+        both = near[i][atom] & near[j][atom] & alive
+        if both:
+            for l in bits_of(both):
+                if cond_2_1_0(rules[i], rules[j], rules[l]):
+                    hits.append((i, j, l))
     hits.sort()
     for i, j, l in hits:
         if alive >> i & alive >> j & alive >> l & 1:
@@ -276,20 +278,17 @@ def _phase_pair_replace(
     A replacement c fits inside both rules, so misfit(ri, c) holds
     misfit(ri, rj) and misfit(rj, c) holds misfit(rj, ri).  As no live
     rule fits another, cond_2_1_0(ri, rj, c) then needs both to be the
-    same single atom p, so only the j with i in `single[j][p]` and j in
-    `single[i][p]` are tried, each on its common part off p."""
-    single = table.single
-    for i in bits_of(alive):
-        partners = sorted(
-            (j, atom) for atom, part in single[i].items() for j in part
-            if j > i and alive >> j & 1 and i in single[j].get(atom, ()))
-        for j, atom in partners:
-            cand = _pair_replacement(rules[i], rules[j], atom)
-            if cand is not None:
-                steps.append(SimplifyStep(
-                    "T9-replace", removed=(_rank(alive, i), _rank(alive, j)), produced=cand))
-                rules[i] = cand
-                return alive ^ 1 << j
+    same single atom p, so only the pairs with j in `near[i][p]` and i in
+    `near[j][p]` are tried, in scan order, each on its common part off p."""
+    near = table.near
+    for i, j, atom in sorted((i, j, atom) for i, j, atom in _near_pairs(table, alive)
+                             if near[i][atom] >> j & near[j][atom] >> i & 1):
+        cand = _pair_replacement(rules[i], rules[j], atom)
+        if cand is not None:
+            steps.append(SimplifyStep(
+                "T9-replace", removed=(_rank(alive, i), _rank(alive, j)), produced=cand))
+            rules[i] = cand
+            return alive ^ 1 << j
     return alive
 
 

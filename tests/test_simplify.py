@@ -22,7 +22,7 @@ from strongeq import (
 )
 from strongeq.conditions import cond_0_1_0, cond_1_1_0, cond_2_1_0
 from strongeq.discovery import enumerate_rules
-from strongeq.simplify import _FitTable, _pair_replacement
+from strongeq.simplify import _FitTable, _near_pairs, _pair_replacement
 from strongeq.syntax import bits_of, is_canonical
 from conftest import random_program, random_rule
 import reference
@@ -407,7 +407,7 @@ class TestIncrementalScanMatchesReference:
 class TestPhaseContract:
     """The table's contract: when the triple phase starts, no rule is
     deletable on its own and no rule fits another, so the triple and
-    replacement scans need only `single`."""
+    replacement scans need only `near`."""
 
     def test_no_rule_fits_another_when_the_triple_phase_starts(self, monkeypatch):
         phase = SIMPLIFY_MODULE._phase_triple_delete
@@ -473,26 +473,28 @@ def misfit(a: Rule, b: Rule) -> int:
     return a.hd & ~(b.hd | b.ng) | a.ps & ~b.ps | a.ng & ~b.ng
 
 
-def pairwise_table(rules: list[Rule]) -> tuple[list[int], list[dict[int, list[int]]]]:
-    """fits rows and single parts read off every ordered pair, one at a time."""
+def pairwise_table(rules: list[Rule]) -> tuple[list[int], list[dict[int, int]]]:
+    """fits and near rows read off every ordered pair, one at a time."""
     fits = [sum(1 << l for l, b in enumerate(rules) if misfit(a, b) == 0) for a in rules]
-    single: list[dict[int, list[int]]] = [{} for _ in rules]
+    near: list[dict[int, int]] = [{} for _ in rules]
     for a, ra in enumerate(rules):
         for l, rl in enumerate(rules):
             m = misfit(ra, rl)
             if m.bit_count() == 1:
-                single[l].setdefault(m, []).append(a)
-    return fits, single
+                near[a][m] = near[a].get(m, 0) | 1 << l
+    return fits, near
 
 
 def same_single_atom(table: _FitTable, i: int, j: int, l: int) -> bool:
     """Whether rules i and j fit rule l outside the same single atom."""
-    return any(i in part and j in part for part in table.single[l].values())
+    near = table.near
+    return any((near[i][p] & near[j].get(p, 0)) >> l & 1 for p in near[i])
 
 
 def mutual_single_atom(table: _FitTable, i: int, j: int) -> bool:
     """Whether rules i and j each fit the other outside the same single atom."""
-    return any(i in table.single[j].get(p, ()) for p, part in table.single[i].items() if j in part)
+    near = table.near
+    return any(near[i][p] >> j & near[j].get(p, 0) >> i & 1 for p in near[i])
 
 
 CANONICAL_3 = [Rule(0, 0, 0), *enumerate_rules(3, canonical_only=True)]
@@ -507,11 +509,31 @@ class TestFitTable:
         assert any(cond_0_1_0(r) for r in ALL_2)
 
     def test_rows_match_pairwise_definitions(self):
-        for rules in (CANONICAL_3, ALL_2):
+        # the seeded rows are 200-bit masks, several int digits wide
+        for rules in (CANONICAL_3, ALL_2, seeded_200()):
             table = _FitTable(rules)
-            fits, single = pairwise_table(rules)
+            fits, near = pairwise_table(rules)
             assert table.fits == fits
-            assert table.single == single
+            assert table.near == near
+
+
+class TestNearPairs:
+    """The pair walk both scans share yields each (i, j, p) with live rules
+    i < j whose rows both hold p exactly once, and nothing else."""
+
+    def test_matches_pairwise_definition(self):
+        rng = random.Random(16)
+        for rules in (CANONICAL_3, seeded_200()):
+            alive = sum(1 << k for k in range(len(rules)) if rng.random() < 0.75)
+            assert 0 < alive < (1 << len(rules)) - 1
+            _, near = pairwise_table(rules)
+            expected = [
+                (i, j, p) for i in bits_of(alive) for j in bits_of(alive) if i < j
+                for p in near[i] if p in near[j]]
+            walked = list(_near_pairs(_FitTable(rules), alive))
+            assert len(walked) == len(set(walked))
+            assert sorted(walked) == sorted(expected)
+            assert len(walked) > 1000, len(walked)
 
 
 class TestPrefilters:
@@ -614,6 +636,10 @@ def seeded_rules(seed: int, count: int, atom_count: int) -> Program:
     return Program(tuple(rules))
 
 
+def seeded_200() -> list[Rule]:
+    return list(seeded_rules(16, 200, 12).rules)
+
+
 def digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
@@ -624,8 +650,10 @@ class TestScale:
     198 s on the 500 and 1000 rules) and, at 2000 rules, of the scans
     that renumbered the rules after each deletion, where the most ranks
     are taken, and at 4000 rules of the scans that tried every pair of
-    rules fitting a third outside at most one atom each (8 s there);
-    `reference_simplify` is far too slow at these sizes."""
+    rules fitting a third outside at most one atom each (8 s there), and
+    at 10,000 rules of the table that transposed its masks into per-rule
+    index lists (3.2-4.5 s there); `reference_simplify` is far too slow
+    at these sizes."""
 
     def test_500_rules_over_40_atoms(self):
         p = seeded_rules(1, 500, 40)
@@ -668,6 +696,18 @@ class TestScale:
         assert digest(trace.steps) == "9266b3f6d12fae14"
         assert digest(out.rules) == "839eedee4eaa4c4f"
         assert elapsed < 5, f"{elapsed:.1f} s"
+
+    def test_10000_rules_over_170_atoms_within_budget(self):
+        p = seeded_rules(1, 10000, 170)
+        started = time.perf_counter()
+        out, trace = simplify(p)
+        elapsed = time.perf_counter() - started
+        assert (len(p), len(out)) == (9976, 1203)
+        assert Counter(s.kind for s in trace.steps) == {
+            "T6-delete": 1418, "T8-delete": 7336, "T9-replace": 19}
+        assert digest(trace.steps) == "23c6af93ddfe06e6"
+        assert digest(out.rules) == "66684fc5404e7fe0"
+        assert elapsed < 4, f"{elapsed:.1f} s"
 
     # two rules of 22 literals each: a search of the candidates inside both
     # takes 8-10 s on these, doubling with each literal
