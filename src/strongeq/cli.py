@@ -242,8 +242,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
-    later one: parse_args keeps no state between calls, and building the
-    parser costs more than most commands."""
+    later one (parse_args keeps no state between calls).  `plain` holds
+    each subcommand's table for `_read_plain`, read off its own actions."""
     parser = argparse.ArgumentParser(
         prog="strongeq",
         description="Strong equivalence toolkit for ground disjunctive logic programs.",
@@ -290,25 +290,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_v.set_defaults(fn=cmd_verify)
 
-    # the subcommands' own parsers, by name, for main's direct route
-    parser.commands = sub.choices
+    parser.plain = {name: _plain_table(name, command) for name, command in sub.choices.items()}
     return parser
 
 
+def _plain_table(name: str, command: argparse.ArgumentParser) -> tuple:
+    """A subcommand's option strings -> action, positional dests in order,
+    required options, and the namespace argparse starts from.  Every option
+    here stores: a flag its const, any other option its one value."""
+    actions = [action for action in command._actions if action.default is not argparse.SUPPRESS]
+    options = {string: action for action in actions for string in action.option_strings}
+    positionals = [action.dest for action in actions if not action.option_strings]
+    required = {action for action in actions if action.required and action.option_strings}
+    start = {action.dest: action.default for action in actions}
+    return options, positionals, required, {"command": name, **start, **command._defaults}
+
+
+def _read_plain(words: list[str], table: tuple) -> argparse.Namespace | None:
+    """The namespace for a subcommand's words if they are plain: exact option
+    strings, each value not starting with "-" and accepted by its type, every
+    required option and exactly the positionals, none starting with "-"."""
+    options, positionals, required, start = table
+    values = dict(start)
+    given, seen = [], set()
+    words = iter(words)
+    for word in words:
+        if not word.startswith("-"):
+            given.append(word)
+            continue
+        action = options.get(word)
+        if action is None:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        value = next(words, "-")  # a missing value is not plain either
+        if value.startswith("-"):
+            return None
+        try:
+            values[action.dest] = (action.type or str)(value)
+        except ValueError:
+            return None
+    if len(given) != len(positionals) or not required <= seen:
+        return None
+    values.update(zip(positionals, given))
+    return argparse.Namespace(**values)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """What the full parser makes of argv.  When argv[0] names a
-    subcommand, the full parser would hand the rest of argv to that
-    subcommand's parser unread, so that parser is called directly,
-    saving the top-level pass; any other argv goes through the full
-    parser."""
+    """What the full parser makes of argv.  Plain argv, a subcommand's
+    name and then words `_read_plain` accepts, is read straight into the
+    namespace; any other argv (help, errors, abbreviations, --opt=value,
+    --, values starting with "-") goes through the full parser, which
+    prints its own usage and error texts."""
     parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    table = parser.plain.get(argv[0]) if argv else None
+    args = None if table is None else _read_plain(argv[1:], table)
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

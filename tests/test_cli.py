@@ -1,5 +1,6 @@
 """Command-line interface: output shapes and the exit-code contract."""
 
+import argparse
 import io
 import json
 import os
@@ -368,8 +369,24 @@ class TestUsage:
         ["verify", "--shape", "0,1,0", "--atoms", "1", "--condition", "cond_0_1_0", "x", "-y"],
         ["check-se", "--bogus"],
         ["simplify", "p.lp", "--out"],
+        # near misses of the plain form the reader takes
+        ["answersets", "p.lp", "--max-atoms", "-1"],
+        ["verify", "--shape", "0,1,0", "--atoms", "1", "--condition", "cond_0_1_0", "--jobs=2"],
+        ["verify", "--shape", "0,1,0", "--atoms", "1", "--condition", "cond_0_1_0", "--can"],
+        ["check-se", "a", "b", "--json", "--json"],
+        ["verify", "--shape", "0,1,0", "--atoms", "1", "--atoms", "2", "--condition", "c"],
+        ["check-se", "a", "--json", "b"],
+        ["verify", "--shape", "0,1,0", "--atoms", "1", "--condition", "cond_0_1_0", "-h"],
+        ["answersets", ""],
+        ["simplify", "", "--out", ""],
+        ["answersets", "-"],
+        ["simplify", "p.lp", "--out", "-"],
+        ["verify", "--shape", "0,1,0", "--atoms", " 1", "--condition", "cond_0_1_0"],
+        ["verify", "--shape", "0,1,0", "--atoms", "x", "--condition", "cond_0_1_0"],
+        ["check-se", "a", "b", "c"],
     ])
     def test_direct_route_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        # the direct route is the reader: _parse reads plain argv itself
         monkeypatch.setenv("COLUMNS", "80")
         outcomes = []
         for parse in (cli._parse, cli.build_parser().parse_args):
@@ -380,6 +397,32 @@ class TestUsage:
                 outcomes.append(exc.code)
             outcomes.append(capsys.readouterr())
         assert outcomes[:2] == outcomes[2:]
+
+    @pytest.mark.parametrize("argv", [
+        ["check-se", "a.lp", "b.lp", "--json"],
+        ["answersets", "a.lp", "--json"],
+        ["simplify", "a.lp", "--verify", "--json"],
+        ["simplify", "a.lp", "--trace", "a.trace.jsonl", "--json"],
+        ["verify", "--shape", "0,1,0", "--atoms", "2", "--condition", "cond_0_1_0", "--json",
+         "--jobs", "1"],
+        ["verify", "--shape", "1,1,0", "--atoms", "3", "--condition", "s_implies", "--json",
+         "--canonical", "--jobs", "1"],
+        ["verify", "--shape", "0,1,1", "--atoms", "2", "--condition", "cond_0_1_1", "--json",
+         "--modulo-iso", "--jobs", "1"],
+        ["verify", "--shape", "2,1,0", "--atoms", "3", "--condition", "cond_2_1_0", "--json",
+         "--canonical", "--modulo-iso", "--jobs", "1"],
+    ], ids=["check-se", "answersets", "simplify-verify", "simplify-trace", "verify",
+            "verify-canonical", "verify-iso", "verify-canonical-iso"])
+    def test_benchmark_argv_skip_argparse(self, monkeypatch, argv):
+        # every argv shape the perfbench decks run is read without argparse
+        expected = vars(cli.build_parser().parse_args(argv))
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError(f"argparse read a plain argv: {argv}")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        assert vars(cli._parse(argv)) == expected
 
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
@@ -478,6 +521,7 @@ class TestRepeatedCalls:
         p1 = write(tmp_path, "p1.lp", "a :- not b. b :- not a. a :- a.")
         p2 = write(tmp_path, "p2.lp", "a :- not b. b :- not a.")
         p3 = write(tmp_path, "p3.lp", "a :- b.")
+        out, trace, report = (str(tmp_path / name) for name in ("o.lp", "t.jsonl", "r.json"))
         return [
             ["answersets", p1],
             ["answersets", p1, "--json"],
@@ -485,7 +529,10 @@ class TestRepeatedCalls:
             ["check-se", p1, p3, "--json"],
             ["simplify", p1],
             ["simplify", p1, "--verify", "--json"],
+            ["simplify", p1, "--out", out, "--trace", trace],
             ["verify", "--shape", "1,1,0", "--atoms", "2", "--condition", "s_implies", "--json"],
+            ["verify", "--shape", "0,1,1", "--atoms", "2", "--condition", "cond_0_1_1", "--json",
+             "--canonical", "--modulo-iso", "--jobs", "1", "--report", report, "--allow-long"],
         ]
 
     @staticmethod
@@ -502,7 +549,7 @@ class TestRepeatedCalls:
         calls = self.valid_calls(tmp_path)
         cli.build_parser.cache_clear()
         first = [self.run(argv, capsys) for argv in calls]
-        assert [code for code, _ in first] == [0, 0, 0, 1, 0, 0, 1]
+        assert [code for code, _ in first] == [0, 0, 0, 1, 0, 0, 0, 1, 0]
         assert main(["check-se", "--bogus"]) == 2
         assert "strongeq check-se: error: " in capsys.readouterr().err
         assert main(["--help"]) == 0
@@ -539,6 +586,25 @@ class TestRepeatedCalls:
         assert limits == [5, cli.SE_ATOM_LIMIT]
         assert capsys.readouterr().out.splitlines() == [
             '{"equivalent": true, "countermodel": null}', "strongly equivalent"]
+
+        verify_limits = []
+        verify = cli.verify_simplification
+
+        def verify_with(p1, p2, max_atoms):
+            verify_limits.append(max_atoms)
+            return verify(p1, p2, max_atoms=max_atoms)
+
+        monkeypatch.setattr(cli, "verify_simplification", verify_with)
+        out, trace = tmp_path / "out.lp", tmp_path / "trace.jsonl"
+        assert main(["simplify", program, "--verify", "--max-atoms", "4",
+                     "--out", str(out), "--trace", str(trace)]) == 0
+        assert out.read_text() == "a.\n" and trace.exists()
+        out.unlink()
+        trace.unlink()
+        assert main(["simplify", program, "--verify"]) == 0
+        assert verify_limits == [4, cli.SE_ATOM_LIMIT]
+        assert not out.exists() and not trace.exists()
+        assert capsys.readouterr().out == "a.\n"
 
 
 # --- fuzzing the exit-code contract ----------------------------------------
@@ -605,6 +671,24 @@ fragments = st.lists(
 program_bytes = st.sampled_from(
     [well_formed, well_formed, fragments, st.binary(max_size=24)]
 ).flatmap(lambda strategy: strategy)
+
+
+def _outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=cli_argv())
+def test_reader_matches_the_full_parser(argv):
+    paths = {"p1": "p1.lp", "p2": "p2.lp", "missing": "missing", "dir": "d", "out": "out"}
+    argv = [arg.format(**paths) for arg in argv]
+    assert _outcome(cli._parse, argv) == _outcome(cli.build_parser().parse_args, argv), argv
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
