@@ -9,9 +9,9 @@ two routes independent.
 
 The pairs are laid out as the oracle kernel's y slices, concatenated:
 the slices follow y in `subsets_of` order, the slice for y takes 2^|y|
-bits, and within it bit i stands for the x whose atoms' ranks within y
-are the set bits of i.  The harness only ANDs and compares masks, so any
-fixed layout of the pairs would do.  A rule's mask is its translation in
+bits, and within it bit i stands for the x of index i over y (the
+oracle's `world_layout`).  The harness only ANDs and compares masks, so
+any fixed layout of the pairs would do.  A rule's mask is its translation in
 closed form over four tables indexed by an atom set S (the pairs where S
 is within x, misses x, is within y, misses y), each entry one AND of a
 smaller entry and a per-atom mask; so a rule costs a few big-int
@@ -216,7 +216,8 @@ def ht_pair_masks(atom_count: int) -> tuple[int, list[int], list[int], list[int]
     """The all-ones mask over the 3^a pairs of the enumeration language and
     four tables indexed by an atom set S: the pairs where S is within x,
     where S misses x, where S is within y and where S misses y.  The pairs
-    are laid out as the oracle's y slices, in `y_slices` order."""
+    are laid out as the oracle's y slices, in `y_slices` order, the x of
+    each slice by their index over y."""
     in_x = [0] * atom_count
     in_y = [0] * atom_count
     offset = 0

@@ -8,31 +8,37 @@ with x not within y never separate programs, so only the 3^|L| ordered
 pairs are examined, and the first disagreeing pair is returned as a
 directly meaningful countermodel.
 
+Every mask over atom sets uses one index (`world_layout`): over a base
+of n atoms, the atom at position k of the ascending atom list weighs
+2^(n-1-k) in a set's index, so within one size the `subsets_of` order of
+the sets is descending index.  The worlds y are indexed over the
+language, the here-worlds x over y.
+
 One kernel evaluates that semantics for the whole package.  For a fixed
 y, `here_mask` returns the 2^|y|-bit mask of the x subset y on which a
-rule list holds: bit i stands for the x whose atoms' ranks within y are
-the set bits of i.  Each rule costs a few big-int operations per literal
-against a per-y basis shared by every rule: the all-ones mask over the
-x, and for each atom of y the mask of the x that contain it.  The masks
-of that basis depend only on the ranks, so `y_slices` builds them once
-per size |y| and pairs them with each y's atoms; only the current size's
-masks are alive.
+rule list holds, bit i standing for the x of index i over y.  Each rule
+costs a few big-int operations per literal against a per-y basis shared
+by every rule: the all-ones mask over the x, and for each atom of y the
+mask of the x that contain it.  The masks of that basis depend only on
+the atoms' positions in y, so `y_slices` builds them once per size |y|
+and pairs them with each y's atoms; only the current size's masks are
+alive.
 
 Which y need a basis at all is decided first, for all of them at once,
-by one mask over the 2^n worlds of the language (`world_layout`: the
-atom at position k of the ascending atom list weighs 2^(n-1-k) in a
-world's index).  A rule's primed implication fails on a cube of worlds
-(ps inside y, hd and ng outside), and its body holds on a wider one (ps
-inside, ng outside); `cube_worlds` builds either by doubling the mask
-once per free atom.  A y where some rule's primed implication fails has
-no model (x, y) at all.  `kept_slices` then walks only the kept y, in
-the order of `y_slices`: within one size that order is descending
-index, so each size's y are read off the mask from the top, with no
-sort and no list of all candidates.
+by one mask over the 2^n worlds of the language.  A rule's primed
+implication fails on a cube of worlds (ps inside y, hd and ng outside),
+and its body holds on a wider one (ps inside, ng outside); `cube_worlds`
+builds either by doubling the mask once per free atom.  A y where some
+rule's primed implication fails has no model (x, y) at all.
+`kept_slices` then walks only the kept y, in the order of `y_slices`,
+each size's y read off the mask from the top, with no sort and no list
+of all candidates.
 
 Comparing two programs is one XOR per kept y, walked in the countermodel
-order with early exit.  The rules the two programs share are split off
-first: equal rule sets are equivalent without a walk.  Otherwise only
+order with early exit.  The x of a nonzero difference share the index,
+so the first of them is the first set that `kept_slices` reads off it
+over y.  The rules the two programs share are split off first: equal
+rule sets are equivalent without a walk.  Otherwise only
 the y of `separating_worlds` are walked: those where every shared rule's
 primed implication holds, the own rules of at least one side all hold
 it, and some own rule's body holds (at any other y both sides have the
@@ -112,12 +118,12 @@ def ht_pairs(lang: int):
 
 def _rank_masks(size: int) -> tuple[int, list[int]]:
     """The all-ones mask over the 2^size subsets of a size-atom set, and for
-    each rank within that set the mask of the subsets holding that atom."""
+    each position k in that set the mask of the subsets holding its atom:
+    the subsets of an index with bit size-1-k set (`world_layout`)."""
     full, width = 1, 1
     masks: list[int] = []
     for _ in range(size):
-        masks = [m | m << width for m in masks]
-        masks.append(full << width)
+        masks = [full << width] + [m | m << width for m in masks]
         full |= full << width
         width <<= 1
     return full, masks
@@ -125,7 +131,7 @@ def _rank_masks(size: int) -> tuple[int, list[int]]:
 
 def y_slices(lang: int) -> Iterator[tuple[int, tuple[int, ...], int, list[int]]]:
     """Each y subset of lang in `subsets_of` order, as (y, its atom ids
-    ascending, full, rank masks): `full, dict(zip(atoms, masks))` is the
+    ascending, full, their masks): `full, dict(zip(atoms, masks))` is the
     basis of `here_mask` at y.  The masks are built once per size |y|."""
     positions = tuple(bits_of(lang))
     for size in range(len(positions) + 1):
@@ -137,8 +143,8 @@ def y_slices(lang: int) -> Iterator[tuple[int, tuple[int, ...], int, list[int]]]
 def world_layout(lang: int) -> tuple[tuple[int, int, int], ...]:
     """(atom id, atom bit, weight) per atom of lang, highest id first: the
     atom at position k of the ascending atom list weighs 2^(n-1-k) in the
-    index of a world y, a number below 2^n.  Within one size |y|, the
-    `subsets_of` order of the y is then descending index."""
+    index of a subset, a number below 2^n.  Within one size, the
+    `subsets_of` order of the subsets is then descending index."""
     return tuple((a, 1 << a, 1 << w) for w, a in enumerate(sorted(bits_of(lang), reverse=True)))
 
 
@@ -252,9 +258,8 @@ def here_mask(
     start: int | None = None,
 ) -> int:
     """Mask of the x subset y for which every rule holds on (x, y), bit i
-    standing for the x whose atoms' ranks within y are the set bits of i,
-    ANDed into `start` (default: every x); returns as soon as the mask is
-    0."""
+    standing for the x of index i over y (`world_layout(y)`), ANDed into
+    `start` (default: every x); returns as soon as the mask is 0."""
     full, atom = basis
     m = full if start is None else start
     for r in rules:
@@ -273,13 +278,6 @@ def here_mask(
         if not m:
             return 0
     return m
-
-
-def _first_x(diff: int, y: int) -> int:
-    """The first x in subsets_of(y) order whose bit is set in diff."""
-    ranks = (1 << y.bit_count()) - 1
-    digits = format(diff, "b").zfill(ranks + 1)[::-1]  # digits[i] is bit i
-    return next(x for x, i in zip(subsets_of(y), subsets_of(ranks)) if digits[i] == "1")
 
 
 def strongly_equivalent(
@@ -308,7 +306,8 @@ def strongly_equivalent(
         if diff:
             diff = here_mask(shared, y, basis, diff)
             if diff:
-                return SEVerdict(False, HTPair(_first_x(diff, y), y))
+                x = next(kept_slices(world_layout(y), diff))[0]
+                return SEVerdict(False, HTPair(x, y))
     return SEVerdict(True)
 
 

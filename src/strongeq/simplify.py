@@ -30,6 +30,10 @@ restarts from index 0 after every deletion:
   - Only T9 adds a rule.  A pass without one leaves every phase at its
     fixpoint (normalized rules stay normalized, deletions cannot make a
     pair or triple fire), so the loop stops after it.
+  - Normalization runs once, before the first pass.  A T9 rule is the
+    common part of two normalized rules, so it is canonical and not
+    deletable on its own, and it duplicates no live rule: that rule would
+    fit both of the pair, which the pair phase rules out.
   - Each phase leaves a contract the later ones rely on: after
     normalization no rule is deletable on its own, and after the pair
     phase no rule fits another.
@@ -298,11 +302,11 @@ def simplify(p: Program) -> tuple[Program, SimplifyTrace]:
     re-checks against the semantic oracle."""
     rules = list(p.rules)
     steps: list[SimplifyStep] = []
+    _phase_normalize(rules, steps)  # once: a T9 rule needs none
     replaced = True
     while replaced:
         # only T9 adds a rule; after a pass without one, a second pass
         # would find every phase at its fixpoint already
-        _phase_normalize(rules, steps)
         table = _FitTable(rules)
         alive = _phase_pair_delete(rules, table, (1 << len(rules)) - 1, steps)
         alive = _phase_triple_delete(rules, table, alive, steps)

@@ -196,13 +196,15 @@ class Program:
 # 'not' and its atom: 'notb' is an atom.
 #
 # parse_program and parse_rule read well-formed text with one anchored
-# regex match per statement (_scanner): comments are first blanked to
-# spaces of the same length, then each match yields the statement's head
-# and body text.  Only when the matches reach the end of the text, up to
-# trailing whitespace, are the atoms interned, in textual order (head
-# atoms, then body literals), and the rules built.  Text the scan stops
-# short on goes to the token parser (_Parser) unchanged; it raises the
-# positioned ParseError, and since nothing was interned before it ran the
+# regex match per statement (_scanner): comments are first deleted (the
+# scan reports no position, and a comment ends at '\n' or at the end of
+# the text, so no two tokens join), then each match yields the
+# statement's head and body text.  Only when the matches reach the end of
+# the text, up to trailing whitespace, are the atoms interned, in textual
+# order (head atoms, then body literals), and the rules built.  Text the
+# scan stops short on goes to the token parser (_Parser) unchanged; it
+# raises the ParseError, with the line and column of the offending
+# token's offset, and since nothing was interned before it ran the
 # symbol table ends up exactly as the token parser leaves it.
 #
 # The statement pattern gives whitespace exactly one way to match: two
@@ -217,7 +219,7 @@ _LITERAL = rf"(?:not\s+)?{_ATOM}"
 
 @functools.cache
 def _scanner():
-    """The statement matcher and the comment blanker, compiled on first use
+    """The statement matcher and the comment remover, compiled on first use
     so that importing the package does not pay for them."""
     statement = re.compile(
         rf"\s*(?:(?P<head>{_ATOM}(?:\s*;\s*{_ATOM})*)\s*)?"
@@ -227,16 +229,12 @@ def _scanner():
     return statement.match, comment.sub
 
 
-def _blank(m: re.Match) -> str:
-    return " " * (m.end() - m.start())
-
-
 def _scan(text: str) -> list[tuple[str | None, str | None]] | None:
     """The (head, body) text of every statement, or None when the text is
     not a sequence of well-formed statements."""
-    match, blank_comments = _scanner()
+    match, drop_comments = _scanner()
     if "%" in text:
-        text = blank_comments(_blank, text)
+        text = drop_comments("", text)
     statements = []
     pos = 0
     while m := match(text, pos):
@@ -277,58 +275,40 @@ def _build_rules(statements: list[tuple[str | None, str | None]], symbols: Symbo
 class _Token(NamedTuple):
     kind: str  # 'atom' 'not' ';' ',' '.' ':-' 'eof'
     text: str
-    line: int
-    col: int
+    offset: int
+
+
+def _error(message: str, text: str, offset: int) -> ParseError:
+    """The error at an offset, with its 1-based line and column: only
+    '\n' ends a line."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+@functools.cache
+def _token_finder():
+    """The tokenizer's pattern, compiled on first use: only text that the
+    statement scan rejects reaches the token parser."""
+    return re.compile(rf"\s+|%[^\n]*|({ATOM_NAME.pattern}|:-|[;,.])|(.)").finditer
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            end = text.find("\n", i)
-            end = n if end < 0 else end
-            col += end - i
-            i = end
-            continue
-        m = ATOM_NAME.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = "not" if word == "not" else "atom"
-            toks.append(_Token(kind, word, line, col))
-            i += len(word)
-            col += len(word)
-            continue
-        if c in ";,.":
-            toks.append(_Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c == ":":
-            if text[i : i + 2] == ":-":
-                toks.append(_Token(":-", ":-", line, col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError("expected ':-'", line, col)
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
+    for m in _token_finder()(text):  # whitespace and comments match no group
+        word, other = m.groups()
+        if word:
+            kind = word if word in ("not", ";", ",", ".", ":-") else "atom"
+            toks.append(_Token(kind, word, m.start()))
+        elif other:
+            message = "expected ':-'" if other == ":" else f"unexpected character {other!r}"
+            raise _error(message, text, m.start())
+    toks.append(_Token("eof", "", len(text)))
     return toks
 
 
 class _Parser:
     def __init__(self, text: str, symbols: Symbols):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
         self.symbols = symbols
@@ -343,7 +323,7 @@ class _Parser:
         return tok
 
     def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.cur.line, self.cur.col)
+        return _error(message, self.text, self.cur.offset)
 
     def _found(self) -> str:
         tok = self.cur

@@ -309,6 +309,20 @@ class TestKernelAgainstReference:
             tracemalloc.stop()
         assert peak <= 48 * 2**20, f"{peak / 2**20:.1f} MB"
 
+    def test_first_here_world_late_in_order_is_read_off_the_mask(self):
+        # 22 atoms: the pairs differ only at y = every atom, where the first
+        # x holds 21 of them, among the last of the 2^22 in subsets_of(y)
+        # order; walking them up to it took about 10 s
+        t = Symbols()
+        body = ", ".join(f"b{i}" for i in range(1, 22))
+        p1 = parse_program(f"h :- {body}.", t)
+        p2 = parse_program(f"h :- {body}, not h.", t)
+        assert p1.atoms.bit_count() == 22
+        started = time.perf_counter()
+        verdict = strongly_equivalent(p1, p2)
+        assert time.perf_counter() - started < 1.0
+        assert verdict.countermodel == HTPair(p1.atoms & ~t.mask("h"), p1.atoms)
+
 
 def perturbed(rng: random.Random, r: Rule, ids: list[int]) -> Rule:
     """The rule with one atom of the language toggled in one of its fields."""
@@ -351,10 +365,11 @@ class TestSharedRuleFastPaths:
 
     def test_slices_share_rank_masks_and_match_the_rank_definition(self):
         def rank_basis(y: int) -> tuple[int, dict[int, int]]:
-            # bit i of a mask stands for the x whose atoms' ranks within y
-            # are the set bits of i
-            count = 1 << y.bit_count()
-            atom = {a: sum(1 << i for i in range(count) if i >> k & 1)
+            # bit i of a mask stands for the x of index i over y: it holds
+            # the atom at ascending position k iff bit |y|-1-k of i is set
+            size = y.bit_count()
+            count = 1 << size
+            atom = {a: sum(1 << i for i in range(count) if i >> size - 1 - k & 1)
                     for k, a in enumerate(bits_of(y))}
             return (1 << count) - 1, atom
 

@@ -36,21 +36,26 @@ def build(text: str) -> tuple[Program, Symbols]:
     return parse_program(text, t), t
 
 
+def apply_step(rules: list[Rule], step: SimplifyStep) -> None:
+    """Apply one step to the rule list as it stood right before it."""
+    if step.kind in ("T5-delete", "T6-delete", "T8-delete"):
+        del rules[step.removed[0]]
+    elif step.kind == "T7-head-clean":
+        rules[step.index] = step.produced
+    elif step.kind == "T9-replace":
+        i, j = step.removed
+        rules[i] = step.produced
+        del rules[j]
+    else:
+        raise AssertionError(f"unknown step kind {step.kind}")
+
+
 def replay(p: Program, trace: SimplifyTrace) -> Program:
     """Re-apply a trace step by step; indices refer to the list as it
     stood right before each step."""
     rules = list(p.rules)
     for step in trace.steps:
-        if step.kind in ("T5-delete", "T6-delete", "T8-delete"):
-            del rules[step.removed[0]]
-        elif step.kind == "T7-head-clean":
-            rules[step.index] = step.produced
-        elif step.kind == "T9-replace":
-            i, j = step.removed
-            rules[i] = step.produced
-            del rules[j]
-        else:
-            raise AssertionError(f"unknown step kind {step.kind}")
+        apply_step(rules, step)
     return Program(tuple(rules))
 
 
@@ -708,6 +713,27 @@ class TestScale:
         assert digest(trace.steps) == "23c6af93ddfe06e6"
         assert digest(out.rules) == "66684fc5404e7fe0"
         assert elapsed < 4, f"{elapsed:.1f} s"
+
+    def test_replacements_need_no_normalization(self):
+        # normalization runs once, before the first pass: every T9 rule is
+        # canonical, not deletable on its own, and no copy of a rule of the
+        # list it enters
+        programs = [seeded_rules(1, count, atoms) for count, atoms in (
+            (500, 40), (1000, 60), (2000, 80), (4000, 110), (10000, 170))]
+        rng = random.Random(53)  # the dense programs of the reference comparison
+        programs += [random_program(rng, atoms, 8, overlap_prob=0.3)
+                     for atoms in (2, 3, 4) for _ in range(600)]
+        replacements = 0
+        for p in programs:
+            rules = list(p.rules)
+            for step in simplify(p)[1].steps:
+                if step.kind == "T9-replace":
+                    replacements += 1
+                    assert is_canonical(step.produced), step
+                    assert normalize_rule(step.produced) == step.produced, step
+                    assert step.produced not in rules, step
+                apply_step(rules, step)
+        assert replacements == 230
 
     # two rules of 22 literals each: a search of the candidates inside both
     # takes 8-10 s on these, doubling with each literal

@@ -147,6 +147,44 @@ class TestParseRule:
         with pytest.raises(ParseError, match="expected '.' to end statement, found ':-'"):
             parse_rule("a :- b :- c.", Symbols())
 
+    # (text, message, line, col) from parse_program, frozen from the
+    # character-by-character tokenizer: only '\n' ends a line, and every
+    # other character, '\r' and ' ' too, takes one column
+    POSITIONED = [
+        ("a :-\tb ?", "unexpected character '?'", 1, 8),
+        ("a.\t\tb :", "expected ':-'", 1, 7),
+        ("a.\rb ?", "unexpected character '?'", 1, 6),
+        ("a.\r\nb :- c\r\n?", "unexpected character '?'", 3, 1),
+        ("\r\n\r\na :- é.", "unexpected character 'é'", 3, 6),
+        ("a.\x0cb :- A.", "unexpected character 'A'", 1, 9),
+        ("a\xa0:- b\xa0-", "unexpected character '-'", 1, 8),
+        ("a.\u2028b :- ?", "unexpected character '?'", 1, 9),
+        ("a :- b. \u2028\n\u2028 c :", "expected ':-'", 2, 5),
+        ("a : b.", "expected ':-'", 1, 3),
+        ("a :- b %", "expected '.' to end statement, found end of input", 1, 9),
+        ("a. % note\nb", "expected '.' to end statement, found end of input", 2, 2),
+        ("a. % note\r\n%\n:- not .", "expected atom after 'not', found '.'", 3, 8),
+        ("% note\n\t%\r\n  a ; ; b.", "expected atom after ';', found ';'", 3, 7),
+        ("a :- not\x0c%", "expected atom after 'not', found end of input", 1, 11),
+    ]
+
+    # parse_rule reads one statement, so it stops at the second
+    RULE_POSITIONED = {
+        "a. % note\nb": ("trailing input after rule: 'b'", 2, 1),
+        "a. % note\r\n%\n:- not .": ("trailing input after rule: ':-'", 3, 1),
+    }
+
+    @pytest.mark.parametrize("text, message, line, col", POSITIONED)
+    def test_error_positions_are_frozen(self, text, message, line, col):
+        rule_error = self.RULE_POSITIONED.get(text, (message, line, col))
+        for parse, (message, line, col) in (
+            (parse_program, (message, line, col)), (parse_rule, rule_error)
+        ):
+            with pytest.raises(ParseError) as err:
+                parse(text, Symbols())
+            assert (str(err.value), err.value.line, err.value.col) == (
+                f"{line}:{col}: {message}", line, col)
+
 
 class TestParseProgram:
     def test_two_rule_program(self):
@@ -299,6 +337,25 @@ def test_malformed_input_parses_in_linear_time(expr):
     length, seconds = json.loads(proc.stdout)
     assert length >= 98_000
     assert seconds < 2.0
+
+
+def test_well_formed_text_never_compiles_the_token_pattern():
+    # compiling it takes about half a millisecond, which neither the
+    # import nor a well-formed parse may pay
+    code = (
+        "import strongeq.cli\n"
+        "from strongeq import Symbols, parse_program, syntax\n"
+        "parse_program('a :- b, not c. % note\\nb; c.', Symbols())\n"
+        "print(syntax._token_finder.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout == "0\n", proc.stderr
 
 
 class TestFormatRule:
