@@ -49,13 +49,15 @@ CANONICAL_ONLY = frozenset({"cond_2_1_0", "cond_0_2_1", "cond_0_2_2"})
 
 
 def _load_program(path: str, symbols: Symbols) -> Program:
-    # utf-8-sig drops a leading byte-order mark; text mode turns CR and
-    # CRLF into LF, so error lines and columns count them as one newline
+    # utf-8-sig drops a leading byte-order mark; CR and CRLF become LF, as
+    # in text mode, so error lines and columns count them as one newline
     try:
-        with open(path, encoding="utf-8-sig") as f:
-            text = f.read()
+        with open(path, "rb", buffering=0) as f:
+            text = f.read().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(_usage_error(f"cannot read {path}: {exc}"))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return parse_program(text, symbols)
     except ParseError as exc:

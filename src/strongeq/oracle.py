@@ -292,10 +292,12 @@ def strongly_equivalent(
     n = lang.bit_count()
     if n > max_atoms:
         raise TooManyAtomsError("strongly_equivalent", n, max_atoms)
-    in1, in2 = set(p1.rules), set(p2.rules)
-    shared = tuple(r for r in p1.rules if r in in2)
-    only1 = tuple(r for r in p1.rules if r not in in2)
-    only2 = tuple(r for r in p2.rules if r not in in1)
+    # split on the field triples, which hash in C, not on the rules
+    fields1, fields2 = ([(r.hd, r.ps, r.ng) for r in p.rules] for p in (p1, p2))
+    in1, in2 = set(fields1), set(fields2)
+    shared = tuple(r for r, f in zip(p1.rules, fields1) if f in in2)
+    only1 = tuple(r for r, f in zip(p1.rules, fields1) if f not in in2)
+    only2 = tuple(r for r, f in zip(p2.rules, fields2) if f not in in1)
     if not only1 and not only2:
         return SEVerdict(True)
     layout = world_layout(lang)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import re
-from itertools import combinations, permutations
+from itertools import combinations, permutations, starmap
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, TooManyAtomsError, UnmappedAtomError
@@ -154,6 +154,14 @@ class Program:
 
     __setattr__ = __delattr__ = _read_only
 
+    @classmethod
+    def _of_distinct(cls, rules: tuple[Rule, ...]) -> Program:
+        """The program of `rules`, which the caller has made duplicate-free;
+        no rule is hashed."""
+        program = object.__new__(cls)
+        object.__setattr__(program, "rules", rules)
+        return program
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self.rules == other.rules
@@ -172,7 +180,7 @@ class Program:
     def atoms(self) -> int:
         m = 0
         for r in self.rules:
-            m |= r.atoms
+            m |= r.hd | r.ps | r.ng
         return m
 
     def __iter__(self) -> Iterator[Rule]:
@@ -195,81 +203,73 @@ class Program:
 # matches).  It may stand between any two tokens and is needed only between
 # 'not' and its atom: 'notb' is an atom.
 #
-# parse_program and parse_rule read well-formed text with one anchored
-# regex match per statement (_scanner): comments are first deleted (the
-# scan reports no position, and a comment ends at '\n' or at the end of
-# the text, so no two tokens join), then each match yields the
-# statement's head and body text.  Only when the matches reach the end of
-# the text, up to trailing whitespace, are the atoms interned, in textual
-# order (head atoms, then body literals), and the rules built.  Text the
-# scan stops short on goes to the token parser (_Parser) unchanged; it
-# raises the ParseError, with the line and column of the offending
-# token's offset, and since nothing was interned before it ran the
-# symbol table ends up exactly as the token parser leaves it.
+# parse_program and parse_rule first match the whole text against one
+# regex (_program_pattern), comments deleted (a comment ends at '\n' or at
+# the end of the text, so no two tokens join).  In text that matched,
+# every '.' ends a statement, ':-' starts a body and 'not' is a word of
+# its own, so _statement_fields reads the rules off the words with str
+# methods, interning atoms in textual order (head atoms, then body
+# literals).  Other text goes unchanged to the token parser (_Parser),
+# which raises the ParseError with the line and column of the offending
+# token; nothing was interned before it ran.
 #
-# The statement pattern gives whitespace exactly one way to match: two
-# adjacent \s* around an optional group make a failing match backtrack
-# quadratically (16,000 spaces and a '?' then take seconds).  Malformed
-# text of any length must fail in time linear in its length;
-# tests/test_syntax.py holds adversarial inputs of 100k characters to it.
+# The pattern gives whitespace exactly one way to match: two adjacent \s*
+# around an optional group make a failing match backtrack quadratically
+# (16,000 spaces and a '?' then take seconds).  Malformed text of any
+# length must fail in time linear in its length; tests/test_syntax.py
+# holds adversarial inputs of 100k characters and more to it.
 
 _ATOM = r"(?!not(?![A-Za-z0-9_]))[a-z][A-Za-z0-9_]*"
 _LITERAL = rf"(?:not\s+)?{_ATOM}"
 
 
 @functools.cache
-def _scanner():
-    """The statement matcher and the comment remover, compiled on first use
-    so that importing the package does not pay for them."""
-    statement = re.compile(
-        rf"\s*(?:(?P<head>{_ATOM}(?:\s*;\s*{_ATOM})*)\s*)?"
-        rf"(?::-\s*(?:(?P<body>{_LITERAL}(?:\s*,\s*{_LITERAL})*)\s*)?)?\."
-    )
-    comment = re.compile(r"%[^\n]*")
-    return statement.match, comment.sub
+def _program_pattern():
+    """The whole-text matcher and the comment remover, compiled on first
+    use so that importing the package does not pay for them."""
+    statement = (rf"\s*(?:{_ATOM}(?:\s*;\s*{_ATOM})*\s*)?"
+                 rf"(?::-\s*(?:{_LITERAL}(?:\s*,\s*{_LITERAL})*\s*)?)?\.")
+    return re.compile(rf"(?:{statement})*\s*").fullmatch, re.compile(r"%[^\n]*").sub
 
 
-def _scan(text: str) -> list[tuple[str | None, str | None]] | None:
-    """The (head, body) text of every statement, or None when the text is
-    not a sequence of well-formed statements."""
-    match, drop_comments = _scanner()
+def _well_formed(text: str) -> str | None:
+    """The text without comments if it is well-formed statements, else None."""
+    match, drop_comments = _program_pattern()
     if "%" in text:
         text = drop_comments("", text)
-    statements = []
-    pos = 0
-    while m := match(text, pos):
-        statements.append(m.group("head", "body"))
-        pos = m.end()
-    if pos < len(text) and not text[pos:].isspace():
-        return None
-    return statements
+    return None if match(text) is None else text
 
 
-def _build_rules(statements: list[tuple[str | None, str | None]], symbols: Symbols) -> list[Rule]:
+def _statement_fields(text: str, symbols: Symbols) -> list[tuple[int, int, int]]:
+    """Each statement's (hd, ps, ng), in order, from `_well_formed` text."""
     intern = symbols.intern
-    rules = []
-    for head, body in statements:
-        hd = ps = ng = 0
-        if head:
-            for name in head.replace(";", " ").split():
-                hd |= 1 << intern(name)
-        if body:
-            # the text matched, so a word 'not' can only prefix a negated atom
-            negated = False
-            for word in body.replace(",", " ").split():
-                if word == "not":
-                    negated = True
-                elif negated:
-                    ng |= 1 << intern(word)
-                    negated = False
-                else:
-                    ps |= 1 << intern(word)
-        rules.append(Rule(hd, ps, ng))
-    return rules
+    fields = []
+    hd = ps = ng = 0
+    body = negated = False
+    words = text.replace(".", " . ").replace(":-", " :- ").replace(";", " ").replace(",", " ")
+    for word in words.split():
+        if word == ".":
+            fields.append((hd, ps, ng))
+            hd = ps = ng = 0
+            body = False
+        elif word == ":-":
+            body = True
+        elif word == "not":  # the text matched, so a negated atom follows
+            negated = True
+        else:
+            bit = 1 << intern(word)
+            if negated:
+                ng |= bit
+                negated = False
+            elif body:
+                ps |= bit
+            else:
+                hd |= bit
+    return fields
 
 
 # The token parser: the positioned errors for malformed text, and the
-# reference the statement scan is tested against.
+# reference the whole-text reading is tested against.
 
 
 class _Token(NamedTuple):
@@ -288,7 +288,7 @@ def _error(message: str, text: str, offset: int) -> ParseError:
 @functools.cache
 def _token_finder():
     """The tokenizer's pattern, compiled on first use: only text that the
-    statement scan rejects reaches the token parser."""
+    whole-text match rejects reaches the token parser."""
     return re.compile(rf"\s+|%[^\n]*|({ATOM_NAME.pattern}|:-|[;,.])|(.)").finditer
 
 
@@ -379,28 +379,30 @@ class _Parser:
 def parse_rule(text: str, symbols: Symbols) -> Rule:
     """Parse exactly one rule statement.
 
-    Like parse_program: one statement match, and the token parser only for
-    text that is not exactly one well-formed statement.
+    Like parse_program: one match of the whole text, and the token parser
+    only for text that is not exactly one well-formed statement.
     """
-    statements = _scan(text)
-    if statements is None or len(statements) != 1:
+    statement = _well_formed(text)
+    if statement is None or statement.count(".") != 1:
         return _Parser(text, symbols).rule()
-    return _build_rules(statements, symbols)[0]
+    return Rule(*_statement_fields(statement, symbols)[0])
 
 
 def parse_program(text: str, symbols: Symbols) -> Program:
     """Parse a whole program; rules keep first-occurrence order and exact
     duplicates are dropped.
 
-    Well-formed text is read with one regex match per statement, in time
-    linear in its length; atoms are interned only once the whole text has
-    matched.  Any other text goes to the token parser, which raises a
+    Well-formed text is read with one regex match of the whole text and
+    str methods, in time linear in its length; atoms are interned only once
+    the whole text has matched.  Any other text goes to the token parser, which raises a
     ParseError carrying the line and column of the first offending token.
     """
-    statements = _scan(text)
+    statements = _well_formed(text)
     if statements is None:
         return _Parser(text, symbols).program()
-    return Program(tuple(_build_rules(statements, symbols)))
+    # duplicates go on the field triples, which hash in C; no Rule is hashed
+    fields = dict.fromkeys(_statement_fields(statements, symbols))
+    return Program._of_distinct(tuple(starmap(Rule, fields)))
 
 
 def format_rule(r: Rule, symbols: Symbols) -> str:

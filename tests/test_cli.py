@@ -70,6 +70,12 @@ class TestAnswersets:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {path}: ") and err.endswith(f"'{path}'\n")
 
+    def test_well_formed_text_with_carriage_returns_parses(self, tmp_path, capsys):
+        path = tmp_path / "crlf.lp"
+        path.write_bytes(b"\xef\xbb\xbfa :- not b.\r\nb :- not a.\r% note\r\n:- b.")
+        assert main(["answersets", str(path)]) == 0
+        assert capsys.readouterr().out == "{a}\n"
+
     def test_leading_byte_order_mark_is_accepted(self, tmp_path, capsys):
         path = tmp_path / "bom.lp"
         path.write_bytes(b"\xef\xbb\xbfa. b :- a.\n")

@@ -24,7 +24,7 @@ from strongeq import (
     strongly_equivalent,
     subsume_witness,
 )
-from strongeq.discovery import enumerate_rules
+from strongeq.discovery import _language_masks, enumerate_rules
 from strongeq.syntax import subsets_of
 
 import reference
@@ -250,6 +250,64 @@ class TestFlatConditionsMatchTheirStatements:
                 or cond_1_1_0(r2, r3)
                 or subsume_witness(r1, r2, r3) is not None
             )
+
+
+class TestExactByComposition:
+    """cond_0_2_1 and cond_0_2_2 are exact wherever cond_2_1_0 and
+    cond_1_1_0 are.  A side's two-world models are the AND of its rules'
+    masks, so one side equals another iff each side's AND lies within
+    every rule of the other: {r1, r2} ~ {r3, r4} is four 2-1-0 verdicts,
+    {r1, r2} ~ {r3} one 2-1-0 and two 1-1-0 verdicts.  The conditions are
+    those compositions of the package's own cond_2_1_0 and cond_1_1_0, so
+    they agree with the oracle wherever these do, at any atom count."""
+
+    def test_lemma_on_the_harness_masks_for_0_2_2_over_two_atoms(self):
+        _rules, masks, _full = _language_masks(2, True, 2)
+
+        def entails(a, b, c):  # the 2-1-0 verdict: {a, b} ~ {a, b, c}
+            return a & b & c == a & b
+
+        quadruples = list(product(masks, repeat=4))
+        assert len(quadruples) == 50_625
+        verdicts = [m1 & m2 == m3 & m4 for m1, m2, m3, m4 in quadruples]
+        assert verdicts == [
+            entails(m1, m2, m3) and entails(m1, m2, m4)
+            and entails(m3, m4, m1) and entails(m3, m4, m2)
+            for m1, m2, m3, m4 in quadruples
+        ]
+        assert True in verdicts and False in verdicts
+
+    def test_lemma_on_the_harness_masks_for_0_2_1_over_three_atoms(self):
+        _rules, masks, _full = _language_masks(3, True, 3)
+        triples = list(product(masks, repeat=3))
+        assert len(triples) == 250_047
+        verdicts = [m1 & m2 == m3 for m1, m2, m3 in triples]
+        # the 2-1-0 verdict {r1, r2} ~ {r1, r2, r3} and the 1-1-0 verdicts
+        # {r3, r1} ~ {r3} and {r3, r2} ~ {r3}
+        assert verdicts == [
+            m1 & m2 & m3 == m1 & m2 and m3 & m1 == m3 and m3 & m2 == m3
+            for m1, m2, m3 in triples
+        ]
+        assert True in verdicts and False in verdicts
+
+    def test_cond_0_2_1_composes_the_package_conditions(self):
+        triples = list(product(enumerate_rules(3, canonical_only=True), repeat=3))
+        got = [cond_0_2_1(r1, r2, r3) for r1, r2, r3 in triples]
+        assert got == [
+            cond_2_1_0(r1, r2, r3) and cond_1_1_0(r3, r1) and cond_1_1_0(r3, r2)
+            for r1, r2, r3 in triples
+        ]
+        assert True in got and False in got
+
+    def test_cond_0_2_2_composes_the_package_conditions(self):
+        quadruples = list(product(enumerate_rules(2, canonical_only=True), repeat=4))
+        got = [cond_0_2_2(*q) for q in quadruples]
+        assert got == [
+            cond_2_1_0(r1, r2, r3) and cond_2_1_0(r1, r2, r4)
+            and cond_2_1_0(r3, r4, r1) and cond_2_1_0(r3, r4, r2)
+            for r1, r2, r3, r4 in quadruples
+        ]
+        assert True in got and False in got
 
 
 class TestPairToPair:

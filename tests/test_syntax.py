@@ -225,20 +225,31 @@ PIECES = NAMES + PUNCTUATION + COMMENTS + SPACES + STRAY
 @st.composite
 def program_texts(draw):
     """Mostly well-formed programs, each token followed by a random
-    separator (possibly none), with up to two random pieces spliced in."""
-    tokens = []
+    separator (possibly none), with up to two random pieces spliced in.
+    A statement may repeat an earlier one (with other separators) or be
+    bare ('.' or ':- .'); any separator, a comment included, may follow
+    'not' directly."""
+    statements = []
     for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["rule", "rule", "repeat", "bare"]))
+        if kind == "repeat" and statements:
+            statements.append(draw(st.sampled_from(statements)))
+            continue
+        if kind == "bare":
+            statements.append(draw(st.sampled_from([["."], [":-", "."]])))
+            continue
         head = draw(st.lists(st.sampled_from(NAMES), max_size=3))
-        tokens += [tok for name in head for tok in (";", name)][1:]
+        tokens = [tok for name in head for tok in (";", name)][1:]
         if draw(st.booleans()):
             tokens.append(":-")
             body = draw(st.lists(st.sampled_from(NAMES), max_size=3))
             for i, name in enumerate(body):
                 tokens += ([","] if i else []) + (["not"] if draw(st.booleans()) else []) + [name]
-        tokens.append(".")
+        statements.append(tokens + ["."])
+    tokens = [tok for statement in statements for tok in statement]
     for _ in range(draw(st.integers(0, 2))):
         tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(PIECES)))
-    separators = st.sampled_from(["", " ", "  "] + SPACES + COMMENTS)
+    separators = st.sampled_from(["", " ", "  ", "%c\n"] + SPACES + COMMENTS)
     return "".join(tok + draw(separators) for tok in tokens)
 
 
@@ -302,6 +313,7 @@ ADVERSARIAL = {
     "long body": "'a :- ' + 'not b, ' * 14_000 + '?'",
     "long atom": "'a' * 100_000 + '?'",
     "many statements": "'a :- b. ' * 12_500 + '?'",
+    "40k statements": "'a :- b. ' * 40_000 + '?'",
     "many comment lines": "'% note\\n' * 14_000 + '?'",
 }
 PARSE_TIMER = """
@@ -347,6 +359,23 @@ def test_well_formed_text_never_compiles_the_token_pattern():
         "from strongeq import Symbols, parse_program, syntax\n"
         "parse_program('a :- b, not c. % note\\nb; c.', Symbols())\n"
         "print(syntax._token_finder.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout == "0\n", proc.stderr
+
+
+def test_import_does_not_compile_the_program_pattern():
+    # the whole-text pattern is compiled by the first parse, not the import
+    code = (
+        "import strongeq.cli\n"
+        "from strongeq import syntax\n"
+        "print(syntax._program_pattern.cache_info().currsize)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
