@@ -33,10 +33,9 @@ from .errors import (
     ParseError,
     StrongeqError,
     TooManyAtomsError,
-    UnmappedAtomError,
 )
-from .oracle import HTPair, SEVerdict, countermodel_json, delta_holds, ht_pairs, strongly_equivalent
-from .semantics import answer_sets, is_answer_set, reduct, satisfies
+from .oracle import HTPair, SEVerdict, countermodel_json, strongly_equivalent
+from .semantics import answer_sets, reduct
 from .simplify import SimplifyStep, SimplifyTrace, normalize_rule, simplify, verify_simplification
 from .syntax import (
     Program,
@@ -44,12 +43,9 @@ from .syntax import (
     Symbols,
     format_program,
     format_rule,
-    is_canonical,
     iso_canonical_form,
     parse_program,
     parse_rule,
-    rename_program,
-    rename_rule,
 )
 
 __version__ = "0.1.0"
@@ -69,7 +65,6 @@ __all__ = [
     "Symbols",
     "TooManyAtomsError",
     "TupleShape",
-    "UnmappedAtomError",
     "answer_sets",
     "cond_0_1_0",
     "cond_0_1_1",
@@ -78,26 +73,19 @@ __all__ = [
     "cond_1_1_0",
     "cond_2_1_0",
     "countermodel_json",
-    "delta_holds",
     "discover_positive_tuples",
     "enumerate_rules",
     "enumerate_tuples",
     "exhaustive_atom_bound",
     "format_program",
     "format_rule",
-    "ht_pairs",
-    "is_answer_set",
-    "is_canonical",
     "iso_canonical_form",
     "language_symbols",
     "normalize_rule",
     "parse_program",
     "parse_rule",
     "reduct",
-    "rename_program",
-    "rename_rule",
     "s_implies",
-    "satisfies",
     "simplify",
     "strongly_equivalent",
     "subsume_witness",

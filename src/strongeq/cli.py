@@ -81,6 +81,18 @@ def _check_writable(path: str) -> None:
         raise SystemExit(_usage_error(f"cannot write {path}: not a writable file path"))
 
 
+def _reader_gone(stream) -> bool:
+    """Whether stream is a pipe or socket whose reading end is closed."""
+    import select  # only a broken pipe needs it, so startup does not load it
+
+    try:
+        poller = select.poll()
+        poller.register(stream.fileno(), 0)  # to hear of errors and hangups only
+    except (AttributeError, ValueError):  # no stream, or none with a descriptor
+        return False
+    return bool(poller.poll(0))
+
+
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -355,7 +367,24 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        return args.fn(args)
+        code = args.fn(args)
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()  # a reader that is gone raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # output that cannot be written is a usage error, as for _write_text;
+        # a stream whose reader is gone writes to devnull from here on, so
+        # that the flush at exit cannot raise again, and any other keeps its text
+        lost = [stream for stream in (sys.stdout, sys.stderr) if _reader_gone(stream)]
+        if not lost:
+            raise  # a pipe of neither standard stream
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        for stream in lost:
+            os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        if sys.stdout in lost:
+            print("error: cannot write to stdout", file=sys.stderr)
+        return EXIT_USAGE
     except TooManyAtomsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

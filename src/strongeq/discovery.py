@@ -8,7 +8,7 @@ is a handful of mask ANDs; the condition is invoked as-is, keeping the
 two routes independent.
 
 The pairs are laid out as the oracle kernel's y slices, concatenated:
-the slices follow y in `subsets_of` order, the slice for y takes 2^|y|
+the slices follow y in `y_slices` order, the slice for y takes 2^|y|
 bits, and within it bit i stands for the x of index i over y (the
 oracle's `world_layout`).  The harness only ANDs and compares masks, so
 any fixed layout of the pairs would do.  A rule's mask is its translation in

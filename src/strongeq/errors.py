@@ -26,7 +26,3 @@ class TooManyAtomsError(StrongeqError):
 class NotCanonicalError(StrongeqError):
     """Raised when an operation requires canonical rules but got one with
     overlapping head/body sets."""
-
-
-class UnmappedAtomError(StrongeqError):
-    """Raised when a rename map does not cover every atom of its input."""

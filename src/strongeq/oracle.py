@@ -10,9 +10,9 @@ directly meaningful countermodel.
 
 Every mask over atom sets uses one index (`world_layout`): over a base
 of n atoms, the atom at position k of the ascending atom list weighs
-2^(n-1-k) in a set's index, so within one size the `subsets_of` order of
-the sets is descending index.  The worlds y are indexed over the
-language, the here-worlds x over y.
+2^(n-1-k) in a set's index, so within one size the sets in order of the
+sorted tuple of their atom ids have descending index.  The worlds y are
+indexed over the language, the here-worlds x over y.
 
 One kernel evaluates that semantics for the whole package.  For a fixed
 y, `here_mask` returns the 2^|y|-bit mask of the x subset y on which a
@@ -46,9 +46,9 @@ same models, often none; the own rules decide only where they can fail,
 as in Lin's reduction of strong equivalence to classical entailment).
 There only the two programs' own rules are XORed, and a nonzero
 difference is then ANDed with the shared rules, stopping at 0.  That is
-the same difference, so the same countermodel.  `delta_holds` and
-`ht_pairs` evaluate the same semantics pair by pair and are the
-reference the kernel is tested against.
+the same difference, so the same countermodel.  The tests evaluate the
+same semantics pair by pair (`delta_holds` and `ht_pairs` in
+tests/reference.py), the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .errors import TooManyAtomsError
-from .syntax import Program, Rule, Symbols, bits_of, mask_of, subsets_of
+from .syntax import Program, Rule, Symbols, bits_of, mask_of
 
 SE_ATOM_LIMIT = 24
 
@@ -93,29 +93,6 @@ class SEVerdict(_SEVerdictFields):
         return tuple.__new__(cls, (equivalent, countermodel))
 
 
-def _delta(r: Rule, x: int, y: int) -> bool:
-    # Two implications per rule.  Unprimed: positive body in x and negated
-    # body missing from y force the head to meet x.  Primed: same with y on
-    # both sides.  Empty body makes an antecedent true, empty head makes a
-    # consequent false; the mask arithmetic gives both for free.
-    return bool(
-        (r.ps & ~x or r.ng & y or r.hd & x) and (r.ps & ~y or r.ng & y or r.hd & y)
-    )
-
-
-def delta_holds(r: Rule, pair: HTPair) -> bool:
-    """Whether the rule's two-implication translation holds on the pair."""
-    return _delta(r, pair.x, pair.y)
-
-
-def ht_pairs(lang: int):
-    """All HTPairs over a language mask, y ascending by cardinality then
-    lexicographically, x likewise within each y."""
-    for y in subsets_of(lang):
-        for x in subsets_of(y):
-            yield HTPair(x, y)
-
-
 def _rank_masks(size: int) -> tuple[int, list[int]]:
     """The all-ones mask over the 2^size subsets of a size-atom set, and for
     each position k in that set the mask of the subsets holding its atom:
@@ -130,9 +107,10 @@ def _rank_masks(size: int) -> tuple[int, list[int]]:
 
 
 def y_slices(lang: int) -> Iterator[tuple[int, tuple[int, ...], int, list[int]]]:
-    """Each y subset of lang in `subsets_of` order, as (y, its atom ids
-    ascending, full, their masks): `full, dict(zip(atoms, masks))` is the
-    basis of `here_mask` at y.  The masks are built once per size |y|."""
+    """Each y subset of lang, by size and then by the sorted tuple of its
+    atom ids, as (y, its atom ids ascending, full, their masks):
+    `full, dict(zip(atoms, masks))` is the basis of `here_mask` at y.  The
+    masks are built once per size |y|."""
     positions = tuple(bits_of(lang))
     for size in range(len(positions) + 1):
         full, masks = _rank_masks(size)
@@ -144,7 +122,7 @@ def world_layout(lang: int) -> tuple[tuple[int, int, int], ...]:
     """(atom id, atom bit, weight) per atom of lang, highest id first: the
     atom at position k of the ascending atom list weighs 2^(n-1-k) in the
     index of a subset, a number below 2^n.  Within one size, the
-    `subsets_of` order of the subsets is then descending index."""
+    `y_slices` order of the subsets is then descending index."""
     return tuple((a, 1 << a, 1 << w) for w, a in enumerate(sorted(bits_of(lang), reverse=True)))
 
 

@@ -9,15 +9,15 @@ no rule's primed implication fails at y; one world mask
 keeps are evaluated over their 2^|y| subsets, in the oracle's order: the
 program's rule masks are ANDed into the mask of the proper subsets x of
 y, stopping as soon as it reaches 0, which makes y an answer set.  The
-Gelfond-Lifschitz route (`reduct`, `is_answer_set`) is kept as the
-independent reference that the kernel is tested against.
+tests check the kernel against the Gelfond-Lifschitz route: `reduct`
+here, `satisfies` and `is_answer_set` in tests/reference.py.
 """
 
 from __future__ import annotations
 
 from .errors import TooManyAtomsError
 from .oracle import here_mask, kept_slices, primed_failures, world_layout
-from .syntax import Program, Rule, subsets_of
+from .syntax import Program, Rule
 
 ANSWER_SET_ATOM_LIMIT = 20
 
@@ -26,25 +26,6 @@ def reduct(p: Program, x: int) -> Program:
     """The not-elimination transform of p relative to x: drop every rule
     whose ng meets x, strip ng from the rest."""
     return Program(tuple(Rule(r.hd, r.ps, 0) for r in p.rules if not r.ng & x))
-
-
-def satisfies(x: int, r: Rule) -> bool:
-    """Classical satisfaction of a negation-free rule: the body must fail
-    or the head must meet x."""
-    if r.ng:
-        raise ValueError("satisfies() is defined for negation-free rules only")
-    return bool(r.ps & ~x) or bool(r.hd & x)
-
-
-def is_answer_set(p: Program, x: int) -> bool:
-    """True iff x satisfies every rule of reduct(p, x) and no proper subset
-    of x does."""
-    red = reduct(p, x).rules
-
-    def model(y: int) -> bool:
-        return all(satisfies(y, r) for r in red)
-
-    return model(x) and not any(model(sub) for sub in subsets_of(x) if sub != x)
 
 
 def answer_sets(p: Program, max_atoms: int = ANSWER_SET_ATOM_LIMIT) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Rule and program data model, text syntax, renaming, and isomorphism.
+"""Rule and program data model, text syntax, and isomorphism.
 
 Atom sets are plain ints used as bitmasks: bit i stands for the atom with
 id i in the session's symbol table.  All set algebra downstream is mask
@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import functools
 import re
-from itertools import combinations, permutations, starmap
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import permutations, starmap
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import ParseError, TooManyAtomsError, UnmappedAtomError
+from .errors import ParseError, TooManyAtomsError
 
 ATOM_NAME = re.compile(r"[a-z][A-Za-z0-9_]*")
 
@@ -34,22 +34,14 @@ def mask_of(bits: Iterable[int]) -> int:
     return m
 
 
-def subsets_of(mask: int) -> Iterator[int]:
-    """Yield every submask of `mask`, ascending by cardinality then by the
-    sorted tuple of bit positions.  This is the canonical subset order used
-    everywhere a deterministic enumeration is promised."""
-    positions = tuple(bits_of(mask))
-    for size in range(len(positions) + 1):
-        for combo in combinations(positions, size):
-            yield mask_of(combo)
-
-
 class Symbols:
     """Append-only per-session symbol table; atom ids are dense from 0.
 
     Bitmask positions of every Rule built in a session index into one of
     these, so a table must be shared by everything that is compared or
-    combined.  Freeze it before handing rules to parallel workers.
+    combined.  A frozen table refuses new atoms: `language_symbols`
+    freezes its table a1..aN so that no text read against it adds an atom
+    outside the enumeration language.
     """
 
     def __init__(self) -> None:
@@ -130,17 +122,8 @@ class Rule:
     def atoms(self) -> int:
         return self.hd | self.ps | self.ng
 
-    @property
-    def literal_count(self) -> int:
-        return self.hd.bit_count() + self.ps.bit_count() + self.ng.bit_count()
-
 
 _set_hd, _set_ps, _set_ng = Rule.hd.__set__, Rule.ps.__set__, Rule.ng.__set__
-
-
-def is_canonical(r: Rule) -> bool:
-    """True iff hd, ps, ng are pairwise disjoint."""
-    return not (r.hd & r.ps or r.hd & r.ng or r.ps & r.ng)
 
 
 class Program:
@@ -203,15 +186,16 @@ class Program:
 # matches).  It may stand between any two tokens and is needed only between
 # 'not' and its atom: 'notb' is an atom.
 #
-# parse_program and parse_rule first match the whole text against one
-# regex (_program_pattern), comments deleted (a comment ends at '\n' or at
-# the end of the text, so no two tokens join).  In text that matched,
-# every '.' ends a statement, ':-' starts a body and 'not' is a word of
-# its own, so _statement_fields reads the rules off the words with str
-# methods, interning atoms in textual order (head atoms, then body
-# literals).  Other text goes unchanged to the token parser (_Parser),
-# which raises the ParseError with the line and column of the offending
-# token; nothing was interned before it ran.
+# parse_program first matches the whole text against one regex
+# (_program_pattern), comments deleted (a comment ends at '\n' or at the
+# end of the text, so no two tokens join).  In text that matched, every
+# '.' ends a statement, ':-' starts a body and 'not' is a word of its own,
+# so _statement_fields reads the rules off the words with str methods,
+# interning atoms in textual order (head atoms, then body literals).
+# Other text goes unchanged to the token parser (_Parser), which raises
+# the ParseError with the line and column of the offending token; nothing
+# was interned before it ran.  parse_rule, which reads one statement,
+# always uses the token parser.
 #
 # The pattern gives whitespace exactly one way to match: two adjacent \s*
 # around an optional group make a failing match backtrack quadratically
@@ -268,8 +252,9 @@ def _statement_fields(text: str, symbols: Symbols) -> list[tuple[int, int, int]]
     return fields
 
 
-# The token parser: the positioned errors for malformed text, and the
-# reference the whole-text reading is tested against.
+# The token parser: parse_rule's reader, the positioned errors for
+# malformed program text, and the reference the whole-text reading is
+# tested against.
 
 
 class _Token(NamedTuple):
@@ -287,8 +272,8 @@ def _error(message: str, text: str, offset: int) -> ParseError:
 
 @functools.cache
 def _token_finder():
-    """The tokenizer's pattern, compiled on first use: only text that the
-    whole-text match rejects reaches the token parser."""
+    """The tokenizer's pattern, compiled on first use: only parse_rule and
+    program text that the whole-text match rejects need it."""
     return re.compile(rf"\s+|%[^\n]*|({ATOM_NAME.pattern}|:-|[;,.])|(.)").finditer
 
 
@@ -377,15 +362,10 @@ class _Parser:
 
 
 def parse_rule(text: str, symbols: Symbols) -> Rule:
-    """Parse exactly one rule statement.
-
-    Like parse_program: one match of the whole text, and the token parser
-    only for text that is not exactly one well-formed statement.
-    """
-    statement = _well_formed(text)
-    if statement is None or statement.count(".") != 1:
-        return _Parser(text, symbols).rule()
-    return Rule(*_statement_fields(statement, symbols)[0])
+    """Parse exactly one rule statement with the token parser, which
+    raises a ParseError carrying the line and column of the first
+    offending token."""
+    return _Parser(text, symbols).rule()
 
 
 def parse_program(text: str, symbols: Symbols) -> Program:
@@ -427,29 +407,7 @@ def format_program(p: Program, symbols: Symbols) -> str:
     return "".join(format_rule(r, symbols) + "\n" for r in p.rules)
 
 
-# --- renaming and isomorphism ----------------------------------------------
-
-
-def rename_rule(r: Rule, mapping: Mapping[int, int]) -> Rule:
-    """Apply a total atom map (by id) to a rule; sets may shrink when the
-    map is not injective."""
-
-    def remap(mask: int) -> int:
-        out = 0
-        for b in bits_of(mask):
-            try:
-                out |= 1 << mapping[b]
-            except KeyError:
-                raise UnmappedAtomError(f"atom id {b} is not in the rename map") from None
-        return out
-
-    return Rule(remap(r.hd), remap(r.ps), remap(r.ng))
-
-
-def rename_program(p: Program, mapping: Mapping[int, int]) -> Program:
-    """Apply a total atom map to every rule; rules that collide afterwards
-    are merged."""
-    return Program(tuple(rename_rule(r, mapping) for r in p.rules))
+# --- isomorphism -----------------------------------------------------------
 
 
 def iso_canonical_form(rules: Sequence[Rule]) -> tuple[Rule, ...]:

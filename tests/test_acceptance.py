@@ -19,7 +19,6 @@ from strongeq import (
     cond_2_1_0,
     exhaustive_atom_bound,
     parse_program,
-    rename_program,
     s_implies,
     simplify,
     strongly_equivalent,
@@ -27,6 +26,7 @@ from strongeq import (
 )
 from strongeq.discovery import TupleShape, enumerate_rules, test_conjecture
 from conftest import random_program, random_total_map
+from reference import rename_program
 
 
 def timed(fn, *args, repeat: int = 1, **kwargs):

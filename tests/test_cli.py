@@ -1,6 +1,7 @@
 """Command-line interface: output shapes and the exit-code contract."""
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -517,6 +518,74 @@ class TestUsage:
         )
         assert proc.returncode == code, proc.stderr
         assert proc.stdout.startswith(verdict)
+
+    @staticmethod
+    def _run_module(args, **kwargs):
+        """`python ...` from the checkout with the package on its path,
+        stdout block-buffered as it is by default, and stderr captured."""
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+        kwargs.setdefault("stderr", subprocess.PIPE)
+        return subprocess.run(
+            [sys.executable, *args], cwd=ROOT, env=env, text=True, **kwargs
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a.", " ".join(f"a{i} :- not b{i}. b{i} :- not a{i}." for i in range(10))],
+        ids=["flush-at-the-end", "print-in-the-loop"],
+    )
+    def test_closed_stdout_exits_2_without_a_traceback(self, tmp_path, text):
+        # 1,024 answer sets overflow the stdout buffer, so print raises;
+        # one answer set stays buffered until the flush
+        path = write(tmp_path, "p.lp", text)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self._run_module(["-m", "strongeq", "answersets", path], stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write to stdout\n"
+
+    @pytest.mark.parametrize(
+        "second, code",
+        [("a :- not b. b :- not a.", 0), ("a :- b.", 1)],
+        ids=["equivalent", "not-equivalent"],
+    )
+    def test_stdout_closed_at_start_keeps_the_verdict(self, tmp_path, second, code):
+        # with fd 1 closed at startup sys.stdout is None and print writes nothing
+        first = write(tmp_path, "p1.lp", "a :- not b. b :- not a. a :- a.")
+        other = write(tmp_path, "p2.lp", second)
+        proc = self._run_module(
+            ["-m", "strongeq", "check-se", first, other],
+            preexec_fn=functools.partial(os.close, 1),
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr == ""
+
+    def test_lost_stderr_keeps_what_stdout_holds(self, tmp_path):
+        # a failed re-check's error line goes to a stderr whose reader is
+        # gone; the simplified program already buffered for stdout survives
+        path = write(tmp_path, "p.lp", "a :- b. a :- b, c.")
+        script = (
+            "import sys; from strongeq import cli; "
+            "cli.verify_simplification = lambda *args, **kwargs: False; "
+            "raise SystemExit(cli.main(sys.argv[1:]))"
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self._run_module(
+                ["-c", script, "simplify", "--verify", path],
+                stdout=subprocess.PIPE,
+                stderr=write_end,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stdout == "a :- b.\n"
 
 
 class TestRepeatedCalls:

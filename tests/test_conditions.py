@@ -17,17 +17,15 @@ from strongeq import (
     cond_1_1_0,
     cond_2_1_0,
     exhaustive_atom_bound,
-    is_canonical,
     parse_rule,
-    rename_rule,
     s_implies,
     strongly_equivalent,
     subsume_witness,
 )
 from strongeq.discovery import _language_masks, enumerate_rules
-from strongeq.syntax import subsets_of
 
 import reference
+from reference import is_canonical, rename_rule, subsets_of
 
 
 def rules(text: str, symbols: Symbols | None = None) -> list[Rule]:

@@ -18,7 +18,6 @@ from strongeq import (
     cond_0_1_0,
     cond_0_1_1,
     cond_1_1_0,
-    rename_rule,
     strongly_equivalent,
 )
 from strongeq import cond_2_1_0, discovery
@@ -36,6 +35,7 @@ from strongeq.discovery import (
 from strongeq.oracle import here_mask, y_slices
 
 import reference
+from reference import rename_rule
 
 
 def never(*_rules: Rule) -> bool:

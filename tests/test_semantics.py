@@ -10,13 +10,12 @@ from strongeq import (
     Symbols,
     TooManyAtomsError,
     answer_sets,
-    is_answer_set,
     parse_program,
     parse_rule,
     reduct,
-    satisfies,
 )
 from conftest import random_program
+from reference import is_answer_set, satisfies
 
 
 def build(text: str) -> tuple[Program, Symbols]:

@@ -17,17 +17,14 @@ from strongeq import (
     Rule,
     Symbols,
     TooManyAtomsError,
-    UnmappedAtomError,
     format_program,
     format_rule,
-    is_canonical,
     iso_canonical_form,
     parse_program,
     parse_rule,
-    rename_program,
-    rename_rule,
 )
-from strongeq.syntax import _Parser, bits_of, mask_of, subsets_of
+from strongeq.syntax import _Parser, bits_of, mask_of
+from reference import UnmappedAtomError, is_canonical, rename_program, rename_rule, subsets_of
 
 ROOT = Path(__file__).resolve().parent.parent
 
