@@ -65,8 +65,11 @@ def _load_program(path: str, symbols: Symbols) -> Program:
 
 
 def _write_text(path: str, text: str) -> None:
+    # the UTF-8 bytes in one binary write, as _load_program reads: LF stays
+    # LF and no text layer sits in between
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "wb") as f:
+            f.write(text.encode("utf-8"))
     except OSError as exc:
         raise SystemExit(_usage_error(f"cannot write {path}: {exc}"))
 
@@ -158,6 +161,8 @@ def cmd_simplify(args: argparse.Namespace) -> int:
     for path in (args.out, args.trace):
         if path:
             _check_writable(path)
+    if args.out and args.trace and os.path.realpath(args.out) == os.path.realpath(args.trace):
+        raise SystemExit(_usage_error(f"--out and --trace name the same file: {args.trace}"))
     atom_count = program.atoms.bit_count()
     if args.verify and atom_count > limit:
         # the result's atoms are a subset of the input's, so this is the

@@ -66,41 +66,45 @@ class SimplifyStep(NamedTuple):
     index: int | None = None
     produced: Rule | None = None
 
-    def to_json(self, symbols: Symbols) -> dict:
-        if self.kind == "T5-delete":
-            return {"step": self.kind, "removed": self.removed[0]}
-        if self.kind == "T7-head-clean":
-            return {
-                "step": self.kind,
-                "index": self.index,
-                "rule": format_rule(self.produced, symbols),
-            }
-        if self.kind == "T6-delete":
-            return {"step": self.kind, "kept": self.kept[0], "removed": self.removed[0]}
-        if self.kind == "T8-delete":
-            return {"step": self.kind, "kept": list(self.kept), "removed": self.removed[0]}
-        return {
-            "step": self.kind,
-            "removed": list(self.removed),
-            "rule": format_rule(self.produced, symbols),
-        }
-
 
 class SimplifyTrace(NamedTuple):
     steps: tuple[SimplifyStep, ...] = ()
 
     def json_lines(self, symbols: Symbols) -> str:
-        return "".join(json.dumps(s.to_json(symbols)) + "\n" for s in self.steps)
+        """One JSON object per step and line, written out directly: each
+        line is the text `json.dumps` gives for the step's dict, keys in
+        the order written here and the rule text JSON-encoded."""
+        lines = []
+        for s in self.steps:
+            kind = s.kind
+            if kind == "T6-delete":
+                line = f'{{"step": "T6-delete", "kept": {s.kept[0]}, "removed": {s.removed[0]}}}'
+            elif kind == "T8-delete":
+                kept = ", ".join(map(str, s.kept))
+                line = f'{{"step": "T8-delete", "kept": [{kept}], "removed": {s.removed[0]}}}'
+            elif kind == "T5-delete":
+                line = f'{{"step": "T5-delete", "removed": {s.removed[0]}}}'
+            elif kind == "T7-head-clean":
+                rule = json.dumps(format_rule(s.produced, symbols))
+                line = f'{{"step": "T7-head-clean", "index": {s.index}, "rule": {rule}}}'
+            else:
+                removed = ", ".join(map(str, s.removed))
+                rule = json.dumps(format_rule(s.produced, symbols))
+                line = f'{{"step": {json.dumps(kind)}, "removed": [{removed}], "rule": {rule}}}'
+            lines.append(line + "\n")
+        return "".join(lines)
 
 
 def normalize_rule(r: Rule) -> Rule | None:
     """None if the rule is deletable on its own; otherwise the rule with
     negated-body atoms removed from its head, which preserves strong
     equivalence (same body, same head-plus-negated-body closure) and is
-    canonical."""
+    canonical; a rule with no such atom is returned as it is."""
     if cond_0_1_0(r):
         return None
-    return Rule(r.hd & ~r.ng, r.ps, r.ng)
+    if r.hd & r.ng:
+        return Rule(r.hd & ~r.ng, r.ps, r.ng)
+    return r
 
 
 def _phase_normalize(rules: list[Rule], steps: list[SimplifyStep]) -> None:
@@ -112,7 +116,7 @@ def _phase_normalize(rules: list[Rule], steps: list[SimplifyStep]) -> None:
             steps.append(SimplifyStep("T5-delete", removed=(i,)))
             del rules[i]
             continue
-        if nr != rules[i]:
+        if nr is not rules[i]:
             steps.append(SimplifyStep("T7-head-clean", index=i, produced=nr))
             rules[i] = nr
         first = seen.setdefault(nr, i)
@@ -313,7 +317,8 @@ def simplify(p: Program) -> tuple[Program, SimplifyTrace]:
         kept = _phase_pair_replace(rules, table, alive, steps)
         replaced = kept != alive
         rules = [rules[k] for k in bits_of(kept)]
-    return Program(tuple(rules)), SimplifyTrace(tuple(steps))
+    # the phase contract keeps the list duplicate-free
+    return Program._of_distinct(tuple(rules)), SimplifyTrace(tuple(steps))
 
 
 def verify_simplification(p: Program, q: Program, max_atoms: int = SE_ATOM_LIMIT) -> bool:

@@ -390,9 +390,10 @@ def format_rule(r: Rule, symbols: Symbols) -> str:
 
     Round-trips: parse_rule(format_rule(r)) == r.
     """
-    head = "; ".join(symbols.name(i) for i in bits_of(r.hd))
-    body_parts = [symbols.name(i) for i in bits_of(r.ps)]
-    body_parts += ["not " + symbols.name(i) for i in bits_of(r.ng)]
+    name = symbols._names.__getitem__
+    head = "; ".join(map(name, bits_of(r.hd)))
+    body_parts = list(map(name, bits_of(r.ps)))
+    body_parts += ["not " + atom for atom in map(name, bits_of(r.ng))]
     body = ", ".join(body_parts)
     if head and body:
         return f"{head} :- {body}."

@@ -14,8 +14,11 @@ from strongeq import (
     NotCanonicalError,
     Program,
     Rule,
+    SimplifyStep,
     StrongeqError,
+    Symbols,
     cond_1_1_0,
+    format_rule,
     reduct,
     subsume_witness,
 )
@@ -155,6 +158,28 @@ def pair_replacement(r1: Rule, r2: Rule) -> Rule | None:
                 if literal_count(cand) < budget and is_canonical(cand) and cond_0_2_1(r1, r2, cand):
                     return cand
     return None
+
+
+def step_json(step: SimplifyStep, symbols: Symbols) -> dict:
+    """A trace step as a dict; `json.dumps` of it is the step's line in
+    `SimplifyTrace.json_lines`."""
+    if step.kind == "T5-delete":
+        return {"step": step.kind, "removed": step.removed[0]}
+    if step.kind == "T7-head-clean":
+        return {
+            "step": step.kind,
+            "index": step.index,
+            "rule": format_rule(step.produced, symbols),
+        }
+    if step.kind == "T6-delete":
+        return {"step": step.kind, "kept": step.kept[0], "removed": step.removed[0]}
+    if step.kind == "T8-delete":
+        return {"step": step.kind, "kept": list(step.kept), "removed": step.removed[0]}
+    return {
+        "step": step.kind,
+        "removed": list(step.removed),
+        "rule": format_rule(step.produced, symbols),
+    }
 
 
 def enumerate_rules(atom_count: int, canonical_only: bool = False) -> list[Rule]:

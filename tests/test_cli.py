@@ -159,6 +159,43 @@ class TestSimplifyCommand:
         lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
         assert lines == [{"step": "T5-delete", "removed": 2}]
 
+    def test_out_and_trace_files_hold_exactly_the_utf8_text(self, tmp_path, capsys):
+        # longer files with CRLF endings stand at both paths beforehand
+        src = write(tmp_path, "p.lp", "a :- not a. a :- not b. b :- not a. c :- c.\n")
+        out, trace = tmp_path / "o.lp", tmp_path / "t.jsonl"
+        for path in (out, trace):
+            path.write_bytes(b"stale line\r\n" * 1000)
+        assert main(["simplify", src, "--out", str(out), "--trace", str(trace)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == b":- not a.\na :- not b.\n"
+        assert trace.read_bytes() == (
+            b'{"step": "T7-head-clean", "index": 0, "rule": ":- not a."}\n'
+            b'{"step": "T5-delete", "removed": 3}\n'
+            b'{"step": "T6-delete", "kept": 0, "removed": 2}\n'
+        )
+
+    @pytest.mark.parametrize("trace", ["./o.lp", "link.lp", "o.lp"])
+    def test_out_and_trace_on_one_file_exit_2_before_simplifying(
+            self, tmp_path, capsys, monkeypatch, trace):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "simplify", _must_not_simplify)
+        src = write(tmp_path, "p.lp", "a :- a. b.")
+        (tmp_path / "link.lp").symlink_to("o.lp")
+        assert main(["simplify", src, "--out", "o.lp", "--trace", trace]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out and --trace name the same file: {trace}\n")
+        assert not (tmp_path / "o.lp").exists()
+
+    def test_failed_write_exits_2_with_one_error_line(self, tmp_path, capsys):
+        # the path passes the early check, a link into a missing directory
+        # fails only when it is opened
+        src = write(tmp_path, "p.lp", "a :- a. b.")
+        out = tmp_path / "o.lp"
+        out.symlink_to(tmp_path / "missing" / "o.lp")
+        assert main(["simplify", src, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: [Errno 2] No such file or directory: '{out}'\n")
+
     def test_json_output(self, tmp_path, capsys):
         src = write(tmp_path, "p.lp", "a :- a.")
         assert main(["simplify", src, "--json"]) == 0
@@ -199,6 +236,14 @@ class TestVerifyCommand:
         payload = json.loads(report.read_text())
         assert payload["total"] == 511
         assert payload["mismatches"] == []
+
+    def test_report_file_holds_exactly_the_utf8_text(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_bytes(b"stale line\r\n" * 1000)
+        assert main(["verify", "--shape", "1,1,0", "--atoms", "1", "--condition", "cond_1_1_0",
+                     "--report", str(report), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert report.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
     def test_pair_condition_exits_0(self, capsys):
         assert main(["verify", "--shape", "1,1,0", "--atoms", "2", "--condition", "cond_1_1_0"]) == 0

@@ -32,6 +32,14 @@ from reference import is_canonical, literal_count
 SIMPLIFY_MODULE = importlib.import_module("strongeq.simplify")
 
 
+# one program taking each of the five rewrites once
+FIVE_KINDS = (
+    "a :- not a. a :- not b. b :- not a. c :- c. "
+    "e :- d. f :- not d. f :- not e. "
+    "h :- g, not k. g;h :- not k."
+)
+
+
 def build(text: str) -> tuple[Program, Symbols]:
     t = Symbols()
     return parse_program(text, t), t
@@ -72,7 +80,7 @@ class TestNormalizeRule:
     def test_plain_rule_unchanged(self):
         t = Symbols()
         r = parse_rule("a :- b.", t)
-        assert normalize_rule(r) == r
+        assert normalize_rule(r) is r
 
     def test_output_is_canonical(self):
         rng = random.Random(17)
@@ -126,12 +134,7 @@ class TestTrace:
             assert replay(p, trace) == out
 
     def test_json_lines_schema(self):
-        # one program taking each of the five rewrites once
-        p, t = build(
-            "a :- not a. a :- not b. b :- not a. c :- c. "
-            "e :- d. f :- not d. f :- not e. "
-            "h :- g, not k. g;h :- not k."
-        )
+        p, t = build(FIVE_KINDS)
         out, trace = simplify(p)
         lines = [json.loads(line) for line in trace.json_lines(t).splitlines()]
         schema = {
@@ -149,6 +152,26 @@ class TestTrace:
                 assert type(line[key]) is kind, (line, key)
         assert lines[3] == {"step": "T8-delete", "kept": [2, 3], "removed": 4}
         assert lines[4] == {"step": "T9-replace", "removed": [4, 5], "rule": "h :- not k."}
+
+    def test_json_lines_match_the_reference_rendering(self):
+        # json.dumps of the reference dicts, on the 1000-rule scale seed
+        # (T6, T8, T9), the five-kind program, and random programs
+        lang = Symbols()
+        for i in range(60):
+            lang.intern(f"a{i}")
+        cases = [(simplify(seeded_rules(1, 1000, 60))[1], lang)]
+        p, t = build(FIVE_KINDS)
+        cases.append((simplify(p)[1], t))
+        rng = random.Random(53)
+        cases += [(simplify(random_program(rng, 4, 6))[1], lang) for _ in range(300)]
+        random_kinds = Counter(s.kind for trace, _ in cases[2:] for s in trace.steps)
+        assert random_kinds["T7-head-clean"] and random_kinds["T9-replace"], random_kinds
+        assert {s.kind for trace, _ in cases[:2] for s in trace.steps} == {
+            "T5-delete", "T7-head-clean", "T6-delete", "T8-delete", "T9-replace"}
+        for trace, symbols in cases:
+            expected = "".join(
+                json.dumps(reference.step_json(s, symbols)) + "\n" for s in trace.steps)
+            assert trace.json_lines(symbols) == expected
 
     def test_step_indices_refer_to_pre_step_program(self):
         p, _ = build("a :- a. b :- b.")
@@ -169,6 +192,7 @@ class TestSimplifyContract:
             p = random_program(rng, 5, 6)
             out, _ = simplify(p)
             assert verify_simplification(p, out)
+            assert len(set(out.rules)) == len(out.rules)
 
     def test_idempotent(self):
         rng = random.Random(37)
@@ -178,6 +202,7 @@ class TestSimplifyContract:
             twice, trace = simplify(once)
             assert twice == once
             assert trace.steps == ()
+            assert all(normalize_rule(r) is r for r in once.rules)
 
     def test_deterministic(self):
         rng = random.Random(41)
