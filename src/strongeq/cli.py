@@ -32,20 +32,20 @@ EXIT_GUARD = 3
 # --modulo-iso) demand an explicit opt-in
 LONG_RUN_TUPLES = 100_000_000
 
-# Registered conditions for `verify`: name -> (shape, predicate, exact).
+# Registered conditions for `verify`: name -> (shape, predicate,
+# canonical_only), the last true for a condition that raises
+# NotCanonicalError on a non-canonical rule and so needs --canonical.
 # s_implies is a deliberately incomplete 1-1-0 condition, kept around to
 # show the harness catching a conjecture that does not cover the oracle.
 CONDITIONS: dict[str, tuple[TupleShape, object, bool]] = {
-    "cond_0_1_0": (TupleShape(0, 1, 0), conditions.cond_0_1_0, True),
-    "cond_1_1_0": (TupleShape(1, 1, 0), conditions.cond_1_1_0, True),
-    "cond_0_1_1": (TupleShape(0, 1, 1), conditions.cond_0_1_1, True),
+    "cond_0_1_0": (TupleShape(0, 1, 0), conditions.cond_0_1_0, False),
+    "cond_1_1_0": (TupleShape(1, 1, 0), conditions.cond_1_1_0, False),
+    "cond_0_1_1": (TupleShape(0, 1, 1), conditions.cond_0_1_1, False),
     "cond_2_1_0": (TupleShape(2, 1, 0), conditions.cond_2_1_0, True),
     "cond_0_2_1": (TupleShape(0, 2, 1), conditions.cond_0_2_1, True),
     "cond_0_2_2": (TupleShape(0, 2, 2), conditions.cond_0_2_2, True),
     "s_implies": (TupleShape(1, 1, 0), conditions.s_implies, False),
 }
-# conditions that raise NotCanonicalError on a non-canonical rule
-CANONICAL_ONLY = frozenset({"cond_2_1_0", "cond_0_2_1", "cond_0_2_2"})
 
 
 def _load_program(path: str, symbols: Symbols) -> Program:
@@ -75,12 +75,15 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _check_writable(path: str) -> None:
-    """Refuse an output path that cannot be written, before any long work."""
+    """Refuse an output path that cannot be written, before any long work:
+    an existing file must itself be writable (a device such as /dev/null
+    may sit in a directory nobody may write), a new one needs its
+    directory writable."""
     target = Path(path)
     parent = target.parent
     if not parent.is_dir():
         raise SystemExit(_usage_error(f"cannot write {path}: no directory {parent}"))
-    if target.is_dir() or not os.access(parent, os.W_OK):
+    if target.is_dir() or not os.access(target if target.exists() else parent, os.W_OK):
         raise SystemExit(_usage_error(f"cannot write {path}: not a writable file path"))
 
 
@@ -198,13 +201,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if entry is None:
         known = ", ".join(sorted(CONDITIONS))
         return _usage_error(f"unknown condition {args.condition!r}; known: {known}")
-    expected_shape, predicate, _exact = entry
+    expected_shape, predicate, canonical_only = entry
     if expected_shape != shape:
         return _usage_error(
             f"condition {args.condition} is for shape "
             f"{expected_shape.k},{expected_shape.m},{expected_shape.n}, not {args.shape}"
         )
-    if args.condition in CANONICAL_ONLY and not args.canonical:
+    if canonical_only and not args.canonical:
         return _usage_error(
             f"condition {args.condition} is stated for canonical rules only; pass --canonical"
         )

@@ -7,16 +7,16 @@ bitmasks over all 3^a valuation pairs, so the oracle verdict for a tuple
 is a handful of mask ANDs; the condition is invoked as-is, keeping the
 two routes independent.
 
-The pairs are laid out as the oracle kernel's y slices, concatenated:
-the slices follow y in `y_slices` order, the slice for y takes 2^|y|
-bits, and within it bit i stands for the x of index i over y (the
-oracle's `world_layout`).  The harness only ANDs and compares masks, so
-any fixed layout of the pairs would do.  A rule's mask is its translation in
-closed form over four tables indexed by an atom set S (the pairs where S
-is within x, misses x, is within y, misses y), each entry one AND of a
-smaller entry and a per-atom mask; so a rule costs a few big-int
-operations, not one `here_mask` per y.  The tests keep the concatenated
-`here_mask` slices as the reference.
+The pairs are laid out over a base-3 index: bit i stands for the pair
+in which atom a's digit of i is 0 when a is outside y, 1 when a is in y
+only and 2 when a is in x.  The harness only ANDs and compares masks, so
+any fixed layout of the pairs would do, and this one gives each atom's
+masks in closed form, a repeating bit pattern.  A rule's mask is its
+translation in closed form over four tables indexed by an atom set S
+(the pairs where S is within x, misses x, is within y, misses y), each
+entry one AND of a smaller entry and a per-atom mask; so a rule costs a
+few big-int operations, not one `here_mask` per y.  The tests check the
+masks against the pair-by-pair `delta_holds` of tests/reference.py.
 
 The walk fixes every position but the last, then decides the whole row
 of last rules at once: one list comprehension calls the condition on
@@ -63,7 +63,6 @@ from operator import ne
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import TooManyAtomsError
-from .oracle import y_slices
 from .syntax import Rule, Symbols, format_rule, iso_canonical_form
 
 ENUM_ATOM_LIMIT = 7
@@ -215,18 +214,17 @@ def enumerate_tuples(
 def ht_pair_masks(atom_count: int) -> tuple[int, list[int], list[int], list[int], list[int]]:
     """The all-ones mask over the 3^a pairs of the enumeration language and
     four tables indexed by an atom set S: the pairs where S is within x,
-    where S misses x, where S is within y and where S misses y.  The pairs
-    are laid out as the oracle's y slices, in `y_slices` order, the x of
-    each slice by their index over y."""
-    in_x = [0] * atom_count
-    in_y = [0] * atom_count
-    offset = 0
-    for _y, atoms, full, masks in y_slices((1 << atom_count) - 1):
-        for a, m in zip(atoms, masks):
-            in_x[a] |= m << offset
-            in_y[a] |= full << offset
-        offset += 1 << len(atoms)
-    full = (1 << offset) - 1
+    where S misses x, where S is within y and where S misses y.  Bit i
+    stands for the pair in which atom a's base-3 digit of i is 0 outside
+    y, 1 in y only and 2 in x: with w = 3^a, atom a is in x on the top w
+    bits of every 3w-bit period and in y on its top 2w bits."""
+    full = (1 << 3**atom_count) - 1
+    in_x, in_y = [], []
+    for a in range(atom_count):
+        w = 3**a
+        period = full // ((1 << 3 * w) - 1)  # bit 0 of every 3w-bit period
+        in_x.append(((1 << w) - 1 << 2 * w) * period)
+        in_y.append(((1 << 2 * w) - 1 << w) * period)
     tables = []
     for per_atom in (in_x, [full ^ m for m in in_x], in_y, [full ^ m for m in in_y]):
         table = [full]

@@ -20,9 +20,9 @@ rule list holds, bit i standing for the x of index i over y.  Each rule
 costs a few big-int operations per literal against a per-y basis shared
 by every rule: the all-ones mask over the x, and for each atom of y the
 mask of the x that contain it.  The masks of that basis depend only on
-the atoms' positions in y, so `y_slices` builds them once per size |y|
-and pairs them with each y's atoms; only the current size's masks are
-alive.
+the atoms' positions in y, so `kept_slices`, the one walk over y,
+builds them once per size |y| and pairs them with each y's atoms; only
+the current size's masks are alive.
 
 Which y need a basis at all is decided first, for all of them at once,
 by one mask over the 2^n worlds of the language.  A rule's primed
@@ -30,9 +30,9 @@ implication fails on a cube of worlds (ps inside y, hd and ng outside),
 and its body holds on a wider one (ps inside, ng outside); `cube_worlds`
 builds either by doubling the mask once per free atom.  A y where some
 rule's primed implication fails has no model (x, y) at all.
-`kept_slices` then walks only the kept y, in the order of `y_slices`,
-each size's y read off the mask from the top, with no sort and no list
-of all candidates.
+`kept_slices` then walks only the kept y, by size and then by the
+sorted tuple of their atom ids, each size's y read off the mask from the
+top, with no sort and no list of all candidates.
 
 Comparing two programs is one XOR per kept y, walked in the countermodel
 order with early exit.  The x of a nonzero difference share the index,
@@ -54,11 +54,10 @@ tests/reference.py), the reference the kernel is tested against.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .errors import TooManyAtomsError
-from .syntax import Program, Rule, Symbols, bits_of, mask_of
+from .syntax import Program, Rule, Symbols, bits_of
 
 SE_ATOM_LIMIT = 24
 
@@ -106,23 +105,12 @@ def _rank_masks(size: int) -> tuple[int, list[int]]:
     return full, masks
 
 
-def y_slices(lang: int) -> Iterator[tuple[int, tuple[int, ...], int, list[int]]]:
-    """Each y subset of lang, by size and then by the sorted tuple of its
-    atom ids, as (y, its atom ids ascending, full, their masks):
-    `full, dict(zip(atoms, masks))` is the basis of `here_mask` at y.  The
-    masks are built once per size |y|."""
-    positions = tuple(bits_of(lang))
-    for size in range(len(positions) + 1):
-        full, masks = _rank_masks(size)
-        for atoms in combinations(positions, size):
-            yield mask_of(atoms), atoms, full, masks
-
-
 def world_layout(lang: int) -> tuple[tuple[int, int, int], ...]:
     """(atom id, atom bit, weight) per atom of lang, highest id first: the
     atom at position k of the ascending atom list weighs 2^(n-1-k) in the
-    index of a subset, a number below 2^n.  Within one size, the
-    `y_slices` order of the subsets is then descending index."""
+    index of a subset, a number below 2^n.  Within one size, the order of
+    the subsets by the sorted tuple of their atom ids is then descending
+    index."""
     return tuple((a, 1 << a, 1 << w) for w, a in enumerate(sorted(bits_of(lang), reverse=True)))
 
 
@@ -188,12 +176,14 @@ def _sized_indices(bits: int) -> tuple[int, ...]:
 
 def kept_slices(
     layout: tuple[tuple[int, int, int], ...], kept: int
-) -> Iterator[tuple[int, tuple[int, ...], int, list[int]]]:
-    """The slices of `y_slices` whose world index is set in `kept`, in the
-    same order.  The index space is cut into blocks of 2^_BLOCK_BITS; a
-    block's number holds the first atoms, so within one size the y come
-    block by block from the top, and each block's y of that size are read
-    off its mask from the top."""
+) -> Iterator[tuple[int, tuple[int, dict[int, int]]]]:
+    """Each y whose world index is set in `kept`, by size and then by the
+    sorted tuple of its atom ids, as (y, basis): `basis` is `here_mask`'s
+    (full, {atom: mask}) at y, its masks built once per size |y|.  The
+    index space is cut into blocks of 2^_BLOCK_BITS; a block's number
+    holds the first atoms, so within one size the y come block by block
+    from the top, and each block's y of that size are read off its mask
+    from the top."""
     n = len(layout)
     low_bits = min(n, _BLOCK_BITS)
     step = (1 << low_bits) + 7 >> 3
@@ -203,7 +193,7 @@ def kept_slices(
     sized = _sized_indices(low_bits)
     atom_at = [(a, bit) for a, bit, _weight in layout]
     for size in range(n + 1):
-        basis = None
+        masks = None
         for high in range(len(blocks) - 1, -1, -1):
             rest = size - high.bit_count()
             if not 0 <= rest <= low_bits:
@@ -211,22 +201,22 @@ def kept_slices(
             candidates = blocks[high] & sized[rest]
             if not candidates:
                 continue
-            if basis is None:
-                basis = _rank_masks(size)
+            if masks is None:
+                full, masks = _rank_masks(size)
             base = high << low_bits
             while candidates:
                 low = candidates.bit_length() - 1
                 candidates ^= 1 << low
                 index = base | low
-                atoms = []
                 y = 0
-                while index:  # the highest index bit is the lowest atom
+                atom = {}
+                for mask in masks:  # the highest index bit is the lowest atom
                     b = index.bit_length() - 1
                     index ^= 1 << b
                     a, bit = atom_at[b]
-                    atoms.append(a)
+                    atom[a] = mask
                     y |= bit
-                yield y, tuple(atoms), *basis
+                yield y, (full, atom)
 
 
 def here_mask(
@@ -280,8 +270,7 @@ def strongly_equivalent(
         return SEVerdict(True)
     layout = world_layout(lang)
     kept = separating_worlds(only1, only2, shared, layout)
-    for y, atoms, full, masks in kept_slices(layout, kept):
-        basis = full, dict(zip(atoms, masks))
+    for y, basis in kept_slices(layout, kept):
         diff = here_mask(only1, y, basis) ^ here_mask(only2, y, basis)
         if diff:
             diff = here_mask(shared, y, basis, diff)

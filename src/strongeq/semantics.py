@@ -42,9 +42,9 @@ def answer_sets(p: Program, max_atoms: int = ANSWER_SET_ATOM_LIMIT) -> tuple[int
     layout = world_layout(lang)
     models = ((1 << (1 << n)) - 1) & ~primed_failures(rules, layout)
     found = []
-    for y, atoms, full, masks in kept_slices(layout, models):
-        # x = y is the top bit 2^|y| - 1 of the kernel mask; no other may survive
-        proper = full ^ (1 << (1 << len(atoms)) - 1)
-        if not here_mask(rules, y, (full, dict(zip(atoms, masks))), proper):
+    for y, basis in kept_slices(layout, models):
+        # x = y is the top bit of the all-ones kernel mask; no other x may
+        # survive, so the proper subsets are that mask shifted down by one
+        if not here_mask(rules, y, basis, basis[0] >> 1):
             found.append(y)
     return tuple(found)

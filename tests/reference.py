@@ -31,8 +31,8 @@ class UnmappedAtomError(StrongeqError):
 
 def subsets_of(mask: int) -> Iterator[int]:
     """Yield every submask of `mask`, ascending by cardinality then by the
-    sorted tuple of bit positions: the order of the oracle's `y_slices`
-    and of its countermodels."""
+    sorted tuple of bit positions: the order in which the oracle's
+    `kept_slices` walks y and so picks its countermodels."""
     positions = tuple(bits_of(mask))
     for size in range(len(positions) + 1):
         for combo in combinations(positions, size):

@@ -511,7 +511,45 @@ class TestUsage:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["answersets", "check-se", "simplify", "verify"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simplify", "{program}", "--out", "{file}"],
+            ["simplify", "{program}", "--trace", "{file}"],
+            ["verify", "--shape", "0,1,0", "--atoms", "1", "--condition", "cond_0_1_0",
+             "--report", "{file}"],
+        ],
+        ids=["out", "trace", "report"],
+    )
+    def test_existing_writable_file_in_a_read_only_directory(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # as for /dev/null to a user who may not write /dev: the file's own
+        # permission decides, not its directory's; a new file there is refused
+        out_dir = tmp_path / "ro"
+        out_dir.mkdir()
+        target = out_dir / "existing"
+        target.write_bytes(b"stale\n")
+        access = os.access
+        monkeypatch.setattr(
+            os, "access", lambda path, mode: Path(path) != out_dir and access(path, mode))
+        program = write(tmp_path, "p.lp", "a :- a. b.")
+        assert main([arg.format(program=program, file=target) for arg in argv]) == 0
+        capsys.readouterr()
+        written = target.read_bytes()
+        assert written != b"stale\n"
+        if argv[0] == "verify":
+            assert json.loads(written)["total"] == 7
+        elif argv[2] == "--out":
+            assert written == b"b.\n"
+        else:
+            assert written == b'{"step": "T5-delete", "removed": 0}\n'
+        new = out_dir / "new"
+        assert main([arg.format(program=program, file=new) for arg in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {new}: not a writable file path\n")
+        assert not new.exists()
+
+    @pytest.mark.parametrize("command",["answersets", "check-se", "simplify", "verify"])
     def test_negative_max_atoms_exits_2_before_reading_input(self, tmp_path, capsys, command):
         # the input files do not exist: reading them first would give "cannot read"
         missing = str(tmp_path / "missing.lp")

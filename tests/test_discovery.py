@@ -12,6 +12,7 @@ from itertools import permutations, product
 import pytest
 
 from strongeq import (
+    HTPair,
     Program,
     Rule,
     TooManyAtomsError,
@@ -32,7 +33,6 @@ from strongeq.discovery import (
     rule_mask,
     test_conjecture,
 )
-from strongeq.oracle import here_mask, y_slices
 
 import reference
 from reference import rename_rule
@@ -163,12 +163,16 @@ class TestHarnessOracle:
 
 
 def reference_rule_mask(r, atom_count):
-    """The oracle kernel's here_mask for each y of the language, the
-    slices concatenated in y_slices order."""
-    mask = offset = 0
-    for y, atoms, full, masks in y_slices((1 << atom_count) - 1):
-        mask |= here_mask((r,), y, (full, dict(zip(atoms, masks)))) << offset
-        offset += 1 << len(atoms)
+    """Bit i set iff the rule's translation holds on the pair decoded from
+    i's base-3 digits: atom a's digit is 0 outside y, 1 in y only, 2 in x."""
+    mask = 0
+    for i in range(3**atom_count):
+        x = y = 0
+        for a in range(atom_count):
+            digit = i // 3**a % 3
+            y |= (digit > 0) << a
+            x |= (digit == 2) << a
+        mask |= reference.delta_holds(r, HTPair(x, y)) << i
     return mask
 
 
@@ -366,6 +370,21 @@ class TestDiscoverPositives:
                 test_conjecture(shape, 3, never, True, modulo_iso=True, job_count=job_count)
         rules = list(enumerate_rules(3, canonical_only=True))
         assert calls == rules * (1 if stream else 2)
+
+    @pytest.mark.parametrize("atom_count, length", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+    def test_every_shape_yields_exactly_the_oracle_positives(self, atom_count, length):
+        # the harness's rule masks against the oracle itself, one
+        # strongly_equivalent call per tuple, for every k-m-n of the length
+        rules = list(enumerate_rules(atom_count))
+        for k in range(length + 1):
+            for m in range(length + 1 - k):
+                shape = TupleShape(k, m, length - k - m)
+                expected = [
+                    t for t in product(rules, repeat=length)
+                    if strongly_equivalent(
+                        Program(t[:k + m]), Program(t[:k] + t[k + m:])).equivalent
+                ]
+                assert list(discover_positive_tuples(shape, atom_count)) == expected, shape
 
     def test_split_rule_equivalence_for_pure_deletions(self):
         # Two rules are jointly deletable against the empty program exactly

@@ -1,5 +1,6 @@
 """Two-world strong-equivalence oracle and its countermodels."""
 
+import functools
 import random
 import time
 import tracemalloc
@@ -28,7 +29,6 @@ from strongeq.oracle import (
     primed_failures,
     separating_worlds,
     world_layout,
-    y_slices,
 )
 from strongeq.syntax import bits_of
 from conftest import random_program, random_rule
@@ -359,18 +359,13 @@ class TestSharedRuleFastPaths:
     first countermodel as the pairwise reference gives them."""
 
     def test_slices_share_rank_masks_and_match_the_rank_definition(self):
-        def rank_basis(y: int) -> tuple[int, dict[int, int]]:
-            # bit i of a mask stands for the x of index i over y: it holds
-            # the atom at ascending position k iff bit |y|-1-k of i is set
-            size = y.bit_count()
-            count = 1 << size
-            atom = {a: sum(1 << i for i in range(count) if i >> size - 1 - k & 1)
-                    for k, a in enumerate(bits_of(y))}
-            return (1 << count) - 1, atom
-
         for lang in (0, 1 << 7, 0b1000_1001_1000, sum(1 << i for i in SPARSE_IDS)):
-            got = [(y, (full, dict(zip(atoms, masks)))) for y, atoms, full, masks in y_slices(lang)]
+            got = list(kept_slices(world_layout(lang), (1 << (1 << lang.bit_count())) - 1))
             assert got == [(y, rank_basis(y)) for y in subsets_of(lang)]
+            by_size = {}
+            for y, (_full, atom) in got:
+                masks = by_size.setdefault(y.bit_count(), list(atom.values()))
+                assert all(m is s for m, s in zip(atom.values(), masks)), y
 
     def test_mostly_shared_programs_match_pairwise_walk(self):
         rng = random.Random(81)
@@ -423,6 +418,23 @@ class TestSharedRuleFastPaths:
             primed_only += sum(fails_only_the_primed_check(p, y) for y in subsets_of(p.atoms))
         assert found > 100
         assert primed_only > 100
+
+
+@functools.cache
+def rank_definition(size: int) -> tuple[int, tuple[int, ...]]:
+    """The all-ones mask over the 2^size indices, and for each ascending
+    position k the mask of the indices with bit size-1-k set."""
+    count = 1 << size
+    return (1 << count) - 1, tuple(
+        sum(1 << i for i in range(count) if i >> size - 1 - k & 1) for k in range(size))
+
+
+def rank_basis(y: int) -> tuple[int, dict[int, int]]:
+    """`here_mask`'s basis at y by definition: bit i of a mask stands for
+    the x of index i over y, which holds the atom at ascending position k
+    iff bit |y|-1-k of i is set."""
+    full, masks = rank_definition(y.bit_count())
+    return full, dict(zip(bits_of(y), masks))
 
 
 def world_index(y: int, lang: int) -> int:
@@ -484,11 +496,11 @@ class TestWorldMask:
                 expected = worlds_where(lang, lambda y: not inside & ~y and not outside & y)
                 assert cube_worlds(layout, inside, outside) == expected, (lang, inside, outside)
 
-    def test_kept_slices_follow_y_slices(self):
+    def test_kept_slices_follow_the_subset_order(self):
         rng = random.Random(92)
         for lang in LANGS:
             layout = world_layout(lang)
-            every = list(y_slices(lang))
+            every = [(y, rank_basis(y)) for y in subsets_of(lang)]
             assert list(kept_slices(layout, (1 << (1 << lang.bit_count())) - 1)) == every
             for _ in range(5):
                 kept = rng.getrandbits(1 << lang.bit_count())

@@ -108,3 +108,28 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             if everywhere[name] - _names(node)[name] <= 0:
                 uncalled.append(qualname)
     assert sorted(uncalled) == sorted(UNCALLED)
+
+
+def _module_imports(tree: ast.Module):
+    """Each name a module-level import binds, with its line; `import a.b`
+    binds `a`.  `from __future__` binds no name the module reads."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_module_import_is_read_in_its_module():
+    # no linter is assumed to be installed, so this is the unused-import check
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        if path.name == "__init__.py":
+            read |= set(strongeq.__all__)  # the re-exports
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in _module_imports(tree) if name not in read]
+    assert unused == []

@@ -65,11 +65,11 @@ def test_every_patched_function_is_reached(tracing, tmp_path, capsys):
                     key = f"{m.__name__}.{k}"
                     patched.append(key)
                     setattr(m, k, counted(key, v))
-        for name, (shape, shim, exact) in list(cli.CONDITIONS.items()):
+        for name, (shape, shim, canonical_only) in list(cli.CONDITIONS.items()):
             assert shim is not registry[name][1], name
             key = f"CONDITIONS.{name}"
             patched.append(key)
-            cli.CONDITIONS[name] = (shape, counted(key, shim), exact)
+            cli.CONDITIONS[name] = (shape, counted(key, shim), canonical_only)
 
         p1 = tmp_path / "p1.lp"
         p1.write_text("a :- b. c :- not a.\n")
@@ -80,10 +80,10 @@ def test_every_patched_function_is_reached(tracing, tmp_path, capsys):
         assert run("answersets", str(p1)) == 0
         assert run("check-se", str(p1), str(p2)) == 1
         assert run("simplify", str(messy), "--verify") == 0
-        for name, (shape, _shim, _exact) in registry.items():
+        for name, (shape, _shim, canonical_only) in registry.items():
             argv = ["verify", "--shape", f"{shape.k},{shape.m},{shape.n}", "--atoms", "1",
                     "--condition", name]
-            if name in cli.CANONICAL_ONLY:
+            if canonical_only:
                 argv.append("--canonical")
             assert run(*argv) == (0 if name != "s_implies" else 1), name
     finally:
