@@ -18,7 +18,7 @@ from pathlib import Path
 from . import conditions
 from .discovery import ENUM_ATOM_LIMIT, TupleShape, test_conjecture
 from .errors import ParseError, TooManyAtomsError
-from .oracle import SE_ATOM_LIMIT, countermodel_json, strongly_equivalent
+from .oracle import SE_ATOM_LIMIT, check_world_mask, countermodel_json, strongly_equivalent
 from .semantics import ANSWER_SET_ATOM_LIMIT, answer_sets
 from .simplify import simplify, verify_simplification
 from .syntax import Program, Symbols, bits_of, format_program, parse_program
@@ -167,10 +167,12 @@ def cmd_simplify(args: argparse.Namespace) -> int:
     if args.out and args.trace and os.path.realpath(args.out) == os.path.realpath(args.trace):
         raise SystemExit(_usage_error(f"--out and --trace name the same file: {args.trace}"))
     atom_count = program.atoms.bit_count()
-    if args.verify and atom_count > limit:
+    if args.verify:
         # the result's atoms are a subset of the input's, so this is the
         # refusal the re-check would give, before any work or output
-        raise TooManyAtomsError("strongly_equivalent", atom_count, limit)
+        if atom_count > limit:
+            raise TooManyAtomsError("strongly_equivalent", atom_count, limit)
+        check_world_mask("strongly_equivalent", atom_count)
     simplified, trace = simplify(program)
     text = format_program(simplified, symbols)
     if args.trace:
@@ -395,6 +397,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except TooManyAtomsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError:
+        # a backstop: the guards refuse what they can foresee before allocating
+        print("error: out of memory", file=sys.stderr)
         return EXIT_GUARD
     except SystemExit as exc:
         if isinstance(exc.code, int):

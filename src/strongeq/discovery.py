@@ -4,8 +4,8 @@ The harness enumerates every tuple of rules over a small language, labels
 each with the semantic oracle, and measures agreement with a candidate
 syntactic condition.  Per-rule two-world evaluations are precomputed as
 bitmasks over all 3^a valuation pairs, so the oracle verdict for a tuple
-is a handful of mask ANDs; the condition is invoked as-is, keeping the
-two routes independent.
+is a handful of mask ANDs; the condition decides by set algebra over the
+rules' fields, keeping the two routes independent.
 
 The pairs are laid out over a base-3 index: bit i stands for the pair
 in which atom a's digit of i is 0 when a is outside y, 1 when a is in y
@@ -19,17 +19,20 @@ few big-int operations, not one `here_mask` per y.  The tests check the
 masks against the pair-by-pair `delta_holds` of tests/reference.py.
 
 The walk fixes every position but the last, then decides the whole row
-of last rules at once: one list comprehension calls the condition on
-each tuple of the row (in row order, one call per tuple, as a per-tuple
-walk would make them) with the fixed rules unpacked once per row,
-another ANDs and compares masks for the oracle, and the counts come
-from the two lists of verdicts.  Where the side the last rule joins has
-no other rule yet (the only side of 0,1,0, the right side of 0,1,1 and
-0,2,1), its mask is all-ones and the oracle's verdict is whether the
-rule's mask equals the other side's: that list is read from an index of
-the row's positions per distinct mask.  Only a row where the lists
-differ is walked tuple by tuple, to count its mismatches and record them
-under the cap.
+of last rules at once.  A registered predicate is decided by one call of
+its row form (`conditions.ROW_FORMS`, looked up by the predicate itself)
+with the fixed rules and the row's (hd, ps, ng) triples, built once with
+the rules; the rows of canonical rules are `CanonicalRow`s, checked once.
+Any other callable, a user's condition or a wrapper around a registered
+one, is called once per tuple of the row, in row order, as a per-tuple
+walk would call it.  One list comprehension ANDs and compares masks for
+the oracle, and the counts come from the two lists of verdicts.  Where
+the side the last rule joins has no other rule yet (the only side of
+0,1,0, the right side of 0,1,1 and 0,2,1), its mask is all-ones and the
+oracle's verdict is whether the rule's mask equals the other side's:
+that list is read from an index of the row's positions per distinct
+mask.  Only a row where the lists differ is walked tuple by tuple, to
+count its mismatches and record them under the cap.
 
 With modulo_iso the walk is orderly (Read 1978; McKay 1998): it visits
 exactly the tuples that are their own `iso_canonical_form`, in enumeration
@@ -58,10 +61,11 @@ from __future__ import annotations
 
 import os
 import time
-from itertools import product
+from itertools import product, starmap
 from operator import ne
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
+from .conditions import ROW_FORMS, CanonicalRow, Fields, RowForm
 from .errors import TooManyAtomsError
 from .syntax import Rule, Symbols, format_rule, iso_canonical_form
 
@@ -165,21 +169,22 @@ def enumerate_rules(
     ascending by (hd, ps, ng) read as one bitmask; optionally canonical
     rules only."""
     _check_atom_count(atom_count, max_atoms)
-    space = 1 << atom_count
-    if canonical_only:
-        yield from _canonical_rules(space - 1)
+    return starmap(Rule, _rule_fields(atom_count, canonical_only))
+
+
+def _rule_fields(atom_count: int, canonical_only: bool) -> Iterator[Fields]:
+    """The (hd, ps, ng) of each rule `enumerate_rules` yields, in its order.
+    The 4^a - 1 canonical rules have pairwise disjoint fields: ps runs over
+    the submasks of the atoms hd leaves, and ng over those hd and ps leave,
+    each ascending."""
+    full = (1 << atom_count) - 1
+    if not canonical_only:
+        for hd in range(full + 1):
+            for ps in range(full + 1):
+                for ng in range(full + 1):
+                    if hd | ps | ng:
+                        yield hd, ps, ng
         return
-    for hd in range(space):
-        for ps in range(space):
-            for ng in range(space):
-                if hd | ps | ng:
-                    yield Rule(hd, ps, ng)
-
-
-def _canonical_rules(full: int) -> Iterator[Rule]:
-    """The 4^a - 1 rules with pairwise disjoint fields over the atoms of
-    `full`, in `enumerate_rules` order: ps runs over the submasks of the
-    atoms hd leaves, and ng over those hd and ps leave, each ascending."""
     # submasks[c]: the submasks of c, ascending; those of c holding its top
     # atom follow those of c without it, in the same order
     submasks = [[0]]
@@ -191,7 +196,7 @@ def _canonical_rules(full: int) -> Iterator[Rule]:
         for ps in submasks[full ^ hd]:
             ngs = submasks[full ^ hd ^ ps]
             for ng in ngs if hd | ps else ngs[1:]:
-                yield Rule(hd, ps, ng)
+                yield hd, ps, ng
 
 
 def enumerate_tuples(
@@ -250,12 +255,19 @@ def rule_mask(
 
 def _language_masks(
     atom_count: int, canonical_only: bool, max_atoms: int
-) -> tuple[list[Rule], list[int], int]:
-    """Enumerated rules, their masks, and the all-ones mask over 3^a pairs."""
-    rules = list(enumerate_rules(atom_count, canonical_only, max_atoms))
+) -> tuple[list[Rule], Sequence[Fields], list[int], int]:
+    """Enumerated rules, their field triples (a CanonicalRow for canonical
+    rules), their masks, and the all-ones mask over 3^a pairs."""
+    _check_atom_count(atom_count, max_atoms)
+    if canonical_only:
+        # canonical by construction, so built without CanonicalRow's check
+        fields = tuple.__new__(CanonicalRow, _rule_fields(atom_count, True))
+    else:
+        fields = list(_rule_fields(atom_count, False))
+    rules = list(starmap(Rule, fields))
     layout = ht_pair_masks(atom_count)
     masks = [rule_mask(r, layout) for r in rules]
-    return rules, masks, layout[0]
+    return rules, fields, masks, layout[0]
 
 
 def _all_ties(atom_count: int) -> int:
@@ -320,7 +332,9 @@ def _split_ranges(weights: list[float], parts: int) -> list[tuple[int, int]]:
 
 
 class _Row:
-    """The rules a last position runs over and their masks, with the
+    """The rules a last position runs over, the cells the condition's row
+    form reads (their field triples, or the rules themselves for a
+    condition decided one tuple at a time) and the rules' masks, with the
     verdicts `mask == target` for the whole row.  From a row's second
     request on, those are set from an index of the positions of each
     distinct mask, into a copy of one all-False list that is itself the
@@ -328,10 +342,11 @@ class _Row:
     the only row of a one-rule shape, is compared directly: building the
     index costs about two comparisons of the row."""
 
-    __slots__ = ("rules", "masks", "_asked", "_positions", "_none")
+    __slots__ = ("rules", "cells", "masks", "_asked", "_positions", "_none")
 
-    def __init__(self, rules: list[Rule], masks: list[int]) -> None:
+    def __init__(self, rules: list[Rule], cells: Sequence, masks: list[int]) -> None:
         self.rules = rules
+        self.cells = cells
         self.masks = masks
         self._asked = False
         self._positions: dict[int, list[int]] | None = None
@@ -355,9 +370,21 @@ class _Row:
         return verdicts
 
 
+def _each_tuple(condition: Condition) -> RowForm:
+    """The row form of a condition without one of its own: one call per
+    tuple of the row, in row order, each verdict made a bool."""
+
+    def row_form(*args):
+        prefix, row = args[:-1], args[-1]
+        return [True if condition(*prefix, r) else False for r in row]
+
+    return row_form
+
+
 def _scan_range(
     shape: tuple[int, int, int],
     rules: list[Rule],
+    fields: Sequence[Fields],
     masks: list[int],
     condition: Condition,
     full: int,
@@ -369,7 +396,8 @@ def _scan_range(
 ) -> tuple[int, int, int, int, list[Mismatch]]:
     """Scan all tuples whose outermost index lies in [start, stop); with
     the empty prefix's tie mask `ties`, only those least in their orbit
-    (ties 0 scans them all).  `order` is `_order_table(rules, ties)`."""
+    (ties 0 scans them all).  `fields` holds the rules' field triples and
+    `order` is `_order_table(rules, ties)`."""
     k, m, n = shape
     tlen = k + m + n
     last = tlen - 1
@@ -379,28 +407,36 @@ def _scan_range(
     total = se = cond_pos = mismatch_total = 0
     mismatches: list[Mismatch] = []
     below, tied = order
+    # the row form registered for this very condition; any other callable,
+    # a wrapper around a registered one included, is called per tuple
+    try:
+        row_form = _ROW_FORMS.get(condition)
+    except TypeError:  # unhashable, so none of the registered ones
+        row_form = None
+    if row_form is None:
+        row_form, cells = _each_tuple(condition), rules
+    else:
+        cells = fields
     # tie mask -> indices of the rules that keep a prefix with those ties
     # least; tie masks recur across prefixes, so each is matched once
     kept_for: dict[int, list[int]] = {}
-    # tie mask -> those rules and their masks, as a row of the last position
+    # tie mask -> those rules, cells and masks, as a row of the last position
     row_for: dict[int, _Row] = {}
-    full_row = _Row(rules, masks)
+    full_row = _Row(rules, cells, masks)
+
+    def row_of(rng: range | list[int]) -> _Row:
+        if cells.__class__ is CanonicalRow:
+            row_cells = cells.part(rng)
+        else:
+            row_cells = [cells[i] for i in rng]
+        return _Row([rules[i] for i in rng], row_cells, [masks[i] for i in rng])
 
     def decide(prefix: tuple[Rule, ...], ma: int, mb: int, last_row: _Row) -> None:
         """Label every tuple prefix + (rule,) of the row by the oracle and
-        the condition; the condition sees them in row order."""
+        the condition, the condition in one call of its row form."""
         nonlocal total, se, cond_pos, mismatch_total
         row, row_masks = last_row.rules, last_row.masks
-        if not prefix:
-            conds = [True if condition(r) else False for r in row]
-        elif len(prefix) == 1:
-            (p0,) = prefix
-            conds = [True if condition(p0, r) else False for r in row]
-        elif len(prefix) == 2:
-            p0, p1 = prefix
-            conds = [True if condition(p0, p1, r) else False for r in row]
-        else:
-            conds = [True if condition(*prefix, r) else False for r in row]
+        conds = row_form(*prefix, last_row.cells)
         # where the side the last rule joins is still all-ones, the verdict
         # is whether the rule's mask equals the other side's
         if last_in_a and last_in_b:
@@ -437,13 +473,13 @@ def _scan_range(
             rng = range(start, stop) if depth == 0 else range(count)
         if depth == last:
             if depth == 0:  # this range's own row
-                row = _Row([rules[i] for i in rng], [masks[i] for i in rng])
+                row = full_row if rng == range(count) else row_of(rng)
             elif not ties:
                 row = full_row
             else:
                 row = row_for.get(ties)
                 if row is None:
-                    row = row_for[ties] = _Row([rules[i] for i in rng], [masks[i] for i in rng])
+                    row = row_for[ties] = row_of(rng)
             decide(prefix, ma, mb, row)
             return
         in_a = depth < k + m
@@ -480,7 +516,7 @@ def test_conjecture(
     """
     started = time.perf_counter()
     job_count = min(job_count, _usable_cpus())
-    rules, masks, full = _language_masks(atom_count, canonical_only, max_atoms)
+    rules, fields, masks, full = _language_masks(atom_count, canonical_only, max_atoms)
     ties = _all_ties(atom_count) if modulo_iso else 0
     order = _order_table(rules, ties)
     weights = [1.0] * len(rules)
@@ -494,7 +530,7 @@ def test_conjecture(
     ranges = _split_ranges(weights, job_count)
     shape_tuple = (shape.k, shape.m, shape.n)
     args = [
-        (shape_tuple, rules, masks, condition, full, a, b, ties, order, MISMATCH_CAP)
+        (shape_tuple, rules, fields, masks, condition, full, a, b, ties, order, MISMATCH_CAP)
         for a, b in ranges
     ]
     if job_count > 1 and len(args) > 1:
@@ -536,6 +572,15 @@ def _never(*_rules: Rule) -> bool:
     return False
 
 
+def _never_row(*args) -> list[bool]:
+    """`_never`'s row form."""
+    return [False] * len(args[-1])
+
+
+# the row forms `_scan_range` calls, looked up by the condition itself
+_ROW_FORMS: dict[Condition, RowForm] = {**ROW_FORMS, _never: _never_row}
+
+
 def discover_positive_tuples(
     shape: TupleShape,
     atom_count: int,
@@ -549,7 +594,7 @@ def discover_positive_tuples(
     One outermost rule index is scanned at a time, so the first tuples
     come before the rest are built; ranges taken in order give the
     enumeration order, as for `--jobs`."""
-    rules, masks, full = _language_masks(atom_count, canonical_only, max_atoms)
+    rules, fields, masks, full = _language_masks(atom_count, canonical_only, max_atoms)
     ties = _all_ties(atom_count) if modulo_iso else 0
     order = _order_table(rules, ties)
     shape_tuple = (shape.k, shape.m, shape.n)
@@ -559,7 +604,7 @@ def discover_positive_tuples(
     cap = len(rules) ** (shape.length - 1)
     for start in range(len(rules)):
         *_counts, positives = _scan_range(
-            shape_tuple, rules, masks, _never, full, start, start + 1, ties, order, cap
+            shape_tuple, rules, fields, masks, _never, full, start, start + 1, ties, order, cap
         )
         for mm in positives:
             yield mm.rules

@@ -36,9 +36,10 @@ top, with no sort and no list of all candidates.
 
 Comparing two programs is one XOR per kept y, walked in the countermodel
 order with early exit.  The x of a nonzero difference share the index,
-so the first of them is the first set that `kept_slices` reads off it
-over y.  The rules the two programs share are split off first: equal
-rule sets are equivalent without a walk.  Otherwise only
+so the first of them is the first set that `kept_slices` would read off
+it over y; `first_set` reads it off the same blocks, without building
+that walk's per-size masks.  The rules the two programs share are split
+off first: equal rule sets are equivalent without a walk.  Otherwise only
 the y of `separating_worlds` are walked: those where every shared rule's
 primed implication holds, the own rules of at least one side all hold
 it, and some own rule's body holds (at any other y both sides have the
@@ -56,10 +57,21 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterator, NamedTuple
 
-from .errors import TooManyAtomsError
+from .errors import TooManyAtomsError, WorldMaskError
 from .syntax import Program, Rule, Symbols, bits_of
 
 SE_ATOM_LIMIT = 24
+
+# A world mask holds one bit per set of the language's n atoms: 2^n bits.
+# A call over more atoms than this budget, 2^28 bits or 32 MiB a mask, is
+# refused before any mask is built; the default limits need at most 2^24.
+WORLD_MASK_ATOMS = 28
+
+
+def check_world_mask(what: str, atom_count: int) -> None:
+    """Refuse, with WorldMaskError, a language too wide for WORLD_MASK_ATOMS."""
+    if atom_count > WORLD_MASK_ATOMS:
+        raise WorldMaskError(what, atom_count, WORLD_MASK_ATOMS)
 
 
 class _HTPairFields(NamedTuple):
@@ -174,6 +186,42 @@ def _sized_indices(bits: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _blocks(n: int, mask: int) -> tuple[int, list[int]]:
+    """The bits of a mask over 2^n world indices as blocks of 2^low_bits
+    bits, low_bits = min(n, _BLOCK_BITS): block `high` holds the indices
+    whose high part is `high`."""
+    low_bits = min(n, _BLOCK_BITS)
+    step = (1 << low_bits) + 7 >> 3
+    data = mask.to_bytes(step << n - low_bits, "little")
+    return low_bits, [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
+
+
+def first_set(layout: tuple[tuple[int, int, int], ...], mask: int) -> int:
+    """The set that `kept_slices` reads first off a nonzero `mask`: among
+    the indices of the fewest atoms, the highest.  It is read block by
+    block, with no per-size masks: from the top block down, a block counts
+    only with a set of fewer atoms than the best so far."""
+    low_bits, blocks = _blocks(len(layout), mask)
+    sized = _sized_indices(low_bits)
+    size = len(layout) + 1  # more atoms than any set has
+    index = 0
+    for high in range(len(blocks) - 1, -1, -1):
+        block = blocks[high]
+        if not block:
+            continue
+        high_size = high.bit_count()
+        for rest in range(min(size - high_size, low_bits + 1)):
+            hits = block & sized[rest]
+            if hits:
+                size, index = high_size + rest, high << low_bits | hits.bit_length() - 1
+                break
+    x = 0
+    for _a, bit, weight in layout:
+        if index & weight:
+            x |= bit
+    return x
+
+
 def kept_slices(
     layout: tuple[tuple[int, int, int], ...], kept: int
 ) -> Iterator[tuple[int, tuple[int, dict[int, int]]]]:
@@ -185,11 +233,7 @@ def kept_slices(
     from the top, and each block's y of that size are read off its mask
     from the top."""
     n = len(layout)
-    low_bits = min(n, _BLOCK_BITS)
-    step = (1 << low_bits) + 7 >> 3
-    data = kept.to_bytes(step << n - low_bits, "little")
-    blocks = [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
-    del data
+    low_bits, blocks = _blocks(n, kept)
     sized = _sized_indices(low_bits)
     atom_at = [(a, bit) for a, bit, _weight in layout]
     for size in range(n + 1):
@@ -260,6 +304,7 @@ def strongly_equivalent(
     n = lang.bit_count()
     if n > max_atoms:
         raise TooManyAtomsError("strongly_equivalent", n, max_atoms)
+    check_world_mask("strongly_equivalent", n)
     # split on the field triples, which hash in C, not on the rules
     fields1, fields2 = ([(r.hd, r.ps, r.ng) for r in p.rules] for p in (p1, p2))
     in1, in2 = set(fields1), set(fields2)
@@ -275,8 +320,7 @@ def strongly_equivalent(
         if diff:
             diff = here_mask(shared, y, basis, diff)
             if diff:
-                x = next(kept_slices(world_layout(y), diff))[0]
-                return SEVerdict(False, HTPair(x, y))
+                return SEVerdict(False, HTPair(first_set(world_layout(y), diff), y))
     return SEVerdict(True)
 
 

@@ -8,13 +8,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strongeq import cli
+from strongeq import cli, oracle
 from strongeq.cli import main
 from strongeq.discovery import DiscoveryReport
 
@@ -218,6 +219,54 @@ class TestSimplifyCommand:
         assert main(["simplify", src, "--verify", "--max-atoms", "3", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"rules": ["a :- b."], "verified": True, "steps": 1}
+
+
+class TestWorldMaskBudget:
+    """A raised --max-atoms that admits a world mask past the memory
+    budget exits 3 with the mask's size, before allocating it."""
+
+    def test_a_70_atom_chain_exits_3_without_allocating(self, tmp_path, capsys, monkeypatch):
+        chain = [f"a{i} :- not a{i + 1}." for i in range(1, 70)]
+        p = write(tmp_path, "p.lp", "\n".join(chain) + "\n")
+        q = write(tmp_path, "q.lp", "\n".join(["a1."] + chain[1:]) + "\n")
+
+        def no_mask(*_args):
+            raise AssertionError("a world mask was built")
+
+        # a missing guard fails here, not by trying to allocate 2^70 bits
+        monkeypatch.setattr(oracle, "cube_worlds", no_mask)
+        monkeypatch.setattr(cli, "simplify", _must_not_simplify)
+        runs = [("answer_sets", ["answersets", p]),
+                ("strongly_equivalent", ["check-se", p, q]),
+                ("strongly_equivalent", ["simplify", p, "--verify"])]
+        tracemalloc.start()
+        try:
+            for what, argv in runs:
+                tracemalloc.reset_peak()
+                assert main([*argv, "--max-atoms", "70"]) == 3, argv
+                peak = tracemalloc.get_traced_memory()[1]
+                assert peak < 2**20, (argv, peak)
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err == (
+                    f"error: {what}: 70 atoms need a world mask of 2^70 bits (128 EiB), "
+                    "over the memory budget of 2^28 bits (32 MiB)\n")
+        finally:
+            tracemalloc.stop()
+
+    def test_the_budget_admits_every_default_limit(self):
+        assert max(cli.SE_ATOM_LIMIT, cli.ANSWER_SET_ATOM_LIMIT) + 4 <= oracle.WORLD_MASK_ATOMS
+        oracle.check_world_mask("strongly_equivalent", oracle.WORLD_MASK_ATOMS)
+        with pytest.raises(cli.TooManyAtomsError):
+            oracle.check_world_mask("strongly_equivalent", oracle.WORLD_MASK_ATOMS + 1)
+
+    def test_running_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*_args, **_kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "answer_sets", exhausted)
+        assert main(["answersets", write(tmp_path, "p.lp", "a.")]) == 3
+        assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 class TestVerifyCommand:

@@ -22,6 +22,8 @@ from strongeq import (
     strongly_equivalent,
     subsume_witness,
 )
+from strongeq.cli import CONDITIONS
+from strongeq.conditions import ROW_FORMS, CanonicalRow
 from strongeq.discovery import _language_masks, enumerate_rules
 
 import reference
@@ -260,7 +262,7 @@ class TestExactByComposition:
     they agree with the oracle wherever these do, at any atom count."""
 
     def test_lemma_on_the_harness_masks_for_0_2_2_over_two_atoms(self):
-        _rules, masks, _full = _language_masks(2, True, 2)
+        _rules, _fields, masks, _full = _language_masks(2, True, 2)
 
         def entails(a, b, c):  # the 2-1-0 verdict: {a, b} ~ {a, b, c}
             return a & b & c == a & b
@@ -276,7 +278,7 @@ class TestExactByComposition:
         assert True in verdicts and False in verdicts
 
     def test_lemma_on_the_harness_masks_for_0_2_1_over_three_atoms(self):
-        _rules, masks, _full = _language_masks(3, True, 3)
+        _rules, _fields, masks, _full = _language_masks(3, True, 3)
         triples = list(product(masks, repeat=3))
         assert len(triples) == 250_047
         verdicts = [m1 & m2 == m3 for m1, m2, m3 in triples]
@@ -331,6 +333,76 @@ class TestPairToPair:
         quadruple[position] = Rule(0b1, 0b1, 0)
         with pytest.raises(NotCanonicalError):
             cond_0_2_2(*quadruple)
+
+
+def fields_of(rules: list[Rule]) -> list[tuple[int, int, int]]:
+    return [(r.hd, r.ps, r.ng) for r in rules]
+
+
+class TestRowForms:
+    """A predicate's row form decides a whole row of last rules at once;
+    it must give the predicate's own verdicts, in row order."""
+
+    def test_every_registered_predicate_has_a_row_form(self):
+        assert set(ROW_FORMS) == {predicate for _shape, predicate, _c in CONDITIONS.values()}
+
+    @pytest.mark.parametrize("name", sorted(CONDITIONS))
+    def test_agrees_with_its_predicate_on_every_prefix_and_row(self, name):
+        shape, predicate, canonical_only = CONDITIONS[name]
+        row_form = ROW_FORMS[predicate]
+        # every prefix of the allowed rules, against every row kind: all
+        # rules, the canonical ones, and those as a CanonicalRow
+        for atoms in (2, 3) if shape.length <= 2 else (2,):
+            canonical = list(enumerate_rules(atoms, canonical_only=True))
+            pool = canonical if canonical_only else list(enumerate_rules(atoms))
+            rows = [(canonical, fields_of(canonical)), (canonical, CanonicalRow(fields_of(canonical)))]
+            if not canonical_only:
+                rows.append((pool, fields_of(pool)))
+            for prefix in product(pool, repeat=shape.length - 1):
+                for row_rules, row in rows:
+                    got = row_form(*prefix, row)
+                    assert got == [predicate(*prefix, r) for r in row_rules], (atoms, prefix)
+                    assert all(type(verdict) is bool for verdict in got), (atoms, prefix)
+
+    @pytest.mark.parametrize("name", ["cond_2_1_0", "cond_0_2_1", "cond_0_2_2"])
+    def test_canonical_only_row_forms_raise_for_a_non_canonical_rule(self, name):
+        shape, predicate, canonical_only = CONDITIONS[name]
+        assert canonical_only
+        row_form = ROW_FORMS[predicate]
+        canonical = list(enumerate_rules(1, canonical_only=True))
+        row = fields_of(canonical)
+        looping = Rule(0b1, 0b1, 0)  # a :- a.
+        # in the prefix, at each position, against a plain and a CanonicalRow row
+        for position in range(shape.length - 1):
+            for prefix in product(canonical, repeat=shape.length - 1):
+                prefix = list(prefix)
+                prefix[position] = looping
+                for checked in (row, CanonicalRow(row)):
+                    with pytest.raises(NotCanonicalError):
+                        row_form(*prefix, checked)
+        # in the row, at each position, after every canonical prefix: some of
+        # them decide the whole row without reading it
+        for position in range(len(row) + 1):
+            bad_row = row[:position] + [(0b1, 0b1, 0)] + row[position:]
+            for prefix in product(canonical, repeat=shape.length - 1):
+                with pytest.raises(NotCanonicalError):
+                    row_form(*prefix, bad_row)
+
+    def test_a_canonical_row_is_checked_once_when_built(self):
+        row = CanonicalRow(fields_of(list(enumerate_rules(2, canonical_only=True))))
+        assert row == tuple(fields_of(list(enumerate_rules(2, canonical_only=True))))
+        part = row.part([0, 3, 7])
+        assert type(part) is CanonicalRow and part == (row[0], row[3], row[7])
+        for bad in ((0b1, 0b1, 0), (0b1, 0, 0b1), (0, 0b11, 0b10)):
+            with pytest.raises(NotCanonicalError):
+                CanonicalRow([(0, 0b1, 0), bad])
+
+    def test_harness_rows_of_canonical_rules_are_canonical_rows(self):
+        for atoms in range(4):
+            rules_, fields, _masks, _full = _language_masks(atoms, True, atoms)
+            assert type(fields) is CanonicalRow and list(fields) == fields_of(rules_)
+            rules_, fields, _masks, _full = _language_masks(atoms, False, atoms)
+            assert type(fields) is list and fields == fields_of(rules_)
 
 
 class TestRenameInvariance:

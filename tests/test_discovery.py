@@ -22,6 +22,8 @@ from strongeq import (
     strongly_equivalent,
 )
 from strongeq import cond_2_1_0, discovery
+from strongeq.cli import CONDITIONS
+from strongeq.conditions import CanonicalRow
 from strongeq.discovery import (
     MISMATCH_CAP,
     DiscoveryReport,
@@ -327,10 +329,10 @@ class TestDiscoverPositives:
         # the order of a single scan over all outermost indices, which
         # builds every positive tuple before the first is returned
         for shape, iso in ((TupleShape(0, 1, 1), False), (TupleShape(1, 1, 0), True)):
-            rules, masks, full = discovery._language_masks(2, False, discovery.ENUM_ATOM_LIMIT)
+            rules, fields, masks, full = discovery._language_masks(2, False, discovery.ENUM_ATOM_LIMIT)
             ties = discovery._all_ties(2) if iso else 0
             *_counts, whole = discovery._scan_range(
-                (shape.k, shape.m, shape.n), rules, masks, discovery._never, full,
+                (shape.k, shape.m, shape.n), rules, fields, masks, discovery._never, full,
                 0, len(rules), ties, discovery._order_table(rules, ties),
                 len(rules) ** shape.length)
             assert list(discover_positive_tuples(shape, 2, modulo_iso=iso)) == [
@@ -341,7 +343,7 @@ class TestDiscoverPositives:
         scan = discovery._scan_range
 
         def counting(*args):
-            calls.append(args[5:7])
+            calls.append(args[6:8])
             return scan(*args)
 
         monkeypatch.setattr(discovery, "_scan_range", counting)
@@ -498,7 +500,7 @@ class TestOrderlyWalk:
         assert report.mismatch_count == 0
 
 
-def reference_scan(shape, rules, masks, condition, full, start, stop, ties, _order, cap):
+def reference_scan(shape, rules, _fields, masks, condition, full, start, stop, ties, _order, cap):
     """_scan_range as a per-tuple walk: the condition and the oracle are
     asked about one tuple at a time.  It takes _scan_range's arguments but
     makes its own order masks."""
@@ -572,7 +574,7 @@ class TestBatchedScan:
                 if not (shape.length == 3 and atoms == 2 and not canonical)
             ]
         for atoms, canonical, iso in cases:
-            rules, masks, full = discovery._language_masks(atoms, canonical, 7)
+            rules, fields, masks, full = discovery._language_masks(atoms, canonical, 7)
             ties = discovery._all_ties(atoms) if iso else 0
             ranges = [(0, len(rules)), (1, len(rules) - 1), (len(rules) // 2, len(rules))]
             for condition, (start, stop), cap in product(
@@ -586,9 +588,11 @@ class TestBatchedScan:
 
                 args = (full, start, stop, ties, discovery._order_table(rules, ties), cap)
                 got = discovery._scan_range(
-                    shape_tuple, rules, masks, functools.partial(recording, log=seen[0]), *args)
+                    shape_tuple, rules, fields, masks,
+                    functools.partial(recording, log=seen[0]), *args)
                 want = reference_scan(
-                    shape_tuple, rules, masks, functools.partial(recording, log=seen[1]), *args)
+                    shape_tuple, rules, fields, masks,
+                    functools.partial(recording, log=seen[1]), *args)
                 case = (atoms, canonical, iso, condition.__name__, start, stop, cap)
                 assert got == want, case
                 assert seen[0] == seen[1], case
@@ -599,14 +603,14 @@ class TestBatchedScan:
     def test_row_equality_verdicts_match_direct_comparison(self, atoms, canonical):
         # every rule's mask, a mask of no rule, and each asked twice: the
         # first request, the index built on the second, the kept lists
-        rules, masks, full = discovery._language_masks(atoms, canonical, 7)
-        row = discovery._Row(rules[::3], masks[::3])
+        rules, fields, masks, full = discovery._language_masks(atoms, canonical, 7)
+        row = discovery._Row(rules[::3], fields[::3], masks[::3])
         targets = [full, masks[1], *masks[::3], full ^ 1, masks[1]]
         for target in targets * 2:
             assert row.equal(target) == [mi == target for mi in row.masks], target
 
     def test_an_exception_in_the_condition_propagates(self):
-        rules, masks, full = discovery._language_masks(2, False, 7)
+        rules, fields, masks, full = discovery._language_masks(2, False, 7)
         calls = []
 
         def failing(*tup):
@@ -617,7 +621,7 @@ class TestBatchedScan:
 
         with pytest.raises(RuntimeError, match="condition failed"):
             discovery._scan_range(
-                (1, 1, 0), rules, masks, failing, full, 0, len(rules), 0, ((), ()), 5)
+                (1, 1, 0), rules, fields, masks, failing, full, 0, len(rules), 0, ((), ()), 5)
         assert len(calls) == 100
 
     @pytest.mark.parametrize("job_count", [1, 2])
@@ -627,6 +631,88 @@ class TestBatchedScan:
         tuples = list(itertools.islice(enumerate_tuples(TupleShape(1, 1, 0), 2), MISMATCH_CAP))
         assert [mm.rules for mm in report.mismatches] == tuples
         assert all(mm.oracle != mm.condition for mm in report.mismatches)
+
+
+def call_predicate(predicate, *rules):
+    """A predicate called through a wrapper, which has no row form."""
+    return predicate(*rules)
+
+
+class Unhashable:
+    """A callable condition that cannot be a dict key."""
+
+    __hash__ = None
+
+    def __init__(self, predicate):
+        self.predicate = predicate
+
+    def __call__(self, *rules):
+        return self.predicate(*rules)
+
+
+class TestRowFormsInTheScan:
+    """A registered predicate is decided by its row form, one call per
+    row; any other callable per tuple, with the same report."""
+
+    @pytest.mark.parametrize("name", sorted(CONDITIONS))
+    def test_one_row_form_call_per_row(self, monkeypatch, name):
+        shape, predicate, _canonical_only = CONDITIONS[name]
+        real = discovery._ROW_FORMS[predicate]
+        rows = []
+
+        def recording(*args):
+            rows.append((len(args) - 1, type(args[-1]), len(args[-1])))
+            return real(*args)
+
+        monkeypatch.setitem(discovery._ROW_FORMS, predicate, recording)
+        report = test_conjecture(shape, 2, predicate, canonical_only=True)
+        # 15 canonical rules over 2 atoms: one row of 15 per prefix
+        prefixes = 15 ** (shape.length - 1)
+        assert rows == [(shape.length - 1, CanonicalRow, 15)] * prefixes
+        assert report.total_tuples == 15 * prefixes
+
+    @pytest.mark.parametrize("name", sorted(CONDITIONS))
+    def test_a_wrapped_predicate_is_called_per_tuple_with_the_same_report(self, name):
+        shape, predicate, canonical_only = CONDITIONS[name]
+        calls = []
+
+        def wrapped(*rules):
+            calls.append(rules)
+            return predicate(*rules)
+
+        for canonical, iso in product({True, canonical_only}, (False, True)):
+            calls.clear()
+            direct = test_conjecture(shape, 2, predicate, canonical, iso)
+            assert direct.total_tuples > 0
+            for other in (wrapped, lambda *a: predicate(*a), Unhashable(predicate)):
+                report = test_conjecture(shape, 2, other, canonical, iso)
+                assert report._replace(elapsed_ms=0) == direct._replace(elapsed_ms=0), other
+            assert len(calls) == direct.total_tuples
+
+    @pytest.mark.parametrize("name", ["cond_0_2_1", "s_implies"])
+    def test_wrapped_and_row_form_reports_agree_at_one_and_two_jobs(self, name):
+        shape, predicate, canonical_only = CONDITIONS[name]
+        wrapped = functools.partial(call_predicate, predicate)
+        reports = [
+            test_conjecture(shape, 2, condition, canonical_only, job_count=jobs)
+            for condition in (predicate, wrapped)
+            for jobs in (1, 2)
+        ]
+        assert reports[0].total_tuples > 0
+        for report in reports[1:]:
+            assert report._replace(elapsed_ms=0) == reports[0]._replace(elapsed_ms=0)
+
+    def test_positive_tuples_take_the_row_form_of_never(self, monkeypatch):
+        rows = []
+
+        def recording(*args):
+            rows.append(len(args[-1]))
+            return discovery._never_row(*args)
+
+        monkeypatch.setitem(discovery._ROW_FORMS, discovery._never, recording)
+        positives = list(discover_positive_tuples(TupleShape(1, 1, 0), 2))
+        assert rows == [63] * 63
+        assert len(positives) == test_conjecture(TupleShape(1, 1, 0), 2, never).se_positive_count
 
 
 _LAYOUT_2 = ht_pair_masks(2)

@@ -22,9 +22,11 @@ from strongeq import (
     simplify,
     strongly_equivalent,
 )
+from strongeq import oracle
 from strongeq.discovery import ht_pair_masks, rule_mask
 from strongeq.oracle import (
     cube_worlds,
+    first_set,
     kept_slices,
     primed_failures,
     separating_worlds,
@@ -571,3 +573,75 @@ class TestWorldMask:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+def old_first_set(layout, mask):
+    """The first set of a mask as the walk reads it, per-size masks and all."""
+    return next(kept_slices(layout, mask))[0]
+
+
+class TestFirstHereWorld:
+    """The countermodel's x is the first set of the difference at its y,
+    read off the mask without the walk's per-size masks."""
+
+    def test_first_set_is_the_first_one_the_walk_reads(self):
+        rng = random.Random(97)
+        for lang in LANGS:
+            layout = world_layout(lang)
+            width = 1 << lang.bit_count()
+            for kind in range(4):
+                for _ in range(30):
+                    if kind == 0:  # dense
+                        mask = rng.getrandbits(width)
+                    elif kind == 1:  # one set
+                        mask = 1 << rng.randrange(width)
+                    elif kind == 2:  # a few sets
+                        mask = sum({1 << rng.randrange(width) for _ in range(rng.randint(1, 4))})
+                    else:  # sparse
+                        mask = rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)
+                    if mask:
+                        assert first_set(layout, mask) == old_first_set(layout, mask), (lang, mask)
+
+    def test_countermodels_agree_with_the_walks_lookup(self, monkeypatch):
+        rng = random.Random(98)
+        pairs = []
+        for _ in range(200):
+            atom_count = rng.randint(1, 12)
+            ids = sorted(rng.sample(range(30), atom_count))
+            p = rename_program(random_program(rng, atom_count, 6), dict(enumerate(ids)))
+            if not p.rules:
+                continue
+            i = rng.randrange(len(p.rules))
+            q = Program(p.rules[:i] + (perturbed(rng, p.rules[i], ids),) + p.rules[i + 1:])
+            pairs += [(p, q), (q, p)]
+        got = [strongly_equivalent(p, q) for p, q in pairs]
+        monkeypatch.setattr(oracle, "first_set", old_first_set)
+        assert got == [strongly_equivalent(p, q) for p, q in pairs]
+        xs = {v.countermodel.x.bit_count() for v in got if not v.equivalent}
+        assert len([v for v in got if not v.equivalent]) > 150 and max(xs) >= 4
+
+    def test_the_lookup_builds_no_per_size_masks(self, monkeypatch):
+        # the pairs differ only at y = every atom; before, reading the first
+        # x there built the masks of |x| = 11 atoms, unread
+        sizes = []
+        real = oracle._rank_masks
+
+        def recording(size):
+            sizes.append(size)
+            return real(size)
+
+        monkeypatch.setattr(oracle, "_rank_masks", recording)
+        t = Symbols()
+        body = ", ".join(f"b{i}" for i in range(1, 12))
+        p1 = parse_program(f"h :- {body}.", t)
+        p2 = parse_program(f"h :- {body}, not h.", t)
+        verdict = strongly_equivalent(p1, p2)
+        assert verdict.countermodel == HTPair(p1.atoms & ~t.mask("h"), p1.atoms)
+        assert sizes == [12]
+        # on random pairs, one set of masks per size the y walk reaches
+        rng = random.Random(99)
+        for _ in range(100):
+            for p, q, _kind in mostly_shared_pairs(rng):
+                sizes.clear()
+                if not strongly_equivalent(p, q).equivalent:
+                    assert sizes == sorted(set(sizes)), (p, q)
