@@ -6,20 +6,21 @@ discovery harness re-verifies every one of these predicates against the
 semantic oracle by exhaustive enumeration.
 
 Each predicate also has a row form, `ROW_FORMS[predicate]`: it fixes every
-rule but the last and decides a whole row of last rules, given as their
-(hd, ps, ng) field triples, returning the verdicts in row order.  It reads
-the fixed rules once and hoists every term that depends on them alone.  A
-canonical-only row form checks the fixed rules once per call and the row
-once: a `CanonicalRow` was checked when it was built, any other row is
-checked on each call.  The harness calls the row forms; the simplifier
-calls the predicates, one tuple at a time (a row form called on a
-one-rule row took about 3.5 times as long), and the tests tie the two
-forms together exhaustively.
+rule but the last and decides a whole row of last rules, given as a
+`SlicedRow`, returning the verdicts as one int, bit i for the row's i-th
+rule.  The set algebra becomes lookups in the row's tables: r2 holds
+r1's positive body iff r2 is in `sup_ps[ps1]`, so `s_implies` is the AND
+of four entries, and `_redundant` is a few entries per witness atom.  A
+canonical-only row form checks the fixed rules on each call and the row
+by its `canonical` flag, read once when the row was built.  The harness
+calls the row forms; the simplifier calls the predicates, one tuple at a
+time, and the tests tie the two forms together exhaustively.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Sequence
 
 from .errors import NotCanonicalError
 from .syntax import Rule
@@ -212,152 +213,198 @@ def cond_0_2_2(r1: Rule, r2: Rule, r3: Rule, r4: Rule) -> bool:
     )
 
 
-def _check_row(row: Sequence[Fields]) -> None:
-    """Raise NotCanonicalError unless every rule of the row is canonical."""
-    for hd, ps, ng in row:
-        if hd & (ps | ng) | ps & ng:
+# bytes.translate tables: an octet to b"1" or b"0" by its bit j
+_BIT_DIGITS = [bytes(0x30 | v >> j & 1 for v in range(256)) for j in range(8)]
+
+
+def _columns(digits: bytes, atom_count: int) -> list[int]:
+    """Per atom j, the int whose bit i is set iff atom j is in the i-th
+    value, the values given as octets, the last one first."""
+    return [int(digits.translate(_BIT_DIGITS[j]) or b"0", 2) for j in range(atom_count)]
+
+
+def _set_table(columns: list[int], start: int) -> list[int]:
+    """table[S]: the AND of start and columns[j] over the atoms j in S."""
+    table = [start]
+    for column in columns:  # the sets holding atom j follow those that do not
+        table += [t & column for t in table]
+    return table
+
+
+class SlicedRow:
+    """A row of rules bit-sliced: bit i of every int stands for the row's
+    i-th rule.  `hd`, `ps`, `ng` and `hn` (hd | ng) hold one column per
+    atom, the rules whose field holds the atom; `deletable` holds the rules
+    deletable on their own.  `sup_F[S]` and `miss_F[S]`, for F one of
+    those four fields, are the rules whose F holds every atom of the set S
+    and those whose F misses S; the four tables of a kind are built on
+    the first read of one of them, so a row keeps only the kinds its
+    reads need.  Canonicity is read off the columns once, when the row is
+    built."""
+
+    def __init__(self, fields: Sequence[Fields], atom_count: int) -> None:
+        """The row of these (hd, ps, ng) triples over at most 8 atoms: each
+        field is read as one octet (bytes raises ValueError past that)."""
+        self.ones = (1 << len(fields)) - 1
+        self.atoms = (1 << atom_count) - 1
+        # the octets of ng, ps and hd of each rule in turn, the last rule first
+        digits = bytes(chain.from_iterable(fields))[::-1]
+        self.ng = _columns(digits[0::3], atom_count)
+        self.ps = _columns(digits[1::3], atom_count)
+        self.hd = _columns(digits[2::3], atom_count)
+        self.hn = [hd | ng for hd, ng in zip(self.hd, self.ng)]
+        mixed = deletable = 0
+        for hd, ps, ng, hn in zip(self.hd, self.ps, self.ng, self.hn):
+            mixed |= hd & (ps | ng) | ps & ng
+            deletable |= hn & ps
+        self.canonical = not mixed
+        self.deletable = deletable
+
+    def __getattr__(self, name: str) -> list[int]:
+        # reached only while the table is unbuilt: build it, with the other
+        # three of its kind, and keep them
+        kind, _, field = name.partition("_")
+        if kind not in ("sup", "miss") or field not in _FIELDS:
+            raise AttributeError(name)
+        tables = self.__dict__
+        ones = self.ones
+        for each in _FIELDS:
+            columns = tables[each]
+            if kind == "miss":
+                columns = [ones ^ column for column in columns]
+            tables[f"{kind}_{each}"] = _set_table(columns, ones)
+        return tables[name]
+
+
+_FIELDS = ("hd", "ps", "ng", "hn")
+
+
+def _check_fixed(*rules: Rule) -> None:
+    """Raise NotCanonicalError unless every fixed rule is canonical."""
+    for r in rules:
+        if r.hd & (r.ps | r.ng) | r.ps & r.ng:
             raise NotCanonicalError(_NOT_CANONICAL)
 
 
-class CanonicalRow(tuple):
-    """Field triples checked canonical once, when the row is built, so
-    that a row form need not check them again on each call (a row of the
-    harness meets one call per prefix) and may rely on them: no canonical
-    rule is deletable on its own."""
-
-    __slots__ = ()
-
-    def __new__(cls, fields: Iterable[Fields]) -> CanonicalRow:
-        row = tuple.__new__(cls, fields)
-        _check_row(row)
-        return row
-
-    def part(self, indices: Iterable[int]) -> CanonicalRow:
-        """The triples at these indices, as canonical as this row."""
-        return tuple.__new__(CanonicalRow, [self[i] for i in indices])
+def _check_row(row: SlicedRow) -> None:
+    if not row.canonical:
+        raise NotCanonicalError(_NOT_CANONICAL)
 
 
-def row_0_1_0(row: Sequence[Fields]) -> list[bool]:
+def row_0_1_0(row: SlicedRow) -> int:
     """cond_0_1_0(r) for each rule r of the row."""
-    if row.__class__ is CanonicalRow:  # a canonical rule is never deletable
-        return [False] * len(row)
-    return [(hd | ng) & ps != 0 for hd, ps, ng in row]
+    return row.deletable
 
 
-def row_1_1_0(r1: Rule, row: Sequence[Fields]) -> list[bool]:
+def row_1_1_0(r1: Rule, row: SlicedRow) -> int:
     """cond_1_1_0(r1, r2) for each rule r2 of the row."""
-    hd1, ps1, ng1 = r1.hd, r1.ps, r1.ng
-    if row.__class__ is CanonicalRow:  # no r2 is deletable on its own
-        return [
-            True if ps1 | ps == ps and ng1 | ng == ng and hd1 | (hn := hd | ng) == hn else False
-            for hd, ps, ng in row
-        ]
-    return [
-        True if (hn := hd | ng) & ps or ps1 | ps == ps and ng1 | ng == ng and hd1 | hn == hn
-        else False
-        for hd, ps, ng in row
-    ]
+    return row.deletable | row.sup_ps[r1.ps] & row.sup_ng[r1.ng] & row.sup_hn[r1.hd]
 
 
-def row_s_implies(r1: Rule, row: Sequence[Fields]) -> list[bool]:
-    """s_implies(r1, r2) for each rule r2 of the row."""
-    hd1, ps1, ng1 = r1.hd, r1.ps, r1.ng
-    off1 = ~ng1
-    return [
-        ps1 | ps == ps and ng1 | ng == ng and hd1 | (h := hd | ng & off1) == h
-        for hd, ps, ng in row
-    ]
+def row_s_implies(r1: Rule, row: SlicedRow) -> int:
+    """s_implies(r1, r2) for each rule r2 of the row: an atom of hd1 in
+    ng1 must be in hd2, any other in hd2 | ng2."""
+    hd1, ng1 = r1.hd, r1.ng
+    return row.sup_ps[r1.ps] & row.sup_ng[ng1] & row.sup_hd[hd1 & ng1] & row.sup_hn[hd1 & ~ng1]
 
 
-def row_0_1_1(r1: Rule, row: Sequence[Fields]) -> list[bool]:
+def row_0_1_1(r1: Rule, row: SlicedRow) -> int:
     """cond_0_1_1(r1, r2) for each rule r2 of the row.  Equal fields make
     r1 and r2 deletable alike, so with r1 deletable the verdict is whether
     r2 is, and otherwise whether the fields are equal."""
     hn1, ps1, ng1 = r1.hd | r1.ng, r1.ps, r1.ng
     if hn1 & ps1:
-        return [(hd | ng) & ps != 0 for hd, ps, ng in row]
-    return [ps == ps1 and ng == ng1 and hd | ng == hn1 for hd, ps, ng in row]
+        return row.deletable
+    atoms = row.atoms
+    return (
+        row.sup_ps[ps1] & row.miss_ps[atoms ^ ps1]
+        & row.sup_ng[ng1] & row.miss_ng[atoms ^ ng1]
+        & row.sup_hn[hn1] & row.miss_hn[atoms ^ hn1]
+    )
 
 
-def row_2_1_0(r1: Rule, r2: Rule, row: Sequence[Fields]) -> list[bool]:
-    """cond_2_1_0(r1, r2, r3) for each rule r3 of the row: `_redundant`
-    with the witness set and the cross checks' masks read off r1 and r2
-    once."""
+def _supported(r1: Rule, r2: Rule, row: SlicedRow) -> int:
+    """`_redundant(r1, r2, r3)` for each rule r3 of the row: r3 holds r1
+    or r2 whole (an empty misfit), or both but for one witness atom p,
+    which must pass the cross checks."""
     hd1, ps1, ng1 = r1.hd, r1.ps, r1.ng
     hd2, ps2, ng2 = r2.hd, r2.ps, r2.ng
-    if hd1 & (ps1 | ng1) | ps1 & ng1 | hd2 & (ps2 | ng2) | ps2 & ng2:
-        raise NotCanonicalError(_NOT_CANONICAL)
-    if row.__class__ is not CanonicalRow:
-        _check_row(row)
-    witness = (ps1 | ps2) & (hd1 | hd2 | ng1 | ng2)
-    cross1, cross2 = ps1 & ng2, ps2 & ng1
-    return [
-        not (m1 := hd1 & ~(hn := hd | ng) | ps1 & ~ps | ng1 & ~ng)
-        or not (m2 := hd2 & ~hn | ps2 & ~ps | ng2 & ~ng)
-        or not (
-            (p := m1 | m2) & (p - 1)
-            or not p & witness
-            or p & cross1 and hd1 & hd
-            or p & cross2 and hd2 & hd
-        )
-        for hd, ps, ng in row
-    ]
+    sup_hn, sup_ps, sup_ng = row.sup_hn, row.sup_ps, row.sup_ng
+    rows = sup_hn[hd1] & sup_ps[ps1] & sup_ng[ng1] | sup_hn[hd2] & sup_ps[ps2] & sup_ng[ng2]
+    hd, ps, ng = hd1 | hd2, ps1 | ps2, ng1 | ng2
+    witness = ps & (hd | ng)
+    while witness:
+        p = witness & -witness
+        witness ^= p
+        both = sup_hn[hd & ~p] & sup_ps[ps & ~p] & sup_ng[ng & ~p]
+        if p & ps1 & ng2:
+            both &= row.miss_hd[hd1]
+        if p & ps2 & ng1:
+            both &= row.miss_hd[hd2]
+        rows |= both
+    return rows
 
 
-def row_0_2_1(r1: Rule, r2: Rule, row: Sequence[Fields]) -> list[bool]:
+def _supporting(r1: Rule, row: SlicedRow, r3: Rule) -> int:
+    """`_redundant(r1, r2, r3)` for each rule r2 of the row.  r1's misfit
+    in r3 is fixed: empty, every r2 will do; of two atoms or more, only an
+    r2 that fits whole; of one atom p, also an r2 whose misfit is p, where
+    p passes the witness test and the cross checks."""
+    hn3, ps3, ng3 = r3.hd | r3.ng, r3.ps, r3.ng
+    m1 = r1.hd & ~hn3 | r1.ps & ~ps3 | r1.ng & ~ng3
+    if not m1:
+        return row.ones
+    miss_hd, miss_ps, miss_ng = row.miss_hd, row.miss_ps, row.miss_ng
+    off_hd, off_ps, off_ng = row.atoms & ~hn3, row.atoms & ~ps3, row.atoms & ~ng3
+    rows = miss_hd[off_hd] & miss_ps[off_ps] & miss_ng[off_ng]
+    if m1 & (m1 - 1):
+        return rows
+    p = m1
+    one = miss_hd[off_hd & ~p] & miss_ps[off_ps & ~p] & miss_ng[off_ng & ~p]
+    if not p & r1.ps:
+        one &= row.sup_ps[p]
+    if not p & (r1.hd | r1.ng):
+        one &= row.sup_hn[p]
+    if p & r1.ps and r1.hd & r3.hd:
+        one &= miss_ng[p]
+    if p & r1.ng:
+        one &= ~(row.sup_ps[p] & ~miss_hd[r3.hd])
+    return rows | one
+
+
+def row_2_1_0(r1: Rule, r2: Rule, row: SlicedRow) -> int:
+    """cond_2_1_0(r1, r2, r3) for each rule r3 of the row."""
+    _check_fixed(r1, r2)
+    _check_row(row)
+    return _supported(r1, r2, row)
+
+
+def row_0_2_1(r1: Rule, r2: Rule, row: SlicedRow) -> int:
     """cond_0_2_1(r1, r2, r3) for each rule r3 of the row: whether r3 fits
-    inside the caps of r1's and r2's fields, then `row_2_1_0`'s test."""
-    hd1, ps1, ng1 = r1.hd, r1.ps, r1.ng
-    hd2, ps2, ng2 = r2.hd, r2.ps, r2.ng
-    if hd1 & (ps1 | ng1) | ps1 & ng1 | hd2 & (ps2 | ng2) | ps2 & ng2:
-        raise NotCanonicalError(_NOT_CANONICAL)
-    if row.__class__ is not CanonicalRow:
-        _check_row(row)
-    off_hd, off_ps, off_ng = ~((hd1 | ng1) & (hd2 | ng2)), ~(ps1 & ps2), ~(ng1 & ng2)
-    witness = (ps1 | ps2) & (hd1 | hd2 | ng1 | ng2)
-    cross1, cross2 = ps1 & ng2, ps2 & ng1
-    return [
-        not (hd & off_hd or ps & off_ps or ng & off_ng)
-        and (
-            not (m1 := hd1 & ~(hn := hd | ng) | ps1 & ~ps | ng1 & ~ng)
-            or not (m2 := hd2 & ~hn | ps2 & ~ps | ng2 & ~ng)
-            or not (
-                (p := m1 | m2) & (p - 1)
-                or not p & witness
-                or p & cross1 and hd1 & hd
-                or p & cross2 and hd2 & hd
-            )
-        )
-        for hd, ps, ng in row
-    ]
+    inside the caps of r1's and r2's fields, and `_supported`."""
+    _check_fixed(r1, r2)
+    _check_row(row)
+    atoms = row.atoms
+    caps = (
+        row.miss_hd[atoms & ~((r1.hd | r1.ng) & (r2.hd | r2.ng))]
+        & row.miss_ps[atoms & ~(r1.ps & r2.ps)]
+        & row.miss_ng[atoms & ~(r1.ng & r2.ng)]
+    )
+    return caps and caps & _supported(r1, r2, row)
 
 
-def row_0_2_2(r1: Rule, r2: Rule, r3: Rule, row: Sequence[Fields]) -> list[bool]:
+def row_0_2_2(r1: Rule, r2: Rule, r3: Rule, row: SlicedRow) -> int:
     """cond_0_2_2(r1, r2, r3, r4) for each rule r4 of the row.  The first
     of its four `_redundant` tests depends on r1, r2 and r3 alone: it is
     made once, and where it fails so does the whole row."""
-    hd1, ps1, ng1 = r1.hd, r1.ps, r1.ng
-    hd2, ps2, ng2 = r2.hd, r2.ps, r2.ng
-    hd3, ps3, ng3 = r3.hd, r3.ps, r3.ng
-    if (
-        hd1 & (ps1 | ng1) | ps1 & ng1
-        | hd2 & (ps2 | ng2) | ps2 & ng2
-        | hd3 & (ps3 | ng3) | ps3 & ng3
-    ):
-        raise NotCanonicalError(_NOT_CANONICAL)
-    if row.__class__ is not CanonicalRow:
-        _check_row(row)
-    if not _redundant(hd1, ps1, ng1, hd2, ps2, ng2, hd3, ps3, ng3):
-        return [False] * len(row)
-    return [
-        _redundant(hd1, ps1, ng1, hd2, ps2, ng2, hd, ps, ng)
-        and _redundant(hd3, ps3, ng3, hd, ps, ng, hd1, ps1, ng1)
-        and _redundant(hd3, ps3, ng3, hd, ps, ng, hd2, ps2, ng2)
-        for hd, ps, ng in row
-    ]
+    _check_fixed(r1, r2, r3)
+    _check_row(row)
+    if not _redundant(r1.hd, r1.ps, r1.ng, r2.hd, r2.ps, r2.ng, r3.hd, r3.ps, r3.ng):
+        return 0
+    return _supported(r1, r2, row) & _supporting(r3, row, r1) & _supporting(r3, row, r2)
 
 
-RowForm = Callable[..., list[bool]]
+RowForm = Callable[..., int]
 
 # The row form of each predicate, looked up by the predicate itself.
 ROW_FORMS: dict[Callable[..., bool], RowForm] = {

@@ -19,20 +19,23 @@ few big-int operations, not one `here_mask` per y.  The tests check the
 masks against the pair-by-pair `delta_holds` of tests/reference.py.
 
 The walk fixes every position but the last, then decides the whole row
-of last rules at once.  A registered predicate is decided by one call of
-its row form (`conditions.ROW_FORMS`, looked up by the predicate itself)
-with the fixed rules and the row's (hd, ps, ng) triples, built once with
-the rules; the rows of canonical rules are `CanonicalRow`s, checked once.
-Any other callable, a user's condition or a wrapper around a registered
-one, is called once per tuple of the row, in row order, as a per-tuple
-walk would call it.  One list comprehension ANDs and compares masks for
-the oracle, and the counts come from the two lists of verdicts.  Where
-the side the last rule joins has no other rule yet (the only side of
-0,1,0, the right side of 0,1,1 and 0,2,1), its mask is all-ones and the
-oracle's verdict is whether the rule's mask equals the other side's:
-that list is read from an index of the row's positions per distinct
-mask.  Only a row where the lists differ is walked tuple by tuple, to
-count its mismatches and record them under the cap.
+of last rules at once, bit-sliced (Biham 1997): the verdicts on a row
+are one int, bit i for the row's i-th rule, for the oracle and for the
+condition alike.  A registered predicate is decided by one call of its
+row form (`conditions.ROW_FORMS`, looked up by the predicate itself) on
+the fixed rules and the row's `SlicedRow`.  Any other callable, a user's
+condition or a wrapper around a registered one, is called once per tuple
+of the row, in row order, as a per-tuple walk would call it, and its
+verdicts are packed into an int.  On the oracle's side, a rule mi joins
+one side or both: ma & mi == mb holds iff mb is within ma and mi holds
+at every pair of mb and at none of ma ^ mb, which the row reads off the
+transpose of its masks through per-group lookup tables.  Where the side
+the last rule joins has no other rule yet (the only side of 0,1,0, the
+right side of 0,1,1 and 0,2,1), the verdict is whether the rule's mask
+equals the other side's, read from the positions of each distinct mask.
+The counts are bit counts, and only the bits of oracle ^ condition are
+walked, from the low bit, to record mismatches under the cap.  A row is
+built once per tie mask and keeps what its reads have built.
 
 With modulo_iso the walk is orderly (Read 1978; McKay 1998): it visits
 exactly the tuples that are their own `iso_canonical_form`, in enumeration
@@ -62,11 +65,10 @@ from __future__ import annotations
 import os
 import time
 from itertools import product, starmap
-from operator import ne
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
-from .conditions import ROW_FORMS, CanonicalRow, Fields, RowForm
-from .errors import TooManyAtomsError
+from .conditions import ROW_FORMS, Fields, RowForm, SlicedRow
+from .errors import TableBudgetError, TooManyAtomsError
 from .syntax import Rule, Symbols, format_rule, iso_canonical_form
 
 ENUM_ATOM_LIMIT = 7
@@ -122,12 +124,14 @@ class DiscoveryReport(NamedTuple):
     def to_json(self) -> dict:
         """The report with its rules written over `language_symbols`."""
         symbols = language_symbols(self.atom_count)
-        texts: dict[Rule, str] = {}  # mismatches share most of their rules
+        # mismatches share most of their rules, the very objects; keyed by
+        # id, since Rule's own hash is Python code
+        texts: dict[int, str] = {}
 
         def text(r: Rule) -> str:
-            t = texts.get(r)
+            t = texts.get(id(r))
             if t is None:
-                t = texts[r] = format_rule(r, symbols)
+                t = texts[id(r)] = format_rule(r, symbols)
             return t
 
         return {
@@ -160,6 +164,36 @@ def language_symbols(atom_count: int) -> Symbols:
 def _check_atom_count(atom_count: int, max_atoms: int) -> None:
     if atom_count > max_atoms:
         raise TooManyAtomsError("rule enumeration", atom_count, max_atoms)
+
+
+# The memory budget of a scan's tables for one row, in bits: 2^32 bits,
+# 512 MiB.  Of the runs the default limits admit, it refuses only those
+# without --canonical of 0,1,0 over 7 atoms and of 1,1,0 over 6.
+TABLE_BITS = 1 << 32
+
+
+def _table_bits(shape: TupleShape, atom_count: int, canonical_only: bool) -> int:
+    """Bits of the tables a scan may build for a row of every rule: the
+    masks, the fields' columns and `SlicedRow` tables and, unless the last
+    rule is alone on its side, the masks' transpose and lookup tables."""
+    rule_count = (4 if canonical_only else 8) ** atom_count - 1
+    pairs = 3**atom_count
+    bits = rule_count * (pairs + 3 * atom_count + (8 << atom_count))
+    if not (shape.k == 0 and (shape.n == 1 or shape.n == 0 and shape.m == 1)):
+        group = _group_size(atom_count)
+        bits += rule_count * (pairs + (2 * -(-pairs // group) << group))
+    return bits
+
+
+def _check_table_bits(
+    shape: TupleShape, atom_count: int, canonical_only: bool, max_atoms: int
+) -> None:
+    """Refuse, with TableBudgetError, a scan whose tables pass TABLE_BITS;
+    the atom limit is checked first."""
+    _check_atom_count(atom_count, max_atoms)
+    bits = _table_bits(shape, atom_count, canonical_only)
+    if bits > TABLE_BITS:
+        raise TableBudgetError("rule-tuple scan", atom_count, bits, TABLE_BITS)
 
 
 def enumerate_rules(
@@ -253,21 +287,25 @@ def rule_mask(
     return full ^ (ny[r.ng] & (ax[r.ps] & nx[r.hd] | ay[r.ps] & ny[r.hd]))
 
 
-def _language_masks(
-    atom_count: int, canonical_only: bool, max_atoms: int
-) -> tuple[list[Rule], Sequence[Fields], list[int], int]:
-    """Enumerated rules, their field triples (a CanonicalRow for canonical
-    rules), their masks, and the all-ones mask over 3^a pairs."""
+class _Language(NamedTuple):
+    """An enumeration language: its rules, their field triples and masks,
+    and the all-ones mask over its 3^a pairs."""
+
+    atom_count: int
+    rules: list[Rule]
+    fields: list[Fields]
+    masks: list[int]
+    full: int
+
+
+def _language_masks(atom_count: int, canonical_only: bool, max_atoms: int) -> _Language:
+    """The enumerated rules of a language with their fields and masks."""
     _check_atom_count(atom_count, max_atoms)
-    if canonical_only:
-        # canonical by construction, so built without CanonicalRow's check
-        fields = tuple.__new__(CanonicalRow, _rule_fields(atom_count, True))
-    else:
-        fields = list(_rule_fields(atom_count, False))
+    fields = list(_rule_fields(atom_count, canonical_only))
     rules = list(starmap(Rule, fields))
     layout = ht_pair_masks(atom_count)
     masks = [rule_mask(r, layout) for r in rules]
-    return rules, fields, masks, layout[0]
+    return _Language(atom_count, rules, fields, masks, layout[0])
 
 
 def _all_ties(atom_count: int) -> int:
@@ -324,85 +362,155 @@ def _split_ranges(weights: list[float], parts: int) -> list[tuple[int, int]]:
     bounds = [0]
     done = 0.0
     for i, weight in enumerate(weights):
+        if len(bounds) == parts:  # the last range runs to the end
+            break
         done += weight
-        if len(bounds) < parts and done * parts >= total * len(bounds):
+        if done * parts >= total * len(bounds):
             bounds.append(i + 1)
     bounds.append(len(weights))
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
+def _group_size(atom_count: int) -> int:
+    """Pairs per group of a row's lookup tables, which have an entry for
+    each subset of a group's pairs: a table of 2^g entries saves lookups
+    on every decision of its row, and rows are decided about 4^a times
+    as often in a language of a atoms, so larger languages take larger
+    groups, up to 8 pairs (256 entries)."""
+    return min(8, 2 * atom_count + 1)
+
+
 class _Row:
-    """The rules a last position runs over, the cells the condition's row
-    form reads (their field triples, or the rules themselves for a
-    condition decided one tuple at a time) and the rules' masks, with the
-    verdicts `mask == target` for the whole row.  From a row's second
-    request on, those are set from an index of the positions of each
-    distinct mask, into a copy of one all-False list that is itself the
-    answer for a target that is no rule's mask.  A row asked once, such as
-    the only row of a one-rule shape, is compared directly: building the
-    index costs about two comparisons of the row."""
+    """The rules a last position runs over, their masks and their fields
+    as a `SlicedRow`, with the oracle's verdicts for a whole row as one
+    int (bit i: the row's i-th rule).
 
-    __slots__ = ("rules", "cells", "masks", "_asked", "_positions", "_none")
+    `holding(req, forb)` gives the rules whose mask holds every pair of
+    req and none of forb, from the transpose of the masks (`holds()[p]`:
+    the rules holding at pair p) read through lookup tables, two per
+    group of `_group_size` pairs, each built when first read: the AND of
+    `holds` over each subset of the group's pairs, and of their
+    complements.  `equal(target)` gives the rules whose mask is target:
+    the first request compares directly, later ones read an index of the
+    positions of each distinct mask.  The index keeps positions, not an
+    int per mask, which would hold about R^2/2 bits over a row of R rules."""
 
-    def __init__(self, rules: list[Rule], cells: Sequence, masks: list[int]) -> None:
-        self.rules = rules
-        self.cells = cells
-        self.masks = masks
-        self._asked = False
+    def __init__(self, language: _Language, indices: range | list[int] | None = None) -> None:
+        """The row of the rules at these indices, or of every rule."""
+        if indices is None:
+            self.rules, fields, self.masks = language.rules, language.fields, language.masks
+        else:
+            self.rules = [language.rules[i] for i in indices]
+            fields = [language.fields[i] for i in indices]
+            self.masks = [language.masks[i] for i in indices]
+        self.sliced = SlicedRow(fields, language.atom_count)
+        self.group = _group_size(language.atom_count)
+        groups = -(-(3**language.atom_count) // self.group)
+        self._tables: list[list[int] | None] = [None] * (2 * groups)
         self._positions: dict[int, list[int]] | None = None
-        self._none: list[bool] = []
+        self._holds: list[int] | None = None
 
-    def equal(self, target: int) -> list[bool]:
-        if not self._asked:
-            self._asked = True
-            return [mi == target for mi in self.masks]
-        if self._positions is None:
+    def equal(self, target: int) -> int:
+        if self._positions is None:  # asked first: compare directly
             self._positions = {}
-            for i, mi in enumerate(self.masks):
-                self._positions.setdefault(mi, []).append(i)
-            self._none = [False] * len(self.masks)
-        positions = self._positions.get(target)
-        if positions is None:
-            return self._none
-        verdicts = self._none.copy()
+            positions = [i for i, mi in enumerate(self.masks) if mi == target]
+        else:
+            if not self._positions:
+                for i, mi in enumerate(self.masks):
+                    self._positions.setdefault(mi, []).append(i)
+            positions = self._positions.get(target, ())
+        rows = 0
         for i in positions:
-            verdicts[i] = True
-        return verdicts
+            rows |= 1 << i
+        return rows
+
+    def holds(self) -> list[int]:
+        """`rule_mask` transposed: the translation fails where ng misses y
+        and either ps is within x while hd misses x, or ps is within y
+        while hd misses y.  Each of those three sets of rules is an AND of
+        one column per atom, chosen by the atom's digit, so they are built
+        like the layout, by tripling the pairs once per atom."""
+        if self._holds is None:
+            row = self.sliced
+            ones = row.ones
+            parts = [(ones, ones, ones)]  # (ng misses y, x side, y side)
+            for hd, ps, ng in zip(row.hd, row.ps, row.ng):
+                off_hd, off_ps, off_ng = ones ^ hd, ones ^ ps, ones ^ ng
+                parts = (
+                    [(n, x & off_ps, y & off_ps) for n, x, y in parts]  # outside y
+                    + [(n & off_ng, x & off_ps, y & off_hd) for n, x, y in parts]  # y only
+                    + [(n & off_ng, x & off_hd, y & off_hd) for n, x, y in parts]  # in x
+                )
+            self._holds = [ones ^ (n & (x | y)) for n, x, y in parts]
+        return self._holds
+
+    def _table(self, at: int) -> list[int]:
+        """Lookup table `at`: group at // 2, of `holds` (even) or of
+        its complements (odd)."""
+        ones = self.sliced.ones
+        first = at // 2 * self.group
+        table = [ones]
+        for h in self.holds()[first:first + self.group]:
+            column = ones ^ h if at & 1 else h
+            table += [t & column for t in table]
+        self._tables[at] = table
+        return table
+
+    def holding(self, req: int, forb: int) -> int:
+        rows = self.sliced.ones
+        tables, group = self._tables, self.group
+        low = (1 << group) - 1
+        at = 0
+        while req | forb:
+            if req & low:
+                rows &= (tables[at] or self._table(at))[req & low]
+            if forb & low:
+                rows &= (tables[at + 1] or self._table(at + 1))[forb & low]
+            if not rows:
+                return 0
+            req >>= group
+            forb >>= group
+            at += 2
+        return rows
 
 
 def _each_tuple(condition: Condition) -> RowForm:
     """The row form of a condition without one of its own: one call per
-    tuple of the row, in row order, each verdict made a bool."""
+    tuple of the row, in row order, each verdict a bit of the int."""
 
     def row_form(*args):
         prefix, row = args[:-1], args[-1]
-        return [True if condition(*prefix, r) else False for r in row]
+        verdicts = 0
+        for i, r in enumerate(row):
+            if condition(*prefix, r):
+                verdicts |= 1 << i
+        return verdicts
 
     return row_form
 
 
 def _scan_range(
     shape: tuple[int, int, int],
-    rules: list[Rule],
-    fields: Sequence[Fields],
-    masks: list[int],
+    language: _Language,
     condition: Condition,
-    full: int,
     start: int,
     stop: int,
     ties: int,
     order: tuple[tuple[int, ...], tuple[int, ...]],
     cap: int,
+    rows: dict[int, _Row] | None = None,
 ) -> tuple[int, int, int, int, list[Mismatch]]:
     """Scan all tuples whose outermost index lies in [start, stop); with
     the empty prefix's tie mask `ties`, only those least in their orbit
-    (ties 0 scans them all).  `fields` holds the rules' field triples and
-    `order` is `_order_table(rules, ties)`."""
+    (ties 0 scans them all).  `order` is `_order_table(rules, ties)`, and
+    `rows` a cache of the last position's rows by tie mask, which calls
+    over the same language and ties may share."""
     k, m, n = shape
     tlen = k + m + n
     last = tlen - 1
     last_in_a = last < k + m
     last_in_b = last < k or last >= k + m
+    rules, masks, full = language.rules, language.masks, language.full
     count = len(rules)
     total = se = cond_pos = mismatch_total = 0
     mismatches: list[Mismatch] = []
@@ -413,53 +521,43 @@ def _scan_range(
         row_form = _ROW_FORMS.get(condition)
     except TypeError:  # unhashable, so none of the registered ones
         row_form = None
-    if row_form is None:
-        row_form, cells = _each_tuple(condition), rules
-    else:
-        cells = fields
+    sliced = row_form is not None
+    if not sliced:
+        row_form = _each_tuple(condition)
     # tie mask -> indices of the rules that keep a prefix with those ties
     # least; tie masks recur across prefixes, so each is matched once
     kept_for: dict[int, list[int]] = {}
-    # tie mask -> those rules, cells and masks, as a row of the last position
-    row_for: dict[int, _Row] = {}
-    full_row = _Row(rules, cells, masks)
+    row_for = {} if rows is None else rows
 
-    def row_of(rng: range | list[int]) -> _Row:
-        if cells.__class__ is CanonicalRow:
-            row_cells = cells.part(rng)
-        else:
-            row_cells = [cells[i] for i in rng]
-        return _Row([rules[i] for i in rng], row_cells, [masks[i] for i in rng])
-
-    def decide(prefix: tuple[Rule, ...], ma: int, mb: int, last_row: _Row) -> None:
+    def decide(prefix: tuple[Rule, ...], ma: int, mb: int, row: _Row) -> None:
         """Label every tuple prefix + (rule,) of the row by the oracle and
-        the condition, the condition in one call of its row form."""
+        the condition, each as one int of verdicts."""
         nonlocal total, se, cond_pos, mismatch_total
-        row, row_masks = last_row.rules, last_row.masks
-        conds = row_form(*prefix, last_row.cells)
-        # where the side the last rule joins is still all-ones, the verdict
-        # is whether the rule's mask equals the other side's
+        conds = row_form(*prefix, row.sliced if sliced else row.rules)
+        # ma & mi == mb: mi holds mb and misses ma ^ mb, if mb is within
+        # ma; where the side the last rule joins is still all-ones, the
+        # verdict is whether mi equals the other side's mask
         if last_in_a and last_in_b:
-            oracle = [ma & mi == mb & mi for mi in row_masks]
+            oracle = row.holding(0, ma ^ mb)
         elif last_in_a:
-            oracle = last_row.equal(mb) if ma == full else [ma & mi == mb for mi in row_masks]
+            oracle = row.equal(mb) if ma == full else 0 if mb & ~ma else row.holding(mb, ma ^ mb)
         else:
-            oracle = last_row.equal(ma) if mb == full else [ma == mb & mi for mi in row_masks]
-        total += len(row)
-        se += oracle.count(True)
-        cond_pos += conds.count(True)
-        if oracle == conds:
+            oracle = row.equal(ma) if mb == full else 0 if ma & ~mb else row.holding(ma, ma ^ mb)
+        total += len(row.rules)
+        se += oracle.bit_count()
+        cond_pos += conds.bit_count()
+        diff = oracle ^ conds
+        if not diff:
             return
-        mismatch_total += sum(map(ne, oracle, conds))
+        mismatch_total += diff.bit_count()
         room = cap - len(mismatches)
-        if room <= 0:
-            return
-        for rule, o, c in zip(row, oracle, conds):
-            if o != c:
-                mismatches.append(Mismatch(prefix + (rule,), o, c))
-                room -= 1
-                if not room:
-                    return
+        row_rules = row.rules
+        while diff and room > 0:  # in row order, from the low bit
+            low = diff & -diff
+            diff ^= low
+            o = oracle & low != 0
+            mismatches.append(Mismatch(prefix + (row_rules[low.bit_length() - 1],), o, not o))
+            room -= 1
 
     def walk(depth: int, ma: int, mb: int, prefix: tuple[Rule, ...], ties: int) -> None:
         if ties:
@@ -472,14 +570,12 @@ def _scan_range(
         else:
             rng = range(start, stop) if depth == 0 else range(count)
         if depth == last:
-            if depth == 0:  # this range's own row
-                row = full_row if rng == range(count) else row_of(rng)
-            elif not ties:
-                row = full_row
+            if depth == 0 and (ties or rng != range(count)):  # this range's own row
+                row = _Row(language, rng)
             else:
                 row = row_for.get(ties)
                 if row is None:
-                    row = row_for[ties] = row_of(rng)
+                    row = row_for[ties] = _Row(language, rng if ties else None)
             decide(prefix, ma, mb, row)
             return
         in_a = depth < k + m
@@ -495,6 +591,9 @@ def _scan_range(
             )
 
     walk(0, full, full, (), ties)
+    # walk refers to itself: unbind it, so that the rows it holds are freed
+    # now and not by a later collection
+    del walk
     return total, se, cond_pos, mismatch_total, mismatches
 
 
@@ -515,11 +614,13 @@ def test_conjecture(
     No more workers are started than this process has CPUs to run on.
     """
     started = time.perf_counter()
-    job_count = min(job_count, _usable_cpus())
-    rules, fields, masks, full = _language_masks(atom_count, canonical_only, max_atoms)
+    if job_count > 1:
+        job_count = min(job_count, _usable_cpus())
+    _check_table_bits(shape, atom_count, canonical_only, max_atoms)
+    language = _language_masks(atom_count, canonical_only, max_atoms)
     ties = _all_ties(atom_count) if modulo_iso else 0
-    order = _order_table(rules, ties)
-    weights = [1.0] * len(rules)
+    order = _order_table(language.rules, ties)
+    weights = [1.0] * len(language.rules)
     if ties and job_count > 1:
         # A least first rule with stabilizer S heads about 1/|S| of a full
         # subtree: balance the ranges by that.
@@ -530,7 +631,7 @@ def test_conjecture(
     ranges = _split_ranges(weights, job_count)
     shape_tuple = (shape.k, shape.m, shape.n)
     args = [
-        (shape_tuple, rules, fields, masks, condition, full, a, b, ties, order, MISMATCH_CAP)
+        (shape_tuple, language, condition, a, b, ties, order, MISMATCH_CAP)
         for a, b in ranges
     ]
     if job_count > 1 and len(args) > 1:
@@ -572,9 +673,9 @@ def _never(*_rules: Rule) -> bool:
     return False
 
 
-def _never_row(*args) -> list[bool]:
+def _never_row(*_args) -> int:
     """`_never`'s row form."""
-    return [False] * len(args[-1])
+    return 0
 
 
 # the row forms `_scan_range` calls, looked up by the condition itself
@@ -594,17 +695,20 @@ def discover_positive_tuples(
     One outermost rule index is scanned at a time, so the first tuples
     come before the rest are built; ranges taken in order give the
     enumeration order, as for `--jobs`."""
-    rules, fields, masks, full = _language_masks(atom_count, canonical_only, max_atoms)
+    _check_table_bits(shape, atom_count, canonical_only, max_atoms)
+    language = _language_masks(atom_count, canonical_only, max_atoms)
     ties = _all_ties(atom_count) if modulo_iso else 0
-    order = _order_table(rules, ties)
+    order = _order_table(language.rules, ties)
     shape_tuple = (shape.k, shape.m, shape.n)
     # Against a condition that never holds, the mismatches are exactly the
     # oracle-positive tuples; the cap is the range's tuple count, so none
-    # is cut.
-    cap = len(rules) ** (shape.length - 1)
-    for start in range(len(rules)):
+    # is cut.  The ranges share their rows, built once for the stream.
+    count = len(language.rules)
+    cap = count ** (shape.length - 1)
+    rows: dict[int, _Row] = {}
+    for start in range(count):
         *_counts, positives = _scan_range(
-            shape_tuple, rules, fields, masks, _never, full, start, start + 1, ties, order, cap
+            shape_tuple, language, _never, start, start + 1, ties, order, cap, rows
         )
         for mm in positives:
             yield mm.rules

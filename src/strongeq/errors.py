@@ -39,6 +39,33 @@ class WorldMaskError(TooManyAtomsError):
         self.limit = limit
 
 
+class TableBudgetError(TooManyAtomsError):
+    """Raised before a verify scan builds its per-row tables when those of
+    its largest row would pass the memory budget; `bits` is their size and
+    `limit` the budget, both in bits."""
+
+    def __init__(self, what: str, count: int, bits: int, limit: int):
+        StrongeqError.__init__(
+            self,
+            f"{what}: {count} atoms need row tables of about {bits:.3g} bits "
+            f"({_size(bits)}), over the memory budget of 2^{limit.bit_length() - 1} bits "
+            f"({_size(limit)})",
+        )
+        self.count = count
+        self.bits = bits
+        self.limit = limit
+
+
+def _size(bits: int) -> str:
+    """A size of so many bits, in binary units, to three figures."""
+    size = bits / 8
+    for unit in ("bytes", "KiB", "MiB", "GiB", "TiB"):
+        if size < 1024:
+            break
+        size /= 1024
+    return f"{size:.3g} {unit}"
+
+
 def _mask_size(atoms: int) -> str:
     """The size of a mask of 2^atoms bits, in binary units."""
     exponent = atoms - 3  # of its bytes

@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strongeq import cli, oracle
+from strongeq import cli, discovery, oracle
 from strongeq.cli import main
-from strongeq.discovery import DiscoveryReport
+from strongeq.discovery import DiscoveryReport, TupleShape
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -267,6 +267,47 @@ class TestWorldMaskBudget:
         monkeypatch.setattr(cli, "answer_sets", exhausted)
         assert main(["answersets", write(tmp_path, "p.lp", "a.")]) == 3
         assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
+class TestScanTableBudget:
+    """A scan whose largest row would need tables past the memory budget
+    is refused, with exit 3, before any rule or mask is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--shape", "0,1,0", "--atoms", "10", "--canonical", "--max-atoms", "10",
+         "--condition", "cond_0_1_0"],
+        ["--shape", "0,1,0", "--atoms", "7", "--condition", "cond_0_1_0"],
+        ["--shape", "1,1,0", "--atoms", "6", "--modulo-iso", "--condition", "s_implies"],
+    ])
+    def test_refused_before_building(self, monkeypatch, capsys, argv):
+        def building(*_args):
+            raise AssertionError("the language was built")
+
+        monkeypatch.setattr(discovery, "_language_masks", building)
+        assert main(["verify", *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: rule-tuple scan: ") and err.count("\n") == 1
+        assert "over the memory budget of 2^32 bits (512 MiB)" in err
+
+    def test_message_gives_the_size(self, capsys):
+        argv = ["verify", "--shape", "0,1,0", "--atoms", "7", "--condition", "cond_0_1_0"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: rule-tuple scan: 7 atoms need row tables of about 6.78e+09 bits "
+            "(808 MiB), over the memory budget of 2^32 bits (512 MiB)\n")
+
+    def test_admits_the_records_and_the_deck(self):
+        budget = discovery.TABLE_BITS
+        for shape, atoms in (((2, 1, 0), 6), ((2, 1, 0), 7), ((0, 2, 1), 5), ((1, 1, 0), 7)):
+            assert discovery._table_bits(TupleShape(*shape), atoms, True) <= budget
+        for shape, atoms in (((0, 1, 0), 6), ((1, 1, 0), 5), ((0, 1, 1), 6)):
+            assert discovery._table_bits(TupleShape(*shape), atoms, False) <= budget
+        # a sliced row reads each field as one octet: no scan over 9 atoms
+        # passes the budget
+        for length in (1, 2, 3, 4):
+            for k in range(length):
+                shape = TupleShape(k, length - k, 0)
+                assert discovery._table_bits(shape, 9, True) > budget
 
 
 class TestVerifyCommand:

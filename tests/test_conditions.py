@@ -23,7 +23,8 @@ from strongeq import (
     subsume_witness,
 )
 from strongeq.cli import CONDITIONS
-from strongeq.conditions import ROW_FORMS, CanonicalRow
+from strongeq.conditions import ROW_FORMS, SlicedRow
+from strongeq import discovery
 from strongeq.discovery import _language_masks, enumerate_rules
 
 import reference
@@ -262,7 +263,7 @@ class TestExactByComposition:
     they agree with the oracle wherever these do, at any atom count."""
 
     def test_lemma_on_the_harness_masks_for_0_2_2_over_two_atoms(self):
-        _rules, _fields, masks, _full = _language_masks(2, True, 2)
+        masks = _language_masks(2, True, 2).masks
 
         def entails(a, b, c):  # the 2-1-0 verdict: {a, b} ~ {a, b, c}
             return a & b & c == a & b
@@ -278,7 +279,7 @@ class TestExactByComposition:
         assert True in verdicts and False in verdicts
 
     def test_lemma_on_the_harness_masks_for_0_2_1_over_three_atoms(self):
-        _rules, _fields, masks, _full = _language_masks(3, True, 3)
+        masks = _language_masks(3, True, 3).masks
         triples = list(product(masks, repeat=3))
         assert len(triples) == 250_047
         verdicts = [m1 & m2 == m3 for m1, m2, m3 in triples]
@@ -335,13 +336,19 @@ class TestPairToPair:
             cond_0_2_2(*quadruple)
 
 
-def fields_of(rules: list[Rule]) -> list[tuple[int, int, int]]:
-    return [(r.hd, r.ps, r.ng) for r in rules]
+def sliced(rules: list[Rule], atoms: int) -> SlicedRow:
+    return SlicedRow([(r.hd, r.ps, r.ng) for r in rules], atoms)
+
+
+def bits(verdicts) -> int:
+    """The int whose bit i is the i-th verdict."""
+    return sum(1 << i for i, verdict in enumerate(verdicts) if verdict)
 
 
 class TestRowForms:
-    """A predicate's row form decides a whole row of last rules at once;
-    it must give the predicate's own verdicts, in row order."""
+    """A predicate's row form decides a whole row of last rules at once,
+    as one int whose bit i is the verdict on the row's i-th rule; it must
+    give the predicate's own verdicts."""
 
     def test_every_registered_predicate_has_a_row_form(self):
         assert set(ROW_FORMS) == {predicate for _shape, predicate, _c in CONDITIONS.values()}
@@ -350,19 +357,30 @@ class TestRowForms:
     def test_agrees_with_its_predicate_on_every_prefix_and_row(self, name):
         shape, predicate, canonical_only = CONDITIONS[name]
         row_form = ROW_FORMS[predicate]
-        # every prefix of the allowed rules, against every row kind: all
-        # rules, the canonical ones, and those as a CanonicalRow
+        # every prefix of the allowed rules, against every row kind: the
+        # canonical rules, a part of them in another order (as the rows of
+        # a tie mask are), and all rules where the condition takes them
         for atoms in (2, 3) if shape.length <= 2 else (2,):
             canonical = list(enumerate_rules(atoms, canonical_only=True))
             pool = canonical if canonical_only else list(enumerate_rules(atoms))
-            rows = [(canonical, fields_of(canonical)), (canonical, CanonicalRow(fields_of(canonical)))]
+            rows = [canonical, canonical[::-3]]
             if not canonical_only:
-                rows.append((pool, fields_of(pool)))
+                rows.append(pool)
+            rows = [(row, sliced(row, atoms)) for row in rows]
             for prefix in product(pool, repeat=shape.length - 1):
                 for row_rules, row in rows:
                     got = row_form(*prefix, row)
-                    assert got == [predicate(*prefix, r) for r in row_rules], (atoms, prefix)
-                    assert all(type(verdict) is bool for verdict in got), (atoms, prefix)
+                    assert type(got) is int, (atoms, prefix)
+                    assert got == bits(predicate(*prefix, r) for r in row_rules), (atoms, prefix)
+
+    @pytest.mark.parametrize("name", ["cond_2_1_0", "cond_0_2_1"])
+    def test_three_rule_row_forms_agree_over_three_atoms(self, name):
+        shape, predicate, _canonical_only = CONDITIONS[name]
+        canonical = list(enumerate_rules(3, canonical_only=True))
+        row = sliced(canonical, 3)
+        for prefix in product(canonical, repeat=2):
+            assert ROW_FORMS[predicate](*prefix, row) == bits(
+                predicate(*prefix, r) for r in canonical), prefix
 
     @pytest.mark.parametrize("name", ["cond_2_1_0", "cond_0_2_1", "cond_0_2_2"])
     def test_canonical_only_row_forms_raise_for_a_non_canonical_rule(self, name):
@@ -370,39 +388,65 @@ class TestRowForms:
         assert canonical_only
         row_form = ROW_FORMS[predicate]
         canonical = list(enumerate_rules(1, canonical_only=True))
-        row = fields_of(canonical)
+        row = sliced(canonical, 1)
         looping = Rule(0b1, 0b1, 0)  # a :- a.
-        # in the prefix, at each position, against a plain and a CanonicalRow row
+        # in the prefix, at each position
         for position in range(shape.length - 1):
             for prefix in product(canonical, repeat=shape.length - 1):
                 prefix = list(prefix)
                 prefix[position] = looping
-                for checked in (row, CanonicalRow(row)):
-                    with pytest.raises(NotCanonicalError):
-                        row_form(*prefix, checked)
+                with pytest.raises(NotCanonicalError):
+                    row_form(*prefix, row)
         # in the row, at each position, after every canonical prefix: some of
         # them decide the whole row without reading it
-        for position in range(len(row) + 1):
-            bad_row = row[:position] + [(0b1, 0b1, 0)] + row[position:]
+        for position in range(len(canonical) + 1):
+            bad_row = sliced(canonical[:position] + [looping] + canonical[position:], 1)
             for prefix in product(canonical, repeat=shape.length - 1):
                 with pytest.raises(NotCanonicalError):
                     row_form(*prefix, bad_row)
 
     def test_a_canonical_row_is_checked_once_when_built(self):
-        row = CanonicalRow(fields_of(list(enumerate_rules(2, canonical_only=True))))
-        assert row == tuple(fields_of(list(enumerate_rules(2, canonical_only=True))))
-        part = row.part([0, 3, 7])
-        assert type(part) is CanonicalRow and part == (row[0], row[3], row[7])
-        for bad in ((0b1, 0b1, 0), (0b1, 0, 0b1), (0, 0b11, 0b10)):
-            with pytest.raises(NotCanonicalError):
-                CanonicalRow([(0, 0b1, 0), bad])
+        canonical = list(enumerate_rules(2, canonical_only=True))
+        assert sliced(canonical, 2).canonical
+        assert sliced([], 2).canonical
+        for bad in (Rule(0b1, 0b1, 0), Rule(0b1, 0, 0b1), Rule(0, 0b11, 0b10)):
+            for position in (0, 7, 15):
+                row = canonical[:position] + [bad] + canonical[position:]
+                assert not sliced(row, 2).canonical
 
     def test_harness_rows_of_canonical_rules_are_canonical_rows(self):
         for atoms in range(4):
-            rules_, fields, _masks, _full = _language_masks(atoms, True, atoms)
-            assert type(fields) is CanonicalRow and list(fields) == fields_of(rules_)
-            rules_, fields, _masks, _full = _language_masks(atoms, False, atoms)
-            assert type(fields) is list and fields == fields_of(rules_)
+            for canonical in (True, False):
+                language = _language_masks(atoms, canonical, atoms)
+                row = discovery._Row(language).sliced
+                assert row.canonical == (canonical or atoms == 0)
+                assert [(r.hd, r.ps, r.ng) for r in language.rules] == language.fields
+
+    @pytest.mark.parametrize("atoms", [0, 1, 3, 8])
+    def test_columns_and_tables_match_the_fields(self, atoms):
+        rng = random.Random(atoms)
+        full = (1 << atoms) - 1
+        rules_ = [Rule(*(rng.randint(0, full) for _ in range(3))) for _ in range(40)]
+        row = sliced(rules_, atoms)
+        assert row.ones == (1 << 40) - 1
+        for j in range(atoms):
+            for field in ("hd", "ps", "ng"):
+                assert getattr(row, field)[j] == bits(getattr(r, field) >> j & 1 for r in rules_)
+        assert row.deletable == bits(cond_0_1_0(r) for r in rules_)
+        fields = {
+            "hd": lambda r: r.hd, "ps": lambda r: r.ps, "ng": lambda r: r.ng,
+            "hn": lambda r: r.hd | r.ng,
+        }
+        for s in sorted({rng.randint(0, full) for _ in range(6)} | {0, full}):
+            for name, of in fields.items():
+                assert getattr(row, f"sup_{name}")[s] == bits(of(r) & s == s for r in rules_)
+                assert getattr(row, f"miss_{name}")[s] == bits(not of(r) & s for r in rules_)
+        with pytest.raises(AttributeError):
+            row.sup_xy
+
+    def test_a_field_past_eight_atoms_is_refused(self):
+        with pytest.raises(ValueError):
+            sliced([Rule(1 << 8, 0, 0)], 9)
 
 
 class TestRenameInvariance:

@@ -23,7 +23,7 @@ from strongeq import (
 )
 from strongeq import cond_2_1_0, discovery
 from strongeq.cli import CONDITIONS
-from strongeq.conditions import CanonicalRow
+from strongeq.conditions import SlicedRow
 from strongeq.discovery import (
     MISMATCH_CAP,
     DiscoveryReport,
@@ -42,6 +42,11 @@ from reference import rename_rule
 
 def never(*_rules: Rule) -> bool:
     return False
+
+
+def bits(verdicts) -> int:
+    """The int whose bit i is the i-th verdict."""
+    return sum(1 << i for i, verdict in enumerate(verdicts) if verdict)
 
 
 class InlinePool:
@@ -329,10 +334,11 @@ class TestDiscoverPositives:
         # the order of a single scan over all outermost indices, which
         # builds every positive tuple before the first is returned
         for shape, iso in ((TupleShape(0, 1, 1), False), (TupleShape(1, 1, 0), True)):
-            rules, fields, masks, full = discovery._language_masks(2, False, discovery.ENUM_ATOM_LIMIT)
+            language = discovery._language_masks(2, False, discovery.ENUM_ATOM_LIMIT)
+            rules = language.rules
             ties = discovery._all_ties(2) if iso else 0
             *_counts, whole = discovery._scan_range(
-                (shape.k, shape.m, shape.n), rules, fields, masks, discovery._never, full,
+                (shape.k, shape.m, shape.n), language, discovery._never,
                 0, len(rules), ties, discovery._order_table(rules, ties),
                 len(rules) ** shape.length)
             assert list(discover_positive_tuples(shape, 2, modulo_iso=iso)) == [
@@ -343,7 +349,7 @@ class TestDiscoverPositives:
         scan = discovery._scan_range
 
         def counting(*args):
-            calls.append(args[6:8])
+            calls.append(args[3:5])
             return scan(*args)
 
         monkeypatch.setattr(discovery, "_scan_range", counting)
@@ -372,6 +378,23 @@ class TestDiscoverPositives:
                 test_conjecture(shape, 3, never, True, modulo_iso=True, job_count=job_count)
         rules = list(enumerate_rules(3, canonical_only=True))
         assert calls == rules * (1 if stream else 2)
+
+    @pytest.mark.parametrize("iso", [False, True])
+    def test_rows_built_once_per_stream(self, monkeypatch, iso):
+        built = []
+        real = discovery._Row
+
+        def counting(language, indices=None):
+            built.append(None if indices is None else list(indices))
+            return real(language, indices)
+
+        expected = test_conjecture(TupleShape(1, 1, 0), 2, never, modulo_iso=iso).se_positive_count
+        monkeypatch.setattr(discovery, "_Row", counting)
+        assert len(list(discover_positive_tuples(TupleShape(1, 1, 0), 2, modulo_iso=iso))) == expected
+        # one row per tie mask a last rule meets, not one per outermost rule
+        # (63 ranges)
+        assert len(built) == len({None if b is None else tuple(b) for b in built})
+        assert len(built) == (2 if iso else 1)
 
     @pytest.mark.parametrize("atom_count, length", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
     def test_every_shape_yields_exactly_the_oracle_positives(self, atom_count, length):
@@ -500,12 +523,13 @@ class TestOrderlyWalk:
         assert report.mismatch_count == 0
 
 
-def reference_scan(shape, rules, _fields, masks, condition, full, start, stop, ties, _order, cap):
+def reference_scan(shape, language, condition, start, stop, ties, _order, cap):
     """_scan_range as a per-tuple walk: the condition and the oracle are
     asked about one tuple at a time.  It takes _scan_range's arguments but
     makes its own order masks."""
     k, m, n = shape
     last = k + m + n - 1
+    rules, masks, full = language.rules, language.masks, language.full
     below, tied = zip(*(discovery._order_masks(r, ties) for r in rules)) if ties else ((), ())
     counts = [0, 0, 0, 0]
     mismatches = []
@@ -574,7 +598,8 @@ class TestBatchedScan:
                 if not (shape.length == 3 and atoms == 2 and not canonical)
             ]
         for atoms, canonical, iso in cases:
-            rules, fields, masks, full = discovery._language_masks(atoms, canonical, 7)
+            language = discovery._language_masks(atoms, canonical, 7)
+            rules = language.rules
             ties = discovery._all_ties(atoms) if iso else 0
             ranges = [(0, len(rules)), (1, len(rules) - 1), (len(rules) // 2, len(rules))]
             for condition, (start, stop), cap in product(
@@ -586,13 +611,11 @@ class TestBatchedScan:
                     log.append(tup)
                     return condition(*tup)
 
-                args = (full, start, stop, ties, discovery._order_table(rules, ties), cap)
+                args = (start, stop, ties, discovery._order_table(rules, ties), cap)
                 got = discovery._scan_range(
-                    shape_tuple, rules, fields, masks,
-                    functools.partial(recording, log=seen[0]), *args)
+                    shape_tuple, language, functools.partial(recording, log=seen[0]), *args)
                 want = reference_scan(
-                    shape_tuple, rules, fields, masks,
-                    functools.partial(recording, log=seen[1]), *args)
+                    shape_tuple, language, functools.partial(recording, log=seen[1]), *args)
                 case = (atoms, canonical, iso, condition.__name__, start, stop, cap)
                 assert got == want, case
                 assert seen[0] == seen[1], case
@@ -602,15 +625,49 @@ class TestBatchedScan:
     @pytest.mark.parametrize("atoms, canonical", [(2, False), (3, True)])
     def test_row_equality_verdicts_match_direct_comparison(self, atoms, canonical):
         # every rule's mask, a mask of no rule, and each asked twice: the
-        # first request, the index built on the second, the kept lists
-        rules, fields, masks, full = discovery._language_masks(atoms, canonical, 7)
-        row = discovery._Row(rules[::3], fields[::3], masks[::3])
-        targets = [full, masks[1], *masks[::3], full ^ 1, masks[1]]
+        # first request, compared directly, and the index built on the second
+        language = discovery._language_masks(atoms, canonical, 7)
+        row = discovery._Row(language, range(0, len(language.rules), 3))
+        masks = row.masks
+        targets = [language.full, language.masks[1], *masks, language.full ^ 1, language.masks[1]]
         for target in targets * 2:
-            assert row.equal(target) == [mi == target for mi in row.masks], target
+            assert row.equal(target) == bits(mi == target for mi in masks), target
+
+    @pytest.mark.parametrize("atoms, canonical", [(0, False), (1, False), (2, False), (3, True)])
+    def test_holds_is_the_masks_transposed(self, atoms, canonical):
+        language = discovery._language_masks(atoms, canonical, 7)
+        for indices in (None, range(0, len(language.rules), 2), [], range(len(language.rules))[-1:]):
+            row = discovery._Row(language, indices)
+            holds = row.holds()
+            assert len(holds) == 3**atoms
+            for p, h in enumerate(holds):
+                assert h == bits(mi >> p & 1 for mi in row.masks), (indices, p)
+
+    @pytest.mark.parametrize("atoms, canonical", [(1, False), (2, True), (2, False), (3, True)])
+    def test_grouped_lookups_match_direct_comparison(self, atoms, canonical):
+        # holding(req, forb): the rules whose mask holds req and misses forb,
+        # against the direct comparisons `_scan_range.decide` stands for
+        language = discovery._language_masks(atoms, canonical, 7)
+        full, masks = language.full, language.masks
+        rng = random.Random(atoms * 2 + canonical)
+        sides = [full, 0, masks[0], masks[-1]] + [
+            functools.reduce(int.__and__, rng.sample(masks, rng.randint(1, 3)), full)
+            for _ in range(12)
+        ]
+        for indices in (None, range(1, len(masks), 3), [len(masks) // 2], []):
+            row = discovery._Row(language, indices)
+            for ma, mb in product(sides, repeat=2):
+                # ma & mi == mb, as decide reads it when mb is within ma
+                want = bits(ma & mi == mb for mi in row.masks)
+                got = 0 if mb & ~ma else row.holding(mb, ma ^ mb)
+                assert got == want, (indices, ma, mb)
+                assert row.holding(ma & mb, 0) == bits(
+                    ma & mb & ~mi == 0 for mi in row.masks), (indices, ma, mb)
+                assert row.holding(0, ma ^ mb) == bits(
+                    ma & mi == mb & mi for mi in row.masks), (indices, ma, mb)
 
     def test_an_exception_in_the_condition_propagates(self):
-        rules, fields, masks, full = discovery._language_masks(2, False, 7)
+        language = discovery._language_masks(2, False, 7)
         calls = []
 
         def failing(*tup):
@@ -621,7 +678,7 @@ class TestBatchedScan:
 
         with pytest.raises(RuntimeError, match="condition failed"):
             discovery._scan_range(
-                (1, 1, 0), rules, fields, masks, failing, full, 0, len(rules), 0, ((), ()), 5)
+                (1, 1, 0), language, failing, 0, len(language.rules), 0, ((), ()), 5)
         assert len(calls) == 100
 
     @pytest.mark.parametrize("job_count", [1, 2])
@@ -661,14 +718,14 @@ class TestRowFormsInTheScan:
         rows = []
 
         def recording(*args):
-            rows.append((len(args) - 1, type(args[-1]), len(args[-1])))
+            rows.append((len(args) - 1, type(args[-1]), args[-1].ones.bit_length()))
             return real(*args)
 
         monkeypatch.setitem(discovery._ROW_FORMS, predicate, recording)
         report = test_conjecture(shape, 2, predicate, canonical_only=True)
         # 15 canonical rules over 2 atoms: one row of 15 per prefix
         prefixes = 15 ** (shape.length - 1)
-        assert rows == [(shape.length - 1, CanonicalRow, 15)] * prefixes
+        assert rows == [(shape.length - 1, SlicedRow, 15)] * prefixes
         assert report.total_tuples == 15 * prefixes
 
     @pytest.mark.parametrize("name", sorted(CONDITIONS))
@@ -706,7 +763,7 @@ class TestRowFormsInTheScan:
         rows = []
 
         def recording(*args):
-            rows.append(len(args[-1]))
+            rows.append(args[-1].ones.bit_length())
             return discovery._never_row(*args)
 
         monkeypatch.setitem(discovery._ROW_FORMS, discovery._never, recording)
