@@ -231,6 +231,10 @@ def _set_table(columns: list[int], start: int) -> list[int]:
     return table
 
 
+# The most atoms a `SlicedRow` takes: it reads each field as one octet.
+SLICED_ATOMS = 8
+
+
 class SlicedRow:
     """A row of rules bit-sliced: bit i of every int stands for the row's
     i-th rule.  `hd`, `ps`, `ng` and `hn` (hd | ng) hold one column per
@@ -243,8 +247,8 @@ class SlicedRow:
     built."""
 
     def __init__(self, fields: Sequence[Fields], atom_count: int) -> None:
-        """The row of these (hd, ps, ng) triples over at most 8 atoms: each
-        field is read as one octet (bytes raises ValueError past that)."""
+        """The row of these (hd, ps, ng) triples over at most SLICED_ATOMS
+        atoms (bytes raises ValueError past that)."""
         self.ones = (1 << len(fields)) - 1
         self.atoms = (1 << atom_count) - 1
         # the octets of ng, ps and hd of each rule in turn, the last rule first

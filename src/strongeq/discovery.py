@@ -34,8 +34,10 @@ the last rule joins has no other rule yet (the only side of 0,1,0, the
 right side of 0,1,1 and 0,2,1), the verdict is whether the rule's mask
 equals the other side's, read from the positions of each distinct mask.
 The counts are bit counts, and only the bits of oracle ^ condition are
-walked, from the low bit, to record mismatches under the cap.  A row is
-built once per tie mask and keeps what its reads have built.
+walked, from the low bit, to record mismatches under the cap.  A scan
+builds one row, of every rule, and keeps what its reads have built; a
+tie mask or a range keeps some of its rules, and their bits, one int
+per tie mask, mask both verdicts.
 
 With modulo_iso the walk is orderly (Read 1978; McKay 1998): it visits
 exactly the tuples that are their own `iso_canonical_form`, in enumeration
@@ -67,7 +69,7 @@ import time
 from itertools import product, starmap
 from typing import Callable, Iterator, NamedTuple
 
-from .conditions import ROW_FORMS, Fields, RowForm, SlicedRow
+from .conditions import ROW_FORMS, SLICED_ATOMS, Fields, RowForm, SlicedRow
 from .errors import TableBudgetError, TooManyAtomsError
 from .syntax import Rule, Symbols, format_rule, iso_canonical_form
 
@@ -166,34 +168,58 @@ def _check_atom_count(atom_count: int, max_atoms: int) -> None:
         raise TooManyAtomsError("rule enumeration", atom_count, max_atoms)
 
 
-# The memory budget of a scan's tables for one row, in bits: 2^32 bits,
-# 512 MiB.  Of the runs the default limits admit, it refuses only those
-# without --canonical of 0,1,0 over 7 atoms and of 1,1,0 over 6.
+# The memory budget of a scan, in bits: 2^32 bits, 512 MiB, in each
+# process.  Of the runs the default limits admit, it refuses only those
+# without --canonical of 0,1,0 over 7 atoms and, with --modulo-iso, of
+# 1,1,0 over 6.
 TABLE_BITS = 1 << 32
 
 
-def _table_bits(shape: TupleShape, atom_count: int, canonical_only: bool) -> int:
-    """Bits of the tables a scan may build for a row of every rule: the
-    masks, the fields' columns and `SlicedRow` tables and, unless the last
-    rule is alone on its side, the masks' transpose and lookup tables."""
+def _int_bits(bits: int) -> int:
+    """The memory an int of so many bits takes in a list, in bits: a
+    4-byte digit per 30 bits, a 24-byte header, an 8-byte slot and up to
+    16 bytes of allocator rounding."""
+    return 32 * -(-bits // 30) + 8 * 48
+
+
+def _table_bits(
+    shape: TupleShape, atom_count: int, canonical_only: bool, modulo_iso: bool
+) -> int:
+    """A bound on the memory, in bits, of what a scan keeps: the rules,
+    their fields and masks, and the one `_Row` of the language, with its
+    columns and set tables and either the index of its masks, where the
+    last rule is alone on its side, or their transpose (while built, the
+    three parts of each pair too) and lookup tables; with modulo_iso, the
+    rules kept for each tie mask, as indices and as bits.  The
+    mismatches a scan records are not counted."""
     rule_count = (4 if canonical_only else 8) ** atom_count - 1
     pairs = 3**atom_count
-    bits = rule_count * (pairs + 3 * atom_count + (8 << atom_count))
-    if not (shape.k == 0 and (shape.n == 1 or shape.n == 0 and shape.m == 1)):
+    row_int = _int_bits(rule_count)
+    # a rule: its Rule and fields tuple, 64 bytes each, two slots, its mask
+    bits = rule_count * (8 * 144 + _int_bits(pairs))
+    bits += (4 * atom_count + 1 + (8 << atom_count)) * row_int
+    if shape.k == 0 and (shape.n == 1 or shape.n == 0 and shape.m == 1):
+        bits += rule_count * 8 * 128  # a dict entry and a list per mask
+    else:
         group = _group_size(atom_count)
-        bits += rule_count * (pairs + (2 * -(-pairs // group) << group))
+        bits += (4 * pairs + (2 * -(-pairs // group) << group)) * row_int
+    if modulo_iso:  # an index past 256 is an int of its own, 32 bytes
+        bits += (1 << max(atom_count - 1, 0)) * (rule_count * 8 * 40 + row_int)
     return bits
 
 
 def _check_table_bits(
-    shape: TupleShape, atom_count: int, canonical_only: bool, max_atoms: int
+    shape: TupleShape, atom_count: int, canonical_only: bool, modulo_iso: bool, max_atoms: int
 ) -> None:
-    """Refuse, with TableBudgetError, a scan whose tables pass TABLE_BITS;
-    the atom limit is checked first."""
+    """Refuse, with TableBudgetError, a scan whose tables pass TABLE_BITS,
+    and, with TooManyAtomsError, one over more atoms than a `SlicedRow`
+    takes; the atom limit is checked first."""
     _check_atom_count(atom_count, max_atoms)
-    bits = _table_bits(shape, atom_count, canonical_only)
+    bits = _table_bits(shape, atom_count, canonical_only, modulo_iso)
     if bits > TABLE_BITS:
         raise TableBudgetError("rule-tuple scan", atom_count, bits, TABLE_BITS)
+    if atom_count > SLICED_ATOMS:
+        raise TooManyAtomsError("rule-tuple scan", atom_count, SLICED_ATOMS)
 
 
 def enumerate_rules(
@@ -362,10 +388,8 @@ def _split_ranges(weights: list[float], parts: int) -> list[tuple[int, int]]:
     bounds = [0]
     done = 0.0
     for i, weight in enumerate(weights):
-        if len(bounds) == parts:  # the last range runs to the end
-            break
         done += weight
-        if done * parts >= total * len(bounds):
+        if len(bounds) < parts and done * parts >= total * len(bounds):
             bounds.append(i + 1)
     bounds.append(len(weights))
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
@@ -381,34 +405,43 @@ def _group_size(atom_count: int) -> int:
 
 
 class _Row:
-    """The rules a last position runs over, their masks and their fields
-    as a `SlicedRow`, with the oracle's verdicts for a whole row as one
-    int (bit i: the row's i-th rule).
+    """Every rule of a language as the row a last position runs over: the
+    rules, their masks and, built on first read, their fields as a
+    `SlicedRow`, with the oracle's verdicts for the row as one int (bit
+    i: the i-th rule).  A tie mask or a range of the outermost index
+    keeps some of the rules, and the scan keeps their bits of every
+    verdict, so one row serves a scan whatever its ties.
 
-    `holding(req, forb)` gives the rules whose mask holds every pair of
-    req and none of forb, from the transpose of the masks (`holds()[p]`:
-    the rules holding at pair p) read through lookup tables, two per
-    group of `_group_size` pairs, each built when first read: the AND of
-    `holds` over each subset of the group's pairs, and of their
+    `holding(req, forb, rows)` gives the rules of rows whose mask holds
+    every pair of req and none of forb, from the transpose of the masks
+    (`holds[p]`: the rules holding at pair p) read through lookup tables,
+    two per group of `_group_size` pairs, each built when first read: the
+    AND of `holds` over each subset of the group's pairs, and of their
     complements.  `equal(target)` gives the rules whose mask is target:
     the first request compares directly, later ones read an index of the
     positions of each distinct mask.  The index keeps positions, not an
     int per mask, which would hold about R^2/2 bits over a row of R rules."""
 
-    def __init__(self, language: _Language, indices: range | list[int] | None = None) -> None:
-        """The row of the rules at these indices, or of every rule."""
-        if indices is None:
-            self.rules, fields, self.masks = language.rules, language.fields, language.masks
-        else:
-            self.rules = [language.rules[i] for i in indices]
-            fields = [language.fields[i] for i in indices]
-            self.masks = [language.masks[i] for i in indices]
-        self.sliced = SlicedRow(fields, language.atom_count)
+    def __init__(self, language: _Language) -> None:
+        self.language = language
+        self.rules, self.masks = language.rules, language.masks
+        self.ones = (1 << len(self.rules)) - 1
         self.group = _group_size(language.atom_count)
         groups = -(-(3**language.atom_count) // self.group)
         self._tables: list[list[int] | None] = [None] * (2 * groups)
         self._positions: dict[int, list[int]] | None = None
-        self._holds: list[int] | None = None
+
+    def __getattr__(self, name: str):
+        # reached only while `sliced` or `holds` is unbuilt: build it and
+        # keep it
+        if name == "sliced":
+            built = SlicedRow(self.language.fields, self.language.atom_count)
+        elif name == "holds":
+            built = self._transpose()
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = built
+        return built
 
     def equal(self, target: int) -> int:
         if self._positions is None:  # asked first: compare directly
@@ -424,40 +457,37 @@ class _Row:
             rows |= 1 << i
         return rows
 
-    def holds(self) -> list[int]:
-        """`rule_mask` transposed: the translation fails where ng misses y
-        and either ps is within x while hd misses x, or ps is within y
-        while hd misses y.  Each of those three sets of rules is an AND of
-        one column per atom, chosen by the atom's digit, so they are built
-        like the layout, by tripling the pairs once per atom."""
-        if self._holds is None:
-            row = self.sliced
-            ones = row.ones
-            parts = [(ones, ones, ones)]  # (ng misses y, x side, y side)
-            for hd, ps, ng in zip(row.hd, row.ps, row.ng):
-                off_hd, off_ps, off_ng = ones ^ hd, ones ^ ps, ones ^ ng
-                parts = (
-                    [(n, x & off_ps, y & off_ps) for n, x, y in parts]  # outside y
-                    + [(n & off_ng, x & off_ps, y & off_hd) for n, x, y in parts]  # y only
-                    + [(n & off_ng, x & off_hd, y & off_hd) for n, x, y in parts]  # in x
-                )
-            self._holds = [ones ^ (n & (x | y)) for n, x, y in parts]
-        return self._holds
+    def _transpose(self) -> list[int]:
+        """`holds`, `rule_mask` transposed: the translation fails where ng
+        misses y and either ps is within x while hd misses x, or ps is
+        within y while hd misses y.  Each of those three sets of rules is
+        an AND of one column per atom, chosen by the atom's digit, so they
+        are built like the layout, by tripling the pairs once per atom."""
+        row = self.sliced
+        ones = self.ones
+        parts = [(ones, ones, ones)]  # (ng misses y, x side, y side)
+        for hd, ps, ng in zip(row.hd, row.ps, row.ng):
+            off_hd, off_ps, off_ng = ones ^ hd, ones ^ ps, ones ^ ng
+            parts = (
+                [(n, x & off_ps, y & off_ps) for n, x, y in parts]  # outside y
+                + [(n & off_ng, x & off_ps, y & off_hd) for n, x, y in parts]  # y only
+                + [(n & off_ng, x & off_hd, y & off_hd) for n, x, y in parts]  # in x
+            )
+        return [ones ^ (n & (x | y)) for n, x, y in parts]
 
     def _table(self, at: int) -> list[int]:
         """Lookup table `at`: group at // 2, of `holds` (even) or of
         its complements (odd)."""
-        ones = self.sliced.ones
+        ones = self.ones
         first = at // 2 * self.group
         table = [ones]
-        for h in self.holds()[first:first + self.group]:
+        for h in self.holds[first:first + self.group]:
             column = ones ^ h if at & 1 else h
             table += [t & column for t in table]
         self._tables[at] = table
         return table
 
-    def holding(self, req: int, forb: int) -> int:
-        rows = self.sliced.ones
+    def holding(self, req: int, forb: int, rows: int) -> int:
         tables, group = self._tables, self.group
         low = (1 << group) - 1
         at = 0
@@ -474,19 +504,12 @@ class _Row:
         return rows
 
 
-def _each_tuple(condition: Condition) -> RowForm:
-    """The row form of a condition without one of its own: one call per
-    tuple of the row, in row order, each verdict a bit of the int."""
-
-    def row_form(*args):
-        prefix, row = args[:-1], args[-1]
-        verdicts = 0
-        for i, r in enumerate(row):
-            if condition(*prefix, r):
-                verdicts |= 1 << i
-        return verdicts
-
-    return row_form
+def _bits(indices: range | list[int], count: int) -> int:
+    """The int of count bits with bit i set for each i of indices."""
+    digits = bytearray(b"0" * count)
+    for i in indices:
+        digits[i] = 0x31  # b"1"
+    return int(digits[::-1] or b"0", 2)
 
 
 def _scan_range(
@@ -498,13 +521,13 @@ def _scan_range(
     ties: int,
     order: tuple[tuple[int, ...], tuple[int, ...]],
     cap: int,
-    rows: dict[int, _Row] | None = None,
+    row: _Row | None = None,
 ) -> tuple[int, int, int, int, list[Mismatch]]:
     """Scan all tuples whose outermost index lies in [start, stop); with
     the empty prefix's tie mask `ties`, only those least in their orbit
     (ties 0 scans them all).  `order` is `_order_table(rules, ties)`, and
-    `rows` a cache of the last position's rows by tie mask, which calls
-    over the same language and ties may share."""
+    `row` the language's `_Row`, which scans of the same language may
+    share; one is built if none is given."""
     k, m, n = shape
     tlen = k + m + n
     last = tlen - 1
@@ -512,6 +535,8 @@ def _scan_range(
     last_in_b = last < k or last >= k + m
     rules, masks, full = language.rules, language.masks, language.full
     count = len(rules)
+    if row is None:
+        row = _Row(language)
     total = se = cond_pos = mismatch_total = 0
     mismatches: list[Mismatch] = []
     below, tied = order
@@ -521,29 +546,42 @@ def _scan_range(
         row_form = _ROW_FORMS.get(condition)
     except TypeError:  # unhashable, so none of the registered ones
         row_form = None
-    sliced = row_form is not None
-    if not sliced:
-        row_form = _each_tuple(condition)
+    sliced = None if row_form is None else row.sliced
     # tie mask -> indices of the rules that keep a prefix with those ties
-    # least; tie masks recur across prefixes, so each is matched once
+    # least, and at the last position those indices as bits of the row;
+    # tie masks recur across prefixes, so each is matched once
     kept_for: dict[int, list[int]] = {}
-    row_for = {} if rows is None else rows
+    bits_for: dict[int, int] = {}
 
-    def decide(prefix: tuple[Rule, ...], ma: int, mb: int, row: _Row) -> None:
-        """Label every tuple prefix + (rule,) of the row by the oracle and
-        the condition, each as one int of verdicts."""
+    def decide(
+        prefix: tuple[Rule, ...], ma: int, mb: int, kept: range | list[int], rows: int
+    ) -> None:
+        """Label every tuple prefix + (rules[i],), i in kept, by the oracle
+        and the condition, each as one int of verdicts over the row;
+        `rows` has the bits of kept."""
         nonlocal total, se, cond_pos, mismatch_total
-        conds = row_form(*prefix, row.sliced if sliced else row.rules)
+        if row_form is None:  # in row order, as a per-tuple walk calls it
+            conds = 0
+            for i in kept:
+                if condition(*prefix, rules[i]):
+                    conds |= 1 << i
+        else:
+            conds = row_form(*prefix, sliced) & rows
         # ma & mi == mb: mi holds mb and misses ma ^ mb, if mb is within
         # ma; where the side the last rule joins is still all-ones, the
         # verdict is whether mi equals the other side's mask
         if last_in_a and last_in_b:
-            oracle = row.holding(0, ma ^ mb)
+            oracle = row.holding(0, ma ^ mb, rows)
         elif last_in_a:
-            oracle = row.equal(mb) if ma == full else 0 if mb & ~ma else row.holding(mb, ma ^ mb)
+            if ma == full:
+                oracle = row.equal(mb) & rows
+            else:
+                oracle = 0 if mb & ~ma else row.holding(mb, ma ^ mb, rows)
+        elif mb == full:
+            oracle = row.equal(ma) & rows
         else:
-            oracle = row.equal(ma) if mb == full else 0 if ma & ~mb else row.holding(ma, ma ^ mb)
-        total += len(row.rules)
+            oracle = 0 if ma & ~mb else row.holding(ma, ma ^ mb, rows)
+        total += len(kept)
         se += oracle.bit_count()
         cond_pos += conds.bit_count()
         diff = oracle ^ conds
@@ -551,12 +589,11 @@ def _scan_range(
             return
         mismatch_total += diff.bit_count()
         room = cap - len(mismatches)
-        row_rules = row.rules
         while diff and room > 0:  # in row order, from the low bit
             low = diff & -diff
             diff ^= low
             o = oracle & low != 0
-            mismatches.append(Mismatch(prefix + (row_rules[low.bit_length() - 1],), o, not o))
+            mismatches.append(Mismatch(prefix + (rules[low.bit_length() - 1],), o, not o))
             room -= 1
 
     def walk(depth: int, ma: int, mb: int, prefix: tuple[Rule, ...], ties: int) -> None:
@@ -570,13 +607,15 @@ def _scan_range(
         else:
             rng = range(start, stop) if depth == 0 else range(count)
         if depth == last:
-            if depth == 0 and (ties or rng != range(count)):  # this range's own row
-                row = _Row(language, rng)
+            if not ties:  # every rule, or this range's own
+                rows = (1 << len(rng)) - 1 << rng.start
+            elif depth == 0:
+                rows = _bits(rng, count)
             else:
-                row = row_for.get(ties)
-                if row is None:
-                    row = row_for[ties] = _Row(language, rng if ties else None)
-            decide(prefix, ma, mb, row)
+                rows = bits_for.get(ties)
+                if rows is None:
+                    rows = bits_for[ties] = _bits(rng, count)
+            decide(prefix, ma, mb, rng, rows)
             return
         in_a = depth < k + m
         in_b = depth < k or depth >= k + m
@@ -591,8 +630,8 @@ def _scan_range(
             )
 
     walk(0, full, full, (), ties)
-    # walk refers to itself: unbind it, so that the rows it holds are freed
-    # now and not by a later collection
+    # walk refers to itself: unbind it, so that what it holds is freed now
+    # and not by a later collection
     del walk
     return total, se, cond_pos, mismatch_total, mismatches
 
@@ -614,9 +653,8 @@ def test_conjecture(
     No more workers are started than this process has CPUs to run on.
     """
     started = time.perf_counter()
-    if job_count > 1:
-        job_count = min(job_count, _usable_cpus())
-    _check_table_bits(shape, atom_count, canonical_only, max_atoms)
+    job_count = min(job_count, _usable_cpus())
+    _check_table_bits(shape, atom_count, canonical_only, modulo_iso, max_atoms)
     language = _language_masks(atom_count, canonical_only, max_atoms)
     ties = _all_ties(atom_count) if modulo_iso else 0
     order = _order_table(language.rules, ties)
@@ -695,20 +733,20 @@ def discover_positive_tuples(
     One outermost rule index is scanned at a time, so the first tuples
     come before the rest are built; ranges taken in order give the
     enumeration order, as for `--jobs`."""
-    _check_table_bits(shape, atom_count, canonical_only, max_atoms)
+    _check_table_bits(shape, atom_count, canonical_only, modulo_iso, max_atoms)
     language = _language_masks(atom_count, canonical_only, max_atoms)
     ties = _all_ties(atom_count) if modulo_iso else 0
     order = _order_table(language.rules, ties)
     shape_tuple = (shape.k, shape.m, shape.n)
     # Against a condition that never holds, the mismatches are exactly the
     # oracle-positive tuples; the cap is the range's tuple count, so none
-    # is cut.  The ranges share their rows, built once for the stream.
+    # is cut.  The ranges share one row, built once for the stream.
     count = len(language.rules)
     cap = count ** (shape.length - 1)
-    rows: dict[int, _Row] = {}
+    row = _Row(language)
     for start in range(count):
         *_counts, positives = _scan_range(
-            shape_tuple, language, _never, start, start + 1, ties, order, cap, rows
+            shape_tuple, language, _never, start, start + 1, ties, order, cap, row
         )
         for mm in positives:
             yield mm.rules

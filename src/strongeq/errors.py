@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class StrongeqError(Exception):
     """Base class for all package-specific errors."""
@@ -32,24 +34,23 @@ class WorldMaskError(TooManyAtomsError):
         StrongeqError.__init__(
             self,
             f"{what}: {count} atoms need a world mask of 2^{count} bits "
-            f"({_mask_size(count)}), over the memory budget of 2^{limit} bits "
-            f"({_mask_size(limit)})",
+            f"({_size(1 << count)}), over the memory budget of 2^{limit} bits "
+            f"({_size(1 << limit)})",
         )
         self.count = count
         self.limit = limit
 
 
 class TableBudgetError(TooManyAtomsError):
-    """Raised before a verify scan builds its per-row tables when those of
-    its largest row would pass the memory budget; `bits` is their size and
-    `limit` the budget, both in bits."""
+    """Raised before a verify scan builds its rules and tables when they
+    would pass the memory budget; `bits` is their size and `limit` the
+    budget, both in bits."""
 
     def __init__(self, what: str, count: int, bits: int, limit: int):
         StrongeqError.__init__(
             self,
-            f"{what}: {count} atoms need row tables of about {bits:.3g} bits "
-            f"({_size(bits)}), over the memory budget of 2^{limit.bit_length() - 1} bits "
-            f"({_size(limit)})",
+            f"{what}: {count} atoms need row tables of about {_size(bits)}, "
+            f"over the memory budget of 2^{limit.bit_length() - 1} bits ({_size(limit)})",
         )
         self.count = count
         self.bits = bits
@@ -57,23 +58,14 @@ class TableBudgetError(TooManyAtomsError):
 
 
 def _size(bits: int) -> str:
-    """A size of so many bits, in binary units, to three figures."""
-    size = bits / 8
-    for unit in ("bytes", "KiB", "MiB", "GiB", "TiB"):
-        if size < 1024:
-            break
-        size /= 1024
-    return f"{size:.3g} {unit}"
-
-
-def _mask_size(atoms: int) -> str:
-    """The size of a mask of 2^atoms bits, in binary units."""
-    exponent = atoms - 3  # of its bytes
+    """A size of so many bits in binary units, to three figures; past
+    1024 EiB, as the nearest power of two of its bytes."""
+    exponent = math.log2(max(bits, 1)) - 3  # of the bytes
     for unit in ("bytes", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB"):
         if exponent < 10:
-            return f"{1 << max(exponent, 0)} {unit}"
+            return f"{2**exponent:.3g} {unit}"
         exponent -= 10
-    return f"2^{atoms - 3} bytes"
+    return f"2^{math.log2(bits) - 3:.0f} bytes"
 
 
 class NotCanonicalError(StrongeqError):

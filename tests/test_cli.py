@@ -270,14 +270,17 @@ class TestWorldMaskBudget:
 
 
 class TestScanTableBudget:
-    """A scan whose largest row would need tables past the memory budget
-    is refused, with exit 3, before any rule or mask is built."""
+    """A scan whose rules and tables would pass the memory budget is
+    refused, with exit 3, before any rule or mask is built."""
 
     @pytest.mark.parametrize("argv", [
         ["--shape", "0,1,0", "--atoms", "10", "--canonical", "--max-atoms", "10",
          "--condition", "cond_0_1_0"],
         ["--shape", "0,1,0", "--atoms", "7", "--condition", "cond_0_1_0"],
         ["--shape", "1,1,0", "--atoms", "6", "--modulo-iso", "--condition", "s_implies"],
+        # its count is past what a float holds
+        ["--shape", "0,1,0", "--atoms", "400", "--max-atoms", "400", "--allow-long",
+         "--condition", "cond_0_1_0"],
     ])
     def test_refused_before_building(self, monkeypatch, capsys, argv):
         def building(*_args):
@@ -293,21 +296,33 @@ class TestScanTableBudget:
         argv = ["verify", "--shape", "0,1,0", "--atoms", "7", "--condition", "cond_0_1_0"]
         assert main(argv) == 3
         assert capsys.readouterr().err == (
-            "error: rule-tuple scan: 7 atoms need row tables of about 6.78e+09 bits "
-            "(808 MiB), over the memory budget of 2^32 bits (512 MiB)\n")
+            "error: rule-tuple scan: 7 atoms need row tables of about 1.47 GiB, "
+            "over the memory budget of 2^32 bits (512 MiB)\n")
+
+    def test_no_scan_over_more_atoms_than_a_sliced_row_takes(self, monkeypatch, capsys):
+        def building(*_args):
+            raise AssertionError("the language was built")
+
+        monkeypatch.setattr(discovery, "TABLE_BITS", 1 << 64)
+        monkeypatch.setattr(discovery, "_language_masks", building)
+        argv = ["verify", "--shape", "0,1,0", "--atoms", "9", "--canonical", "--max-atoms", "9",
+                "--condition", "cond_0_1_0"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: rule-tuple scan: 9 atoms exceeds the limit of 8\n")
 
     def test_admits_the_records_and_the_deck(self):
         budget = discovery.TABLE_BITS
-        for shape, atoms in (((2, 1, 0), 6), ((2, 1, 0), 7), ((0, 2, 1), 5), ((1, 1, 0), 7)):
-            assert discovery._table_bits(TupleShape(*shape), atoms, True) <= budget
-        for shape, atoms in (((0, 1, 0), 6), ((1, 1, 0), 5), ((0, 1, 1), 6)):
-            assert discovery._table_bits(TupleShape(*shape), atoms, False) <= budget
-        # a sliced row reads each field as one octet: no scan over 9 atoms
-        # passes the budget
+        for iso in (False, True):
+            for shape, atoms in (((2, 1, 0), 6), ((2, 1, 0), 7), ((0, 2, 1), 5), ((1, 1, 0), 7)):
+                assert discovery._table_bits(TupleShape(*shape), atoms, True, iso) <= budget
+            for shape, atoms in (((0, 1, 0), 6), ((1, 1, 0), 5), ((0, 1, 1), 6)):
+                assert discovery._table_bits(TupleShape(*shape), atoms, False, iso) <= budget
+        # no scan over 9 atoms passes the budget
         for length in (1, 2, 3, 4):
             for k in range(length):
                 shape = TupleShape(k, length - k, 0)
-                assert discovery._table_bits(shape, 9, True) > budget
+                assert discovery._table_bits(shape, 9, True, False) > budget
 
 
 class TestVerifyCommand:

@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import random
+import tracemalloc
 from bisect import bisect_left
 from itertools import permutations, product
 
@@ -380,21 +381,20 @@ class TestDiscoverPositives:
         assert calls == rules * (1 if stream else 2)
 
     @pytest.mark.parametrize("iso", [False, True])
-    def test_rows_built_once_per_stream(self, monkeypatch, iso):
+    def test_row_built_once_per_stream(self, monkeypatch, iso):
         built = []
         real = discovery._Row
 
-        def counting(language, indices=None):
-            built.append(None if indices is None else list(indices))
-            return real(language, indices)
+        def counting(language):
+            built.append(language)
+            return real(language)
 
         expected = test_conjecture(TupleShape(1, 1, 0), 2, never, modulo_iso=iso).se_positive_count
         monkeypatch.setattr(discovery, "_Row", counting)
         assert len(list(discover_positive_tuples(TupleShape(1, 1, 0), 2, modulo_iso=iso))) == expected
-        # one row per tie mask a last rule meets, not one per outermost rule
-        # (63 ranges)
-        assert len(built) == len({None if b is None else tuple(b) for b in built})
-        assert len(built) == (2 if iso else 1)
+        # one row for the stream, whatever its ties, not one per outermost
+        # rule (63 ranges)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("atom_count, length", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
     def test_every_shape_yields_exactly_the_oracle_positives(self, atom_count, length):
@@ -627,26 +627,26 @@ class TestBatchedScan:
         # every rule's mask, a mask of no rule, and each asked twice: the
         # first request, compared directly, and the index built on the second
         language = discovery._language_masks(atoms, canonical, 7)
-        row = discovery._Row(language, range(0, len(language.rules), 3))
-        masks = row.masks
-        targets = [language.full, language.masks[1], *masks, language.full ^ 1, language.masks[1]]
+        row = discovery._Row(language)
+        masks = language.masks
+        targets = [language.full, masks[1], *masks[::3], language.full ^ 1, masks[1]]
         for target in targets * 2:
             assert row.equal(target) == bits(mi == target for mi in masks), target
 
     @pytest.mark.parametrize("atoms, canonical", [(0, False), (1, False), (2, False), (3, True)])
     def test_holds_is_the_masks_transposed(self, atoms, canonical):
         language = discovery._language_masks(atoms, canonical, 7)
-        for indices in (None, range(0, len(language.rules), 2), [], range(len(language.rules))[-1:]):
-            row = discovery._Row(language, indices)
-            holds = row.holds()
-            assert len(holds) == 3**atoms
-            for p, h in enumerate(holds):
-                assert h == bits(mi >> p & 1 for mi in row.masks), (indices, p)
+        holds = discovery._Row(language).holds
+        assert len(holds) == 3**atoms
+        for p, h in enumerate(holds):
+            assert h == bits(mi >> p & 1 for mi in language.masks), p
 
     @pytest.mark.parametrize("atoms, canonical", [(1, False), (2, True), (2, False), (3, True)])
     def test_grouped_lookups_match_direct_comparison(self, atoms, canonical):
-        # holding(req, forb): the rules whose mask holds req and misses forb,
-        # against the direct comparisons `_scan_range.decide` stands for
+        # holding(req, forb, kept): the rules of kept whose mask holds req
+        # and misses forb, against the direct comparisons
+        # `_scan_range.decide` stands for; kept is the whole row, a part of
+        # it, one rule or none, as ties and ranges keep
         language = discovery._language_masks(atoms, canonical, 7)
         full, masks = language.full, language.masks
         rng = random.Random(atoms * 2 + canonical)
@@ -654,17 +654,22 @@ class TestBatchedScan:
             functools.reduce(int.__and__, rng.sample(masks, rng.randint(1, 3)), full)
             for _ in range(12)
         ]
-        for indices in (None, range(1, len(masks), 3), [len(masks) // 2], []):
-            row = discovery._Row(language, indices)
+        row = discovery._Row(language)
+        count = len(masks)
+        for indices in (range(count), range(1, count, 3), [count // 2], []):
+            kept = bits(i in indices for i in range(count))
+
+            def want(verdict):
+                return bits(i in indices and verdict(mi) for i, mi in enumerate(masks))
+
             for ma, mb in product(sides, repeat=2):
                 # ma & mi == mb, as decide reads it when mb is within ma
-                want = bits(ma & mi == mb for mi in row.masks)
-                got = 0 if mb & ~ma else row.holding(mb, ma ^ mb)
-                assert got == want, (indices, ma, mb)
-                assert row.holding(ma & mb, 0) == bits(
-                    ma & mb & ~mi == 0 for mi in row.masks), (indices, ma, mb)
-                assert row.holding(0, ma ^ mb) == bits(
-                    ma & mi == mb & mi for mi in row.masks), (indices, ma, mb)
+                got = 0 if mb & ~ma else row.holding(mb, ma ^ mb, kept)
+                assert got == want(lambda mi: ma & mi == mb), (indices, ma, mb)
+                assert row.holding(ma & mb, 0, kept) == want(
+                    lambda mi: ma & mb & ~mi == 0), (indices, ma, mb)
+                assert row.holding(0, ma ^ mb, kept) == want(
+                    lambda mi: ma & mi == mb & mi), (indices, ma, mb)
 
     def test_an_exception_in_the_condition_propagates(self):
         language = discovery._language_masks(2, False, 7)
@@ -688,6 +693,50 @@ class TestBatchedScan:
         tuples = list(itertools.islice(enumerate_tuples(TupleShape(1, 1, 0), 2), MISMATCH_CAP))
         assert [mm.rules for mm in report.mismatches] == tuples
         assert all(mm.oracle != mm.condition for mm in report.mismatches)
+
+
+def traced_peak(build):
+    """The peak of the memory `build()` allocates, in bits."""
+    tracemalloc.start()
+    try:
+        build()
+        return 8 * tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTableBudget:
+    """What a scan keeps stays within `_table_bits`, the count by which
+    the memory budget refuses a scan before it starts."""
+
+    @pytest.mark.parametrize("name, atoms, canonical, iso", [
+        ("cond_0_1_0", 4, False, False),
+        ("cond_0_1_0", 6, True, True),
+        ("s_implies", 4, True, True),
+        ("cond_0_1_1", 5, True, True),
+        ("cond_2_1_0", 4, True, True),
+        ("cond_0_2_1", 4, True, True),
+    ])
+    def test_a_traced_scan_stays_within_its_count(self, name, atoms, canonical, iso):
+        shape, predicate, _canonical_only = CONDITIONS[name]
+        peak = traced_peak(lambda: test_conjecture(shape, atoms, predicate, canonical, iso))
+        assert peak <= discovery._table_bits(shape, atoms, canonical, iso)
+
+    def test_every_table_of_the_six_atom_record_within_its_count(self):
+        # docs/cond_2_1_0-a6-canonical-iso.json: its row with every table
+        # built, and the rules kept for every tie mask
+        def build():
+            language = discovery._language_masks(6, True, 7)
+            row = discovery._Row(language)
+            kinds = row.sliced.sup_hd, row.sliced.miss_hd
+            tables = [row._table(at) for at in range(len(row._tables))]
+            below, _tied = discovery._order_table(language.rules, discovery._all_ties(6))
+            kept = [[i for i, b in enumerate(below) if not b & t] for t in range(32)]
+            kept_bits = [discovery._bits(rules, len(below)) for rules in kept]
+            return language, kinds, tables, kept, kept_bits
+
+        peak = traced_peak(build)
+        assert peak <= discovery._table_bits(TupleShape(2, 1, 0), 6, True, True)
 
 
 def call_predicate(predicate, *rules):
