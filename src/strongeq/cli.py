@@ -16,9 +16,9 @@ import sys
 from pathlib import Path
 
 from . import conditions
-from .discovery import ENUM_ATOM_LIMIT, TupleShape, test_conjecture
+from .discovery import ENUM_ATOM_LIMIT, TupleShape, rule_count, test_conjecture
 from .errors import ParseError, TooManyAtomsError
-from .oracle import SE_ATOM_LIMIT, check_world_mask, countermodel_json, strongly_equivalent
+from .oracle import SE_ATOM_LIMIT, check_language, countermodel_json, strongly_equivalent
 from .semantics import ANSWER_SET_ATOM_LIMIT, answer_sets
 from .simplify import simplify, verify_simplification
 from .syntax import Program, Symbols, bits_of, format_program, parse_program
@@ -166,13 +166,10 @@ def cmd_simplify(args: argparse.Namespace) -> int:
             _check_writable(path)
     if args.out and args.trace and os.path.realpath(args.out) == os.path.realpath(args.trace):
         raise SystemExit(_usage_error(f"--out and --trace name the same file: {args.trace}"))
-    atom_count = program.atoms.bit_count()
     if args.verify:
         # the result's atoms are a subset of the input's, so this is the
         # refusal the re-check would give, before any work or output
-        if atom_count > limit:
-            raise TooManyAtomsError("strongly_equivalent", atom_count, limit)
-        check_world_mask("strongly_equivalent", atom_count)
+        check_language("strongly_equivalent", program.atoms.bit_count(), limit)
     simplified, trace = simplify(program)
     text = format_program(simplified, symbols)
     if args.trace:
@@ -220,10 +217,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     limit = _atom_limit(args, ENUM_ATOM_LIMIT)
     if args.atoms > limit:  # before the tuple count, which grows as 8^(atoms * length)
         raise TooManyAtomsError("rule enumeration", args.atoms, limit)
-    rule_count = (
-        4**args.atoms - 1 if args.canonical else 2 ** (3 * args.atoms) - 1
-    )
-    work = rule_count**shape.length
+    work = rule_count(args.atoms, args.canonical) ** shape.length
     unit = "tuples"
     if args.modulo_iso:
         # each class holds at most atoms! tuples, so this bounds the class

@@ -223,8 +223,10 @@ def _columns(digits: bytes, atom_count: int) -> list[int]:
     return [int(digits.translate(_BIT_DIGITS[j]) or b"0", 2) for j in range(atom_count)]
 
 
-def _set_table(columns: list[int], start: int) -> list[int]:
-    """table[S]: the AND of start and columns[j] over the atoms j in S."""
+def set_table(columns: Sequence[int], start: int) -> list[int]:
+    """table[S]: the AND of start and columns[j] over the j in S.  Every
+    table of subset ANDs in the package is built here: a row's set tables
+    and lookup tables, and the harness's pair layout."""
     table = [start]
     for column in columns:  # the sets holding atom j follow those that do not
         table += [t & column for t in table]
@@ -276,7 +278,7 @@ class SlicedRow:
             columns = tables[each]
             if kind == "miss":
                 columns = [ones ^ column for column in columns]
-            tables[f"{kind}_{each}"] = _set_table(columns, ones)
+            tables[f"{kind}_{each}"] = set_table(columns, ones)
         return tables[name]
 
 

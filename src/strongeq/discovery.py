@@ -21,23 +21,26 @@ masks against the pair-by-pair `delta_holds` of tests/reference.py.
 The walk fixes every position but the last, then decides the whole row
 of last rules at once, bit-sliced (Biham 1997): the verdicts on a row
 are one int, bit i for the row's i-th rule, for the oracle and for the
-condition alike.  A registered predicate is decided by one call of its
-row form (`conditions.ROW_FORMS`, looked up by the predicate itself) on
-the fixed rules and the row's `SlicedRow`.  Any other callable, a user's
-condition or a wrapper around a registered one, is called once per tuple
-of the row, in row order, as a per-tuple walk would call it, and its
-verdicts are packed into an int.  On the oracle's side, a rule mi joins
-one side or both: ma & mi == mb holds iff mb is within ma and mi holds
-at every pair of mb and at none of ma ^ mb, which the row reads off the
-transpose of its masks through per-group lookup tables.  Where the side
-the last rule joins has no other rule yet (the only side of 0,1,0, the
-right side of 0,1,1 and 0,2,1), the verdict is whether the rule's mask
-equals the other side's, read from the positions of each distinct mask.
-The counts are bit counts, and only the bits of oracle ^ condition are
-walked, from the low bit, to record mismatches under the cap.  A scan
-builds one row, of every rule, and keeps what its reads have built; a
-tie mask or a range keeps some of its rules, and their bits, one int
-per tie mask, mask both verdicts.
+condition alike.  One object is the language of a scan: its `_Row`, a
+`conditions.SlicedRow` of every rule that also holds the rules and
+their masks, built once per scan (and, with job_count > 1, pickled to
+each worker).  A registered predicate is decided by one call of its row
+form (`conditions.ROW_FORMS`, looked up by the predicate itself) on the
+fixed rules and the row itself.  Any other callable, a user's condition
+or a wrapper around a registered one, is called once per tuple of the
+row, in row order, as a per-tuple walk would call it, and its verdicts
+are packed into an int.  On the oracle's side, the last rule's mask mi
+joins one side or both: own & mi == other, own the side it joins alone,
+holds iff other is within own and mi holds at every pair of other and
+at none of own ^ other, which the row reads off the transpose of its
+masks through per-group lookup tables.  Where own has no other rule yet
+(the only side of 0,1,0, the right side of 0,1,1 and 0,2,1), the
+verdict is whether mi equals other, read from the positions of each
+distinct mask.  The counts are bit counts, and only the bits of oracle
+^ condition are walked, from the low bit, to record mismatches under
+the cap.  The row keeps what its reads have built; a tie mask or a
+range keeps some of its rules, and their bits, one int per tie mask,
+mask both verdicts.
 
 With modulo_iso the walk is orderly (Read 1978; McKay 1998): it visits
 exactly the tuples that are their own `iso_canonical_form`, in enumeration
@@ -66,10 +69,11 @@ from __future__ import annotations
 
 import os
 import time
+from functools import cached_property
 from itertools import product, starmap
 from typing import Callable, Iterator, NamedTuple
 
-from .conditions import ROW_FORMS, SLICED_ATOMS, Fields, RowForm, SlicedRow
+from .conditions import ROW_FORMS, SLICED_ATOMS, Fields, RowForm, SlicedRow, set_table
 from .errors import TableBudgetError, TooManyAtomsError
 from .syntax import Rule, Symbols, format_rule, iso_canonical_form
 
@@ -185,41 +189,33 @@ def _int_bits(bits: int) -> int:
 def _table_bits(
     shape: TupleShape, atom_count: int, canonical_only: bool, modulo_iso: bool
 ) -> int:
-    """A bound on the memory, in bits, of what a scan keeps: the rules,
-    their fields and masks, and the one `_Row` of the language, with its
-    columns and set tables and either the index of its masks, where the
-    last rule is alone on its side, or their transpose (while built, the
-    three parts of each pair too) and lookup tables; with modulo_iso, the
-    rules kept for each tie mask, as indices and as bits.  The
-    mismatches a scan records are not counted."""
-    rule_count = (4 if canonical_only else 8) ** atom_count - 1
+    """A bound on the memory, in bits, of what a scan keeps: its `_Row`,
+    that is the rules, their masks (and, while the row is built, their
+    fields), the row's columns and set tables and either the index of its
+    masks, where the last rule is alone on its side, or their transpose
+    (while built, the three parts of each pair too) and lookup tables;
+    with modulo_iso, the rules kept for each tie mask, as indices and as
+    bits.  The mismatches a scan records are not counted."""
+    rules = rule_count(atom_count, canonical_only)
     pairs = 3**atom_count
-    row_int = _int_bits(rule_count)
+    row_int = _int_bits(rules)
     # a rule: its Rule and fields tuple, 64 bytes each, two slots, its mask
-    bits = rule_count * (8 * 144 + _int_bits(pairs))
+    bits = rules * (8 * 144 + _int_bits(pairs))
     bits += (4 * atom_count + 1 + (8 << atom_count)) * row_int
     if shape.k == 0 and (shape.n == 1 or shape.n == 0 and shape.m == 1):
-        bits += rule_count * 8 * 128  # a dict entry and a list per mask
+        bits += rules * 8 * 128  # a dict entry and a list per mask
     else:
         group = _group_size(atom_count)
         bits += (4 * pairs + (2 * -(-pairs // group) << group)) * row_int
     if modulo_iso:  # an index past 256 is an int of its own, 32 bytes
-        bits += (1 << max(atom_count - 1, 0)) * (rule_count * 8 * 40 + row_int)
+        bits += (1 << max(atom_count - 1, 0)) * (rules * 8 * 40 + row_int)
     return bits
 
 
-def _check_table_bits(
-    shape: TupleShape, atom_count: int, canonical_only: bool, modulo_iso: bool, max_atoms: int
-) -> None:
-    """Refuse, with TableBudgetError, a scan whose tables pass TABLE_BITS,
-    and, with TooManyAtomsError, one over more atoms than a `SlicedRow`
-    takes; the atom limit is checked first."""
-    _check_atom_count(atom_count, max_atoms)
-    bits = _table_bits(shape, atom_count, canonical_only, modulo_iso)
-    if bits > TABLE_BITS:
-        raise TableBudgetError("rule-tuple scan", atom_count, bits, TABLE_BITS)
-    if atom_count > SLICED_ATOMS:
-        raise TooManyAtomsError("rule-tuple scan", atom_count, SLICED_ATOMS)
+def rule_count(atom_count: int, canonical_only: bool) -> int:
+    """The number of rules `enumerate_rules` yields: 8^a - 1, or 4^a - 1
+    canonical ones."""
+    return (4 if canonical_only else 8) ** atom_count - 1
 
 
 def enumerate_rules(
@@ -290,13 +286,8 @@ def ht_pair_masks(atom_count: int) -> tuple[int, list[int], list[int], list[int]
         period = full // ((1 << 3 * w) - 1)  # bit 0 of every 3w-bit period
         in_x.append(((1 << w) - 1 << 2 * w) * period)
         in_y.append(((1 << 2 * w) - 1 << w) * period)
-    tables = []
-    for per_atom in (in_x, [full ^ m for m in in_x], in_y, [full ^ m for m in in_y]):
-        table = [full]
-        for m in per_atom:  # the sets holding atom a follow those that do not
-            table += [t & m for t in table]
-        tables.append(table)
-    return full, *tables
+    out_x, out_y = [full ^ m for m in in_x], [full ^ m for m in in_y]
+    return full, *(set_table(columns, full) for columns in (in_x, out_x, in_y, out_y))
 
 
 def rule_mask(
@@ -313,25 +304,28 @@ def rule_mask(
     return full ^ (ny[r.ng] & (ax[r.ps] & nx[r.hd] | ay[r.ps] & ny[r.hd]))
 
 
-class _Language(NamedTuple):
-    """An enumeration language: its rules, their field triples and masks,
-    and the all-ones mask over its 3^a pairs."""
-
-    atom_count: int
-    rules: list[Rule]
-    fields: list[Fields]
-    masks: list[int]
-    full: int
-
-
-def _language_masks(atom_count: int, canonical_only: bool, max_atoms: int) -> _Language:
-    """The enumerated rules of a language with their fields and masks."""
+def _language_masks(atom_count: int, canonical_only: bool, max_atoms: int) -> _Row:
+    """The row of every enumerated rule of a language, with their masks."""
     _check_atom_count(atom_count, max_atoms)
-    fields = list(_rule_fields(atom_count, canonical_only))
-    rules = list(starmap(Rule, fields))
-    layout = ht_pair_masks(atom_count)
-    masks = [rule_mask(r, layout) for r in rules]
-    return _Language(atom_count, rules, fields, masks, layout[0])
+    return _Row(atom_count, canonical_only)
+
+
+def _scan_setup(
+    shape: TupleShape, atom_count: int, canonical_only: bool, modulo_iso: bool, max_atoms: int
+) -> tuple[_Row, int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """A scan's row, the empty prefix's tie mask and `_order_table`.
+    First refuse, with TableBudgetError, a scan whose tables pass
+    TABLE_BITS, and, with TooManyAtomsError, one over more atoms than a
+    `SlicedRow` takes; the atom limit is checked first."""
+    _check_atom_count(atom_count, max_atoms)
+    bits = _table_bits(shape, atom_count, canonical_only, modulo_iso)
+    if bits > TABLE_BITS:
+        raise TableBudgetError("rule-tuple scan", atom_count, bits, TABLE_BITS)
+    if atom_count > SLICED_ATOMS:
+        raise TooManyAtomsError("rule-tuple scan", atom_count, SLICED_ATOMS)
+    row = _language_masks(atom_count, canonical_only, max_atoms)
+    ties = _all_ties(atom_count) if modulo_iso else 0
+    return row, ties, _order_table(row.rules, ties)
 
 
 def _all_ties(atom_count: int) -> int:
@@ -404,44 +398,39 @@ def _group_size(atom_count: int) -> int:
     return min(8, 2 * atom_count + 1)
 
 
-class _Row:
-    """Every rule of a language as the row a last position runs over: the
-    rules, their masks and, built on first read, their fields as a
-    `SlicedRow`, with the oracle's verdicts for the row as one int (bit
-    i: the i-th rule).  A tie mask or a range of the outermost index
-    keeps some of the rules, and the scan keeps their bits of every
-    verdict, so one row serves a scan whatever its ties.
+class _Row(SlicedRow):
+    """An enumeration language as the row a last position runs over, the
+    one object a scan builds of it: every rule, in `enumerate_rules`
+    order, with its mask and the all-ones mask `full` over the 3^a pairs;
+    as a `SlicedRow`, the rules' field columns and set tables, so that a
+    row form takes the row itself.  The verdicts for the row, the
+    oracle's and the condition's, are one int each (bit i: the i-th
+    rule).  A tie mask or a range of the outermost index keeps some of
+    the rules, and the scan keeps their bits of every verdict, so one row
+    serves a scan whatever its ties; worker processes receive it pickled.
 
     `holding(req, forb, rows)` gives the rules of rows whose mask holds
     every pair of req and none of forb, from the transpose of the masks
-    (`holds[p]`: the rules holding at pair p) read through lookup tables,
-    two per group of `_group_size` pairs, each built when first read: the
-    AND of `holds` over each subset of the group's pairs, and of their
-    complements.  `equal(target)` gives the rules whose mask is target:
-    the first request compares directly, later ones read an index of the
-    positions of each distinct mask.  The index keeps positions, not an
-    int per mask, which would hold about R^2/2 bits over a row of R rules."""
+    (`holds[p]`: the rules holding at pair p, built on first read) read
+    through lookup tables, two per group of `_group_size` pairs, each
+    built when first read: the AND of `holds` over each subset of the
+    group's pairs, and of their complements.  `equal(target)` gives the
+    rules whose mask is target: the first request compares directly,
+    later ones read an index of the positions of each distinct mask.  The
+    index keeps positions, not an int per mask, which would hold about
+    R^2/2 bits over a row of R rules."""
 
-    def __init__(self, language: _Language) -> None:
-        self.language = language
-        self.rules, self.masks = language.rules, language.masks
-        self.ones = (1 << len(self.rules)) - 1
-        self.group = _group_size(language.atom_count)
-        groups = -(-(3**language.atom_count) // self.group)
+    def __init__(self, atom_count: int, canonical_only: bool) -> None:
+        fields = list(_rule_fields(atom_count, canonical_only))
+        super().__init__(fields, atom_count)
+        self.rules = list(starmap(Rule, fields))
+        layout = ht_pair_masks(atom_count)
+        self.full = layout[0]
+        self.masks = [rule_mask(r, layout) for r in self.rules]
+        self.group = _group_size(atom_count)
+        groups = -(-(3**atom_count) // self.group)
         self._tables: list[list[int] | None] = [None] * (2 * groups)
         self._positions: dict[int, list[int]] | None = None
-
-    def __getattr__(self, name: str):
-        # reached only while `sliced` or `holds` is unbuilt: build it and
-        # keep it
-        if name == "sliced":
-            built = SlicedRow(self.language.fields, self.language.atom_count)
-        elif name == "holds":
-            built = self._transpose()
-        else:
-            raise AttributeError(name)
-        self.__dict__[name] = built
-        return built
 
     def equal(self, target: int) -> int:
         if self._positions is None:  # asked first: compare directly
@@ -457,16 +446,16 @@ class _Row:
             rows |= 1 << i
         return rows
 
-    def _transpose(self) -> list[int]:
-        """`holds`, `rule_mask` transposed: the translation fails where ng
-        misses y and either ps is within x while hd misses x, or ps is
-        within y while hd misses y.  Each of those three sets of rules is
-        an AND of one column per atom, chosen by the atom's digit, so they
-        are built like the layout, by tripling the pairs once per atom."""
-        row = self.sliced
+    @cached_property
+    def holds(self) -> list[int]:
+        """`rule_mask` transposed: the translation fails where ng misses y
+        and either ps is within x while hd misses x, or ps is within y
+        while hd misses y.  Each of those three sets of rules is an AND of
+        one column per atom, chosen by the atom's digit, so they are built
+        like the layout, by tripling the pairs once per atom."""
         ones = self.ones
         parts = [(ones, ones, ones)]  # (ng misses y, x side, y side)
-        for hd, ps, ng in zip(row.hd, row.ps, row.ng):
+        for hd, ps, ng in zip(self.hd, self.ps, self.ng):
             off_hd, off_ps, off_ng = ones ^ hd, ones ^ ps, ones ^ ng
             parts = (
                 [(n, x & off_ps, y & off_ps) for n, x, y in parts]  # outside y
@@ -478,13 +467,11 @@ class _Row:
     def _table(self, at: int) -> list[int]:
         """Lookup table `at`: group at // 2, of `holds` (even) or of
         its complements (odd)."""
-        ones = self.ones
         first = at // 2 * self.group
-        table = [ones]
-        for h in self.holds[first:first + self.group]:
-            column = ones ^ h if at & 1 else h
-            table += [t & column for t in table]
-        self._tables[at] = table
+        columns = self.holds[first:first + self.group]
+        if at & 1:
+            columns = [self.ones ^ h for h in columns]
+        self._tables[at] = table = set_table(columns, self.ones)
         return table
 
     def holding(self, req: int, forb: int, rows: int) -> int:
@@ -514,29 +501,26 @@ def _bits(indices: range | list[int], count: int) -> int:
 
 def _scan_range(
     shape: tuple[int, int, int],
-    language: _Language,
+    row: _Row,
     condition: Condition,
     start: int,
     stop: int,
     ties: int,
     order: tuple[tuple[int, ...], tuple[int, ...]],
     cap: int,
-    row: _Row | None = None,
 ) -> tuple[int, int, int, int, list[Mismatch]]:
-    """Scan all tuples whose outermost index lies in [start, stop); with
-    the empty prefix's tie mask `ties`, only those least in their orbit
-    (ties 0 scans them all).  `order` is `_order_table(rules, ties)`, and
-    `row` the language's `_Row`, which scans of the same language may
-    share; one is built if none is given."""
+    """Scan all tuples of the language `row` whose outermost index lies
+    in [start, stop); with the empty prefix's tie mask `ties`, only those
+    least in their orbit (ties 0 scans them all).  `order` is
+    `_order_table(rules, ties)`.  Scans of the same language may share
+    the row, and what its reads build."""
     k, m, n = shape
     tlen = k + m + n
     last = tlen - 1
     last_in_a = last < k + m
     last_in_b = last < k or last >= k + m
-    rules, masks, full = language.rules, language.masks, language.full
+    rules, masks, full = row.rules, row.masks, row.full
     count = len(rules)
-    if row is None:
-        row = _Row(language)
     total = se = cond_pos = mismatch_total = 0
     mismatches: list[Mismatch] = []
     below, tied = order
@@ -546,7 +530,6 @@ def _scan_range(
         row_form = _ROW_FORMS.get(condition)
     except TypeError:  # unhashable, so none of the registered ones
         row_form = None
-    sliced = None if row_form is None else row.sliced
     # tie mask -> indices of the rules that keep a prefix with those ties
     # least, and at the last position those indices as bits of the row;
     # tie masks recur across prefixes, so each is matched once
@@ -566,21 +549,18 @@ def _scan_range(
                 if condition(*prefix, rules[i]):
                     conds |= 1 << i
         else:
-            conds = row_form(*prefix, sliced) & rows
-        # ma & mi == mb: mi holds mb and misses ma ^ mb, if mb is within
-        # ma; where the side the last rule joins is still all-ones, the
-        # verdict is whether mi equals the other side's mask
+            conds = row_form(*prefix, row) & rows
+        # own & mi == other, own the side the last rule joins alone: mi
+        # holds other and misses own ^ other, if other is within own;
+        # where own is still all-ones, whether mi equals other
         if last_in_a and last_in_b:
             oracle = row.holding(0, ma ^ mb, rows)
-        elif last_in_a:
-            if ma == full:
-                oracle = row.equal(mb) & rows
-            else:
-                oracle = 0 if mb & ~ma else row.holding(mb, ma ^ mb, rows)
-        elif mb == full:
-            oracle = row.equal(ma) & rows
         else:
-            oracle = 0 if ma & ~mb else row.holding(ma, ma ^ mb, rows)
+            own, other = (ma, mb) if last_in_a else (mb, ma)
+            if own == full:
+                oracle = row.equal(other) & rows
+            else:
+                oracle = 0 if other & ~own else row.holding(other, own ^ other, rows)
         total += len(kept)
         se += oracle.bit_count()
         cond_pos += conds.bit_count()
@@ -654,11 +634,8 @@ def test_conjecture(
     """
     started = time.perf_counter()
     job_count = min(job_count, _usable_cpus())
-    _check_table_bits(shape, atom_count, canonical_only, modulo_iso, max_atoms)
-    language = _language_masks(atom_count, canonical_only, max_atoms)
-    ties = _all_ties(atom_count) if modulo_iso else 0
-    order = _order_table(language.rules, ties)
-    weights = [1.0] * len(language.rules)
+    row, ties, order = _scan_setup(shape, atom_count, canonical_only, modulo_iso, max_atoms)
+    weights = [1.0] * len(row.rules)
     if ties and job_count > 1:
         # A least first rule with stabilizer S heads about 1/|S| of a full
         # subtree: balance the ranges by that.
@@ -667,11 +644,7 @@ def test_conjecture(
             for below, tied in zip(*order)
         ]
     ranges = _split_ranges(weights, job_count)
-    shape_tuple = (shape.k, shape.m, shape.n)
-    args = [
-        (shape_tuple, language, condition, a, b, ties, order, MISMATCH_CAP)
-        for a, b in ranges
-    ]
+    args = [(shape, row, condition, a, b, ties, order, MISMATCH_CAP) for a, b in ranges]
     if job_count > 1 and len(args) > 1:
         # imported only here: loading multiprocessing costs about 1 MB of
         # memory, which no other path of the package needs
@@ -733,20 +706,13 @@ def discover_positive_tuples(
     One outermost rule index is scanned at a time, so the first tuples
     come before the rest are built; ranges taken in order give the
     enumeration order, as for `--jobs`."""
-    _check_table_bits(shape, atom_count, canonical_only, modulo_iso, max_atoms)
-    language = _language_masks(atom_count, canonical_only, max_atoms)
-    ties = _all_ties(atom_count) if modulo_iso else 0
-    order = _order_table(language.rules, ties)
-    shape_tuple = (shape.k, shape.m, shape.n)
+    row, ties, order = _scan_setup(shape, atom_count, canonical_only, modulo_iso, max_atoms)
     # Against a condition that never holds, the mismatches are exactly the
     # oracle-positive tuples; the cap is the range's tuple count, so none
-    # is cut.  The ranges share one row, built once for the stream.
-    count = len(language.rules)
+    # is cut.  The ranges share the row, built once for the stream.
+    count = len(row.rules)
     cap = count ** (shape.length - 1)
-    row = _Row(language)
     for start in range(count):
-        *_counts, positives = _scan_range(
-            shape_tuple, language, _never, start, start + 1, ties, order, cap, row
-        )
+        *_counts, positives = _scan_range(shape, row, _never, start, start + 1, ties, order, cap)
         for mm in positives:
             yield mm.rules

@@ -74,6 +74,14 @@ def check_world_mask(what: str, atom_count: int) -> None:
         raise WorldMaskError(what, atom_count, WORLD_MASK_ATOMS)
 
 
+def check_language(what: str, atom_count: int, max_atoms: int) -> None:
+    """The guard of every two-world call: refuse, with TooManyAtomsError,
+    a language over max_atoms atoms, then one too wide for a world mask."""
+    if atom_count > max_atoms:
+        raise TooManyAtomsError(what, atom_count, max_atoms)
+    check_world_mask(what, atom_count)
+
+
 class _HTPairFields(NamedTuple):
     x: int
     y: int
@@ -301,10 +309,7 @@ def strongly_equivalent(
     order when the programs are not strongly equivalent.
     """
     lang = p1.atoms | p2.atoms
-    n = lang.bit_count()
-    if n > max_atoms:
-        raise TooManyAtomsError("strongly_equivalent", n, max_atoms)
-    check_world_mask("strongly_equivalent", n)
+    check_language("strongly_equivalent", lang.bit_count(), max_atoms)
     # split on the field triples, which hash in C, not on the rules
     fields1, fields2 = ([(r.hd, r.ps, r.ng) for r in p.rules] for p in (p1, p2))
     in1, in2 = set(fields1), set(fields2)

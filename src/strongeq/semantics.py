@@ -15,8 +15,7 @@ here, `satisfies` and `is_answer_set` in tests/reference.py.
 
 from __future__ import annotations
 
-from .errors import TooManyAtomsError
-from .oracle import check_world_mask, here_mask, kept_slices, primed_failures, world_layout
+from .oracle import check_language, here_mask, kept_slices, primed_failures, world_layout
 from .syntax import Program, Rule
 
 ANSWER_SET_ATOM_LIMIT = 20
@@ -36,9 +35,7 @@ def answer_sets(p: Program, max_atoms: int = ANSWER_SET_ATOM_LIMIT) -> tuple[int
     """
     lang = p.atoms
     n = lang.bit_count()
-    if n > max_atoms:
-        raise TooManyAtomsError("answer_sets", n, max_atoms)
-    check_world_mask("answer_sets", n)
+    check_language("answer_sets", n, max_atoms)
     rules = p.rules
     layout = world_layout(lang)
     models = ((1 << (1 << n)) - 1) & ~primed_failures(rules, layout)

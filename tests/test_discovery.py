@@ -5,6 +5,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import pickle
 import random
 import tracemalloc
 from bisect import bisect_left
@@ -24,7 +25,7 @@ from strongeq import (
 )
 from strongeq import cond_2_1_0, discovery
 from strongeq.cli import CONDITIONS
-from strongeq.conditions import SlicedRow
+from strongeq.conditions import ROW_FORMS
 from strongeq.discovery import (
     MISMATCH_CAP,
     DiscoveryReport,
@@ -109,6 +110,13 @@ class TestEnumerateRules:
             list(enumerate_rules(8))
         with pytest.raises(TooManyAtomsError):
             list(enumerate_rules(8, canonical_only=True))
+
+    @pytest.mark.parametrize("canonical", [False, True])
+    def test_rule_count_is_the_enumerated_count(self, canonical):
+        # the count the scan budget and the CLI's long-run estimate read
+        for atom_count in range(5):
+            assert discovery.rule_count(atom_count, canonical) == len(
+                list(discovery._rule_fields(atom_count, canonical)))
 
     @pytest.mark.parametrize("canonical", [False, True])
     @pytest.mark.parametrize("atom_count", range(6))
@@ -385,9 +393,9 @@ class TestDiscoverPositives:
         built = []
         real = discovery._Row
 
-        def counting(language):
-            built.append(language)
-            return real(language)
+        def counting(*args):
+            built.append(args)
+            return real(*args)
 
         expected = test_conjecture(TupleShape(1, 1, 0), 2, never, modulo_iso=iso).se_positive_count
         monkeypatch.setattr(discovery, "_Row", counting)
@@ -626,20 +634,18 @@ class TestBatchedScan:
     def test_row_equality_verdicts_match_direct_comparison(self, atoms, canonical):
         # every rule's mask, a mask of no rule, and each asked twice: the
         # first request, compared directly, and the index built on the second
-        language = discovery._language_masks(atoms, canonical, 7)
-        row = discovery._Row(language)
-        masks = language.masks
-        targets = [language.full, masks[1], *masks[::3], language.full ^ 1, masks[1]]
+        row = discovery._language_masks(atoms, canonical, 7)
+        masks = row.masks
+        targets = [row.full, masks[1], *masks[::3], row.full ^ 1, masks[1]]
         for target in targets * 2:
             assert row.equal(target) == bits(mi == target for mi in masks), target
 
     @pytest.mark.parametrize("atoms, canonical", [(0, False), (1, False), (2, False), (3, True)])
     def test_holds_is_the_masks_transposed(self, atoms, canonical):
-        language = discovery._language_masks(atoms, canonical, 7)
-        holds = discovery._Row(language).holds
-        assert len(holds) == 3**atoms
-        for p, h in enumerate(holds):
-            assert h == bits(mi >> p & 1 for mi in language.masks), p
+        row = discovery._language_masks(atoms, canonical, 7)
+        assert len(row.holds) == 3**atoms
+        for p, h in enumerate(row.holds):
+            assert h == bits(mi >> p & 1 for mi in row.masks), p
 
     @pytest.mark.parametrize("atoms, canonical", [(1, False), (2, True), (2, False), (3, True)])
     def test_grouped_lookups_match_direct_comparison(self, atoms, canonical):
@@ -647,14 +653,13 @@ class TestBatchedScan:
         # and misses forb, against the direct comparisons
         # `_scan_range.decide` stands for; kept is the whole row, a part of
         # it, one rule or none, as ties and ranges keep
-        language = discovery._language_masks(atoms, canonical, 7)
-        full, masks = language.full, language.masks
+        row = discovery._language_masks(atoms, canonical, 7)
+        full, masks = row.full, row.masks
         rng = random.Random(atoms * 2 + canonical)
         sides = [full, 0, masks[0], masks[-1]] + [
             functools.reduce(int.__and__, rng.sample(masks, rng.randint(1, 3)), full)
             for _ in range(12)
         ]
-        row = discovery._Row(language)
         count = len(masks)
         for indices in (range(count), range(1, count, 3), [count // 2], []):
             kept = bits(i in indices for i in range(count))
@@ -695,6 +700,51 @@ class TestBatchedScan:
         assert all(mm.oracle != mm.condition for mm in report.mismatches)
 
 
+def row_verdicts(row) -> list[int]:
+    """What a scan asks of a row: `holding` and `equal` on sides made of
+    its masks, and every registered row form on every seventh prefix."""
+    masks = row.masks
+    sides = [row.full, 0, *masks[::3], masks[1] & masks[-1]]
+    got = [
+        row.holding(req, forb, kept)
+        for req, forb in product(sides, repeat=2)
+        for kept in (row.ones, row.ones >> 3)
+    ]
+    got += [row.equal(target) for target in sides * 2]
+    for shape, predicate, _canonical_only in CONDITIONS.values():
+        prefixes = product(row.rules, repeat=shape.length - 1)
+        row_form = ROW_FORMS[predicate]
+        got += [row_form(*prefix, row) for prefix in itertools.islice(prefixes, 0, None, 7)]
+    return got
+
+
+class TestPickledRow:
+    """With --jobs, each worker process receives the scan's row pickled;
+    the copy must decide as the row it was made from, whether that row
+    was fresh or had built its tables and index."""
+
+    @pytest.mark.parametrize("built", [False, True], ids=["fresh", "built"])
+    def test_the_copy_gives_the_same_verdicts(self, built):
+        row = discovery._language_masks(2, True, 7)
+        want = row_verdicts(row) if built else None
+        copy = pickle.loads(pickle.dumps(row))
+        assert type(copy) is discovery._Row
+        assert sorted(copy.__dict__) == sorted(row.__dict__)
+        if not built:
+            want = row_verdicts(row)
+        assert row_verdicts(copy) == want
+        assert copy.holds == row.holds and copy._tables == row._tables
+
+    def test_dunder_lookups_are_not_answered_as_tables(self):
+        # pickle and copy look these up on the row; a table name is sup_F
+        # or miss_F, and nothing else is built on a miss
+        row = discovery._language_masks(1, True, 7)
+        for name in ("__setstate__", "__getnewargs_ex__", "__deepcopy__", "__sup_hd__"):
+            with pytest.raises(AttributeError):
+                getattr(row, name)
+        assert "sup_hd" not in row.__dict__
+
+
 def traced_peak(build):
     """The peak of the memory `build()` allocates, in bits."""
     tracemalloc.start()
@@ -726,14 +776,13 @@ class TestTableBudget:
         # docs/cond_2_1_0-a6-canonical-iso.json: its row with every table
         # built, and the rules kept for every tie mask
         def build():
-            language = discovery._language_masks(6, True, 7)
-            row = discovery._Row(language)
-            kinds = row.sliced.sup_hd, row.sliced.miss_hd
+            row = discovery._language_masks(6, True, 7)
+            kinds = row.sup_hd, row.miss_hd
             tables = [row._table(at) for at in range(len(row._tables))]
-            below, _tied = discovery._order_table(language.rules, discovery._all_ties(6))
+            below, _tied = discovery._order_table(row.rules, discovery._all_ties(6))
             kept = [[i for i, b in enumerate(below) if not b & t] for t in range(32)]
             kept_bits = [discovery._bits(rules, len(below)) for rules in kept]
-            return language, kinds, tables, kept, kept_bits
+            return row, kinds, tables, kept, kept_bits
 
         peak = traced_peak(build)
         assert peak <= discovery._table_bits(TupleShape(2, 1, 0), 6, True, True)
@@ -774,7 +823,7 @@ class TestRowFormsInTheScan:
         report = test_conjecture(shape, 2, predicate, canonical_only=True)
         # 15 canonical rules over 2 atoms: one row of 15 per prefix
         prefixes = 15 ** (shape.length - 1)
-        assert rows == [(shape.length - 1, SlicedRow, 15)] * prefixes
+        assert rows == [(shape.length - 1, discovery._Row, 15)] * prefixes
         assert report.total_tuples == 15 * prefixes
 
     @pytest.mark.parametrize("name", sorted(CONDITIONS))

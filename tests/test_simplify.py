@@ -6,6 +6,7 @@ import json
 import random
 import time
 from collections import Counter
+from itertools import permutations
 
 from strongeq import (
     Program,
@@ -21,7 +22,7 @@ from strongeq import (
     verify_simplification,
 )
 from strongeq.conditions import cond_0_1_0, cond_1_1_0, cond_2_1_0
-from strongeq.discovery import enumerate_rules
+from strongeq.discovery import enumerate_rules, ht_pair_masks, rule_mask
 from strongeq.simplify import _FitTable, _near_pairs, _pair_replacement
 from strongeq.syntax import bits_of
 from conftest import random_program, random_rule
@@ -238,6 +239,52 @@ class TestSimplifyContract:
         out, _ = simplify(p)
         assert verify_simplification(p, out)
         assert len(out) == 2
+
+
+class TestFixpointByTheOracle:
+    """The output is a fixpoint by the semantics itself, not only by the
+    conditions the simplifier decides its steps with, so a mistake that
+    the simplifier and its reference share cannot hide one.  The fixpoint
+    is local to the paper's shapes: a rule that the rest of the output
+    entails can stay, and the test counts them on a fixed seed."""
+
+    def test_no_output_pair_or_triple_admits_a_step(self):
+        rng = random.Random(7)
+        # every canonical rule over the five atoms, as a T9 candidate: by
+        # its mask, the harness's closed form of the same semantics
+        layout = ht_pair_masks(5)
+        candidates: dict[int, list[int]] = {}
+        for r in enumerate_rules(5, canonical_only=True):
+            candidates.setdefault(rule_mask(r, layout), []).append(r.hd | r.ps | r.ng)
+        for _ in range(60):
+            out = simplify(random_program(rng, 5, 6))[0].rules
+            for i, j in permutations(range(len(out)), 2):
+                ri, rj = out[i], out[j]
+                # T6: rj is redundant given ri
+                assert not strongly_equivalent(Program((ri, rj)), Program((ri,))).equivalent
+                if i > j:
+                    continue
+                for rl in out[:i] + out[i + 1:j] + out[j + 1:]:
+                    # T8: rl is redundant given ri and rj
+                    assert not strongly_equivalent(
+                        Program((ri, rj, rl)), Program((ri, rj))).equivalent
+                # T9: one canonical rule over the pair's atoms replaces it
+                atoms = ri.hd | ri.ps | ri.ng | rj.hd | rj.ps | rj.ng
+                both = rule_mask(ri, layout) & rule_mask(rj, layout)
+                assert not any(a & ~atoms == 0 for a in candidates.get(both, ()))
+
+    def test_count_of_rules_the_rest_of_the_output_entails(self):
+        rng = random.Random(11)
+        rules = entailed = 0
+        for _ in range(300):
+            out = simplify(random_program(rng, 5, 12))[0].rules
+            rules += len(out)
+            whole = Program(out)
+            entailed += sum(
+                strongly_equivalent(Program(out[:i] + out[i + 1:]), whole).equivalent
+                for i in range(len(out))
+            )
+        assert (entailed, rules) == (24, 982)
 
 
 class TestVerifySimplification:
