@@ -241,11 +241,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         job_count=args.jobs,
         max_atoms=limit,
     )
-    payload = report.to_json()
     if args.report:
-        _write_text(args.report, json.dumps(payload, indent=2) + "\n")
+        _write_text(args.report, report.json_text(indent=True) + "\n")
     if args.json:
-        print(json.dumps(payload))
+        print(report.json_text())
     else:
         print(
             f"shape {shape.k}-{shape.m}-{shape.n} over {args.atoms} atoms: "

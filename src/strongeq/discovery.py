@@ -21,26 +21,30 @@ masks against the pair-by-pair `delta_holds` of tests/reference.py.
 The walk fixes every position but the last, then decides the whole row
 of last rules at once, bit-sliced (Biham 1997): the verdicts on a row
 are one int, bit i for the row's i-th rule, for the oracle and for the
-condition alike.  One object is the language of a scan: its `_Row`, a
-`conditions.SlicedRow` of every rule that also holds the rules and
-their masks, built once per scan (and, with job_count > 1, pickled to
-each worker).  A registered predicate is decided by one call of its row
-form (`conditions.ROW_FORMS`, looked up by the predicate itself) on the
-fixed rules and the row itself.  Any other callable, a user's condition
-or a wrapper around a registered one, is called once per tuple of the
-row, in row order, as a per-tuple walk would call it, and its verdicts
-are packed into an int.  On the oracle's side, the last rule's mask mi
-joins one side or both: own & mi == other, own the side it joins alone,
-holds iff other is within own and mi holds at every pair of other and
-at none of own ^ other, which the row reads off the transpose of its
-masks through per-group lookup tables.  Where own has no other rule yet
-(the only side of 0,1,0, the right side of 0,1,1 and 0,2,1), the
+condition alike.  The loop over the last fixed position decides each of
+its rows as it goes.  One object is the language of a scan: its `_Row`,
+a `conditions.SlicedRow` of every rule, built once per scan (and, with
+job_count > 1, pickled to each worker).  It builds the rules, their
+masks and their transpose when first read, so a scan builds only what
+its walk reads and its report prints: a one-rule shape with an exact
+condition builds no rule and no mask.  A registered predicate is decided
+by one call of its row form (`conditions.ROW_FORMS`, looked up by the
+predicate itself) on the fixed rules and the row itself.  Any other
+callable, a user's condition or a wrapper around a registered one, is
+called once per tuple of the row, in row order, as a per-tuple walk
+would call it, and its verdicts are packed into an int.  On the oracle's
+side, the last rule's mask mi joins one side or both: own & mi == other,
+own the side it joins alone, holds iff other is within own and mi holds
+at every pair of other and at none of own ^ other, which the row reads
+off the transpose of its masks through per-group lookup tables.  Where
+own has no other rule yet (the right side of 0,1,1 and 0,2,1), the
 verdict is whether mi equals other, read from the positions of each
-distinct mask.  The counts are bit counts, and only the bits of oracle
-^ condition are walked, from the low bit, to record mismatches under
-the cap.  The row keeps what its reads have built; a tie mask or a
-range keeps some of its rules, and their bits, one int per tie mask,
-mask both verdicts.
+distinct mask; where no rule is fixed at all (0,1,0), whether mi holds
+at every pair, the AND of the transpose.  The counts are bit counts,
+and only the bits of oracle ^ condition are walked, from the low bit, to
+record mismatches under the cap.  The row keeps what its reads have
+built; a tie mask or a range keeps some of its rules, and their bits,
+one int per tie mask, mask both verdicts.
 
 With modulo_iso the walk is orderly (Read 1978; McKay 1998): it visits
 exactly the tuples that are their own `iso_canonical_form`, in enumeration
@@ -58,7 +62,10 @@ permutations within each run of atoms whose types are tied.  The walk
 carries that group as the bitmask of tied neighbours (bit i: atoms i and
 i+1) and tries a rule only against it: a rule whose type rises across a
 tied pair is skipped with its whole subtree, and the child keeps the ties
-the rule does not break.  A full scan is the same walk with no ties.
+the rule does not break.  A full scan is the same walk with no ties.  At
+every position the rules a tie mask keeps are read off the row's field
+columns (`_Row.kept`), one int per neighbour pair: the rules whose type
+rises across it.
 
 Work can be split across processes by chunking the outermost rule index
 into contiguous ranges; partial reports merge in range order, so results
@@ -67,10 +74,11 @@ are identical for any job count.
 
 from __future__ import annotations
 
+import json
 import os
 import time
-from functools import cached_property
-from itertools import product, starmap
+from functools import cached_property, reduce
+from itertools import islice, product, starmap
 from typing import Callable, Iterator, NamedTuple
 
 from .conditions import ROW_FORMS, SLICED_ATOMS, Fields, RowForm, SlicedRow, set_table
@@ -127,35 +135,60 @@ class DiscoveryReport(NamedTuple):
     mismatches: tuple[Mismatch, ...]
     elapsed_ms: float
 
-    def to_json(self) -> dict:
-        """The report with its rules written over `language_symbols`."""
-        symbols = language_symbols(self.atom_count)
-        # mismatches share most of their rules, the very objects; keyed by
-        # id, since Rule's own hash is Python code
-        texts: dict[int, str] = {}
+    def json_text(self, indent: bool = False) -> str:
+        """The report as JSON, its rules written over `language_symbols`:
+        the text `json.dumps` gives for the report's dict (keys in the
+        order written here), or with indent, what it gives at indent=2.
+        The text is written out directly; each distinct rule's text is
+        JSON-encoded once."""
+        (o1, s1, c1), (o2, s2, c2), (o3, s3, c3), (o4, s4, c4) = _JSON_LAYOUTS[indent]
+        listed = "[]"
+        if self.mismatches:
+            symbols = language_symbols(self.atom_count)
+            # mismatches share most of their rules, the very objects; keyed
+            # by id, since Rule's own hash is Python code
+            texts: dict[int, str] = {}
 
-        def text(r: Rule) -> str:
-            t = texts.get(id(r))
-            if t is None:
-                t = texts[id(r)] = format_rule(r, symbols)
-            return t
+            def text(r: Rule) -> str:
+                t = texts.get(id(r))
+                if t is None:
+                    t = texts[id(r)] = json.dumps(format_rule(r, symbols))
+                return t
 
-        return {
-            "shape": [self.shape.k, self.shape.m, self.shape.n],
-            "atoms": self.atom_count,
-            "total": self.total_tuples,
-            "se_positive": self.se_positive_count,
-            "cond_positive": self.condition_positive_count,
-            "mismatches": [
-                {
-                    "tuple": [text(r) for r in mm.rules],
-                    "oracle": mm.oracle,
-                    "cond": mm.condition,
-                }
+            head = "{" + o3 + '"tuple": [' + o4
+            oracle = c4 + "]" + s3 + '"oracle": '
+            cond = s3 + '"cond": '
+            tail = c3 + "}"
+            truth = ("false", "true")
+            listed = "[" + o2 + s2.join([
+                head + s4.join(map(text, mm.rules)) + oracle + truth[mm.oracle]
+                + cond + truth[mm.condition] + tail
                 for mm in self.mismatches
-            ],
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
+            ]) + c2 + "]"
+        return (
+            f'{{{o1}"shape": [{o2}{s2.join(map(str, self.shape))}{c2}]{s1}'
+            f'"atoms": {self.atom_count}{s1}"total": {self.total_tuples}{s1}'
+            f'"se_positive": {self.se_positive_count}{s1}'
+            f'"cond_positive": {self.condition_positive_count}{s1}'
+            f'"mismatches": {listed}{s1}"elapsed_ms": {round(self.elapsed_ms, 3)!r}{c1}}}'
+        )
+
+
+def _json_layout(depth: int, indent: bool) -> tuple[str, str, str]:
+    """The opening, separator and closing of a JSON container whose items
+    sit at nesting depth `depth`, as `json.dumps` writes them: compact,
+    or at indent=2."""
+    if not indent:
+        return "", ", ", ""
+    pad = "\n" + "  " * depth
+    return pad, "," + pad, "\n" + "  " * (depth - 1)
+
+
+# a report's containers by depth: its keys; the shape and the mismatches;
+# a mismatch's keys; a mismatch's rules
+_JSON_LAYOUTS = {
+    indent: [_json_layout(depth, indent) for depth in (1, 2, 3, 4)] for indent in (False, True)
+}
 
 
 def language_symbols(atom_count: int) -> Symbols:
@@ -190,23 +223,28 @@ def _table_bits(
     shape: TupleShape, atom_count: int, canonical_only: bool, modulo_iso: bool
 ) -> int:
     """A bound on the memory, in bits, of what a scan keeps: its `_Row`,
-    that is the rules, their masks (and, while the row is built, their
-    fields), the row's columns and set tables and either the index of its
-    masks, where the last rule is alone on its side, or their transpose
-    (while built, the three parts of each pair too) and lookup tables;
-    with modulo_iso, the rules kept for each tie mask, as indices and as
-    bits.  The mismatches a scan records are not counted."""
+    that is the rules' fields and their Rules, the row's columns, set
+    tables and `rises`; for a shape of one rule the transpose of the
+    masks, while built with the three parts of each pair too; for longer
+    shapes the masks, and either the index of the masks, where the last
+    rule is alone on its side, or their transpose and lookup tables; with
+    modulo_iso, the rules kept for each tie mask, as indices and as bits.
+    The mismatches a scan records are not counted."""
     rules = rule_count(atom_count, canonical_only)
     pairs = 3**atom_count
     row_int = _int_bits(rules)
-    # a rule: its Rule and fields tuple, 64 bytes each, two slots, its mask
-    bits = rules * (8 * 144 + _int_bits(pairs))
-    bits += (4 * atom_count + 1 + (8 << atom_count)) * row_int
-    if shape.k == 0 and (shape.n == 1 or shape.n == 0 and shape.m == 1):
-        bits += rules * 8 * 128  # a dict entry and a list per mask
+    # a rule: its Rule and fields tuple, 64 bytes each, and two slots
+    bits = rules * 8 * 144
+    bits += (5 * atom_count + 2 + (8 << atom_count)) * row_int
+    if shape.length == 1:
+        bits += 4 * pairs * row_int
     else:
-        group = _group_size(atom_count)
-        bits += (4 * pairs + (2 * -(-pairs // group) << group)) * row_int
+        bits += rules * _int_bits(pairs)
+        if shape.k == 0 and shape.n == 1:
+            bits += rules * 8 * 128  # a dict entry and a list per mask
+        else:
+            group = _group_size(atom_count)
+            bits += (4 * pairs + (2 * -(-pairs // group) << group)) * row_int
     if modulo_iso:  # an index past 256 is an int of its own, 32 bytes
         bits += (1 << max(atom_count - 1, 0)) * (rules * 8 * 40 + row_int)
     return bits
@@ -229,18 +267,15 @@ def enumerate_rules(
 
 
 def _rule_fields(atom_count: int, canonical_only: bool) -> Iterator[Fields]:
-    """The (hd, ps, ng) of each rule `enumerate_rules` yields, in its order.
-    The 4^a - 1 canonical rules have pairwise disjoint fields: ps runs over
-    the submasks of the atoms hd leaves, and ng over those hd and ps leave,
+    """The (hd, ps, ng) of each rule `enumerate_rules` yields, in its order:
+    every triple of atom sets but the first, all-empty one.  The 4^a - 1
+    canonical rules have pairwise disjoint fields: ps runs over the
+    submasks of the atoms hd leaves, and ng over those hd and ps leave,
     each ascending."""
     full = (1 << atom_count) - 1
-    if not canonical_only:
-        for hd in range(full + 1):
-            for ps in range(full + 1):
-                for ng in range(full + 1):
-                    if hd | ps | ng:
-                        yield hd, ps, ng
-        return
+    space = range(full + 1)
+    if not canonical_only:  # 8^a - 1 of them, so taken as they come
+        return islice(product(space, repeat=3), 1, None)
     # submasks[c]: the submasks of c, ascending; those of c holding its top
     # atom follow those of c without it, in the same order
     submasks = [[0]]
@@ -248,11 +283,13 @@ def _rule_fields(atom_count: int, canonical_only: bool) -> Iterator[Fields]:
         top = 1 << c.bit_length() - 1
         below = submasks[c ^ top]
         submasks.append(below + [s | top for s in below])
-    for hd in range(full + 1):
-        for ps in submasks[full ^ hd]:
-            ngs = submasks[full ^ hd ^ ps]
-            for ng in ngs if hd | ps else ngs[1:]:
-                yield hd, ps, ng
+    fields = [
+        (hd, ps, ng)
+        for hd in space
+        for ps in submasks[full ^ hd]
+        for ng in submasks[full ^ hd ^ ps]
+    ]
+    return islice(fields, 1, None)
 
 
 def enumerate_tuples(
@@ -312,8 +349,8 @@ def _language_masks(atom_count: int, canonical_only: bool, max_atoms: int) -> _R
 
 def _scan_setup(
     shape: TupleShape, atom_count: int, canonical_only: bool, modulo_iso: bool, max_atoms: int
-) -> tuple[_Row, int, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """A scan's row, the empty prefix's tie mask and `_order_table`.
+) -> tuple[_Row, int, tuple[int, ...]]:
+    """A scan's row, the empty prefix's tie mask and `_tie_table`.
     First refuse, with TableBudgetError, a scan whose tables pass
     TABLE_BITS, and, with TooManyAtomsError, one over more atoms than a
     `SlicedRow` takes; the atom limit is checked first."""
@@ -325,7 +362,9 @@ def _scan_setup(
         raise TooManyAtomsError("rule-tuple scan", atom_count, SLICED_ATOMS)
     row = _language_masks(atom_count, canonical_only, max_atoms)
     ties = _all_ties(atom_count) if modulo_iso else 0
-    return row, ties, _order_table(row.rules, ties)
+    if not ties or shape.length == 1:  # no prefix position to read it
+        return row, ties, ()
+    return row, ties, _tie_table(row.rules, ties)
 
 
 def _all_ties(atom_count: int) -> int:
@@ -333,26 +372,20 @@ def _all_ties(atom_count: int) -> int:
     return (1 << max(atom_count - 1, 0)) - 1
 
 
-def _order_masks(r: Rule, ties: int) -> tuple[int, int]:
-    """Over the neighbour pairs in `ties`, the pairs (i, i+1) where atom
-    i's type in the rule is below atom i+1's, and those where the two are
-    equal.  A type is membership of hd, then ps, then ng."""
+def _child_ties(r: Rule, ties: int) -> int:
+    """The neighbour pairs (i, i+1) of `ties` across which atom i's type
+    in the rule equals atom i+1's: the tie mask a least prefix keeps when
+    the rule joins it.  A type is membership of hd, then ps, then ng."""
     hd, ps, ng = r.hd, r.ps, r.ng
-    below = ties & hd >> 1 & ~hd
-    ties &= ~(hd >> 1 ^ hd)
-    below |= ties & ps >> 1 & ~ps
-    ties &= ~(ps >> 1 ^ ps)
-    below |= ties & ng >> 1 & ~ng
-    return below, ties & ~(ng >> 1 ^ ng)
+    return ties & ~(hd >> 1 ^ hd) & ~(ps >> 1 ^ ps) & ~(ng >> 1 ^ ng)
 
 
-def _order_table(rules: list[Rule], ties: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Every rule's two `_order_masks` against the empty prefix's tie mask
-    `ties`, as a column each; empty for a full scan (ties 0)."""
+def _tie_table(rules: list[Rule], ties: int) -> tuple[int, ...]:
+    """Every rule's `_child_ties` against the empty prefix's tie mask
+    `ties`, as a column; empty for a full scan (ties 0)."""
     if not ties:
-        return (), ()
-    below, tied = zip(*(_order_masks(r, ties) for r in rules))
-    return below, tied
+        return ()
+    return tuple(_child_ties(r, ties) for r in rules)
 
 
 def _stabilizer_order(ties: int) -> int:
@@ -401,12 +434,14 @@ def _group_size(atom_count: int) -> int:
 class _Row(SlicedRow):
     """An enumeration language as the row a last position runs over, the
     one object a scan builds of it: every rule, in `enumerate_rules`
-    order, with its mask and the all-ones mask `full` over the 3^a pairs;
-    as a `SlicedRow`, the rules' field columns and set tables, so that a
-    row form takes the row itself.  The verdicts for the row, the
-    oracle's and the condition's, are one int each (bit i: the i-th
-    rule).  A tie mask or a range of the outermost index keeps some of
-    the rules, and the scan keeps their bits of every verdict, so one row
+    order, as a `SlicedRow`, the rules' field columns and set tables, so
+    that a row form takes the row itself, and the all-ones mask `full`
+    over the 3^a pairs.  The rules themselves and their masks are built
+    on first read: by the walk's fixed positions, a condition called per
+    tuple or a recorded mismatch.  The verdicts for the row, the oracle's
+    and the condition's, are one int each (bit i: the i-th rule).  A tie
+    mask or a range of the outermost index keeps some of the rules
+    (`kept`), and the scan keeps their bits of every verdict, so one row
     serves a scan whatever its ties; worker processes receive it pickled.
 
     `holding(req, forb, rows)` gives the rules of rows whose mask holds
@@ -414,23 +449,65 @@ class _Row(SlicedRow):
     (`holds[p]`: the rules holding at pair p, built on first read) read
     through lookup tables, two per group of `_group_size` pairs, each
     built when first read: the AND of `holds` over each subset of the
-    group's pairs, and of their complements.  `equal(target)` gives the
-    rules whose mask is target: the first request compares directly,
-    later ones read an index of the positions of each distinct mask.  The
-    index keeps positions, not an int per mask, which would hold about
-    R^2/2 bits over a row of R rules."""
+    group's pairs, and of their complements.  `valid` is the AND of all
+    of `holds`.  `equal(target)` gives the rules whose mask is target:
+    the first request compares directly, later ones read an index of the
+    positions of each distinct mask.  The index keeps positions, not an
+    int per mask, which would hold about R^2/2 bits over a row of R
+    rules."""
 
     def __init__(self, atom_count: int, canonical_only: bool) -> None:
         fields = list(_rule_fields(atom_count, canonical_only))
         super().__init__(fields, atom_count)
-        self.rules = list(starmap(Rule, fields))
-        layout = ht_pair_masks(atom_count)
-        self.full = layout[0]
-        self.masks = [rule_mask(r, layout) for r in self.rules]
+        self._fields = fields
+        self.full = (1 << 3**atom_count) - 1
         self.group = _group_size(atom_count)
         groups = -(-(3**atom_count) // self.group)
         self._tables: list[list[int] | None] = [None] * (2 * groups)
         self._positions: dict[int, list[int]] | None = None
+
+    @cached_property
+    def rules(self) -> list[Rule]:
+        """The row's rules, in `enumerate_rules` order."""
+        return list(starmap(Rule, self._fields))
+
+    @cached_property
+    def masks(self) -> list[int]:
+        """Each rule's `rule_mask`."""
+        layout = ht_pair_masks(len(self.hd))
+        return [rule_mask(r, layout) for r in self.rules]
+
+    @cached_property
+    def valid(self) -> int:
+        """The rules that hold at every pair, whose mask is `full`: the
+        AND of `holds`."""
+        return reduce(int.__and__, self.holds, self.ones)
+
+    @cached_property
+    def rises(self) -> list[int]:
+        """For each pair of neighbouring atoms (i, i+1), the rules whose
+        type rises across it, atom i's type below atom i+1's: the first
+        of hd, ps and ng that tells the two apart holds atom i+1 only."""
+        rises = []
+        for i in range(len(self.hd) - 1):
+            rise, tied = 0, self.ones
+            for column in (self.hd, self.ps, self.ng):
+                lo, hi = column[i], column[i + 1]
+                rise |= tied & hi & ~lo
+                tied &= ~(lo ^ hi)
+            rises.append(rise)
+        return rises
+
+    def kept(self, ties: int) -> int:
+        """The rules that keep a least prefix with tie mask `ties` least:
+        those whose type rises across no tied pair.  This is the one
+        place the walk's positions learn which rules a tie mask keeps."""
+        beaten = 0
+        if ties:
+            for i, rise in enumerate(self.rises):
+                if ties >> i & 1:
+                    beaten |= rise
+        return self.ones ^ beaten
 
     def equal(self, target: int) -> int:
         if self._positions is None:  # asked first: compare directly
@@ -491,12 +568,10 @@ class _Row(SlicedRow):
         return rows
 
 
-def _bits(indices: range | list[int], count: int) -> int:
-    """The int of count bits with bit i set for each i of indices."""
-    digits = bytearray(b"0" * count)
-    for i in indices:
-        digits[i] = 0x31  # b"1"
-    return int(digits[::-1] or b"0", 2)
+def _indices(bits: int) -> list[int]:
+    """The positions of the set bits of bits, ascending."""
+    digits = bin(bits)[:1:-1]  # bit 0 first
+    return [i for i, digit in enumerate(digits) if digit == "1"]
 
 
 def _scan_range(
@@ -506,44 +581,47 @@ def _scan_range(
     start: int,
     stop: int,
     ties: int,
-    order: tuple[tuple[int, ...], tuple[int, ...]],
+    tied: tuple[int, ...],
     cap: int,
 ) -> tuple[int, int, int, int, list[Mismatch]]:
     """Scan all tuples of the language `row` whose outermost index lies
     in [start, stop); with the empty prefix's tie mask `ties`, only those
-    least in their orbit (ties 0 scans them all).  `order` is
-    `_order_table(rules, ties)`.  Scans of the same language may share
-    the row, and what its reads build."""
+    least in their orbit (ties 0 scans them all).  `tied` is
+    `_tie_table(rules, ties)`, which a one-rule shape does not read.
+    Scans of the same language may share the row, and what its reads
+    build."""
     k, m, n = shape
-    tlen = k + m + n
-    last = tlen - 1
+    last = k + m + n - 1
     last_in_a = last < k + m
     last_in_b = last < k or last >= k + m
-    rules, masks, full = row.rules, row.masks, row.full
-    count = len(rules)
+    full = row.full
     total = se = cond_pos = mismatch_total = 0
     mismatches: list[Mismatch] = []
-    below, tied = order
+    span = (1 << stop) - (1 << start) if start < stop else 0  # the range's rules
     # the row form registered for this very condition; any other callable,
     # a wrapper around a registered one included, is called per tuple
     try:
         row_form = _ROW_FORMS.get(condition)
     except TypeError:  # unhashable, so none of the registered ones
         row_form = None
-    # tie mask -> indices of the rules that keep a prefix with those ties
-    # least, and at the last position those indices as bits of the row;
-    # tie masks recur across prefixes, so each is matched once
+    # tie mask -> the rules of the row that keep a prefix with those ties
+    # least, as indices and as bits; a row's bits -> their indices, for a
+    # condition called per tuple.  Tie masks recur across prefixes, so
+    # each is read off the row once.
     kept_for: dict[int, list[int]] = {}
-    bits_for: dict[int, int] = {}
+    rows_for = {0: row.ones}
+    indices_for: dict[int, list[int]] = {}
 
-    def decide(
-        prefix: tuple[Rule, ...], ma: int, mb: int, kept: range | list[int], rows: int
-    ) -> None:
-        """Label every tuple prefix + (rules[i],), i in kept, by the oracle
-        and the condition, each as one int of verdicts over the row;
-        `rows` has the bits of kept."""
+    def decide(prefix: tuple[Rule, ...], ma: int, mb: int, rows: int) -> None:
+        """Label every tuple prefix + (rule,), for each rule of the row in
+        `rows`, by the oracle and the condition, each as one int of
+        verdicts over the row."""
         nonlocal total, se, cond_pos, mismatch_total
         if row_form is None:  # in row order, as a per-tuple walk calls it
+            kept = indices_for.get(rows)
+            if kept is None:
+                kept = indices_for[rows] = _indices(rows)
+            rules = row.rules
             conds = 0
             for i in kept:
                 if condition(*prefix, rules[i]):
@@ -557,11 +635,13 @@ def _scan_range(
             oracle = row.holding(0, ma ^ mb, rows)
         else:
             own, other = (ma, mb) if last_in_a else (mb, ma)
-            if own == full:
-                oracle = row.equal(other) & rows
-            else:
+            if own != full:
                 oracle = 0 if other & ~own else row.holding(other, own ^ other, rows)
-        total += len(kept)
+            elif prefix:
+                oracle = row.equal(other) & rows
+            else:  # a rule alone, against no rule: whether it holds everywhere
+                oracle = row.valid & rows
+        total += rows.bit_count()
         se += oracle.bit_count()
         cond_pos += conds.bit_count()
         diff = oracle ^ conds
@@ -573,46 +653,45 @@ def _scan_range(
             low = diff & -diff
             diff ^= low
             o = oracle & low != 0
-            mismatches.append(Mismatch(prefix + (rules[low.bit_length() - 1],), o, not o))
+            mismatches.append(Mismatch(prefix + (row.rules[low.bit_length() - 1],), o, not o))
             room -= 1
 
     def walk(depth: int, ma: int, mb: int, prefix: tuple[Rule, ...], ties: int) -> None:
         if ties:
             if depth == 0:
-                rng = [i for i in range(start, stop) if not below[i] & ties]
+                rng = _indices(row.kept(ties) & span)
             else:
                 rng = kept_for.get(ties)
                 if rng is None:
-                    rng = kept_for[ties] = [i for i, b in enumerate(below) if not b & ties]
+                    rng = kept_for[ties] = _indices(row.kept(ties))
         else:
-            rng = range(start, stop) if depth == 0 else range(count)
-        if depth == last:
-            if not ties:  # every rule, or this range's own
-                rows = (1 << len(rng)) - 1 << rng.start
-            elif depth == 0:
-                rows = _bits(rng, count)
-            else:
-                rows = bits_for.get(ties)
-                if rows is None:
-                    rows = bits_for[ties] = _bits(rng, count)
-            decide(prefix, ma, mb, rng, rows)
-            return
+            rng = range(start, stop) if depth == 0 else range(len(rules))
         in_a = depth < k + m
         in_b = depth < k or depth >= k + m
+        deeper = depth + 1 < last
         for i in rng:
             mi = masks[i]
-            walk(
-                depth + 1,
-                ma & mi if in_a else ma,
-                mb & mi if in_b else mb,
-                prefix + (rules[i],),
-                ties and ties & tied[i],
-            )
+            na = ma & mi if in_a else ma
+            nb = mb & mi if in_b else mb
+            child = ties and ties & tied[i]
+            if deeper:
+                walk(depth + 1, na, nb, prefix + (rules[i],), child)
+                continue
+            # the last fixed position: rules[i] fixes a row of last rules,
+            # those the child's tie mask keeps, decided here
+            rows = rows_for.get(child)
+            if rows is None:
+                rows = rows_for[child] = row.kept(child)
+            decide(prefix + (rules[i],), na, nb, rows)
 
-    walk(0, full, full, (), ties)
-    # walk refers to itself: unbind it, so that what it holds is freed now
-    # and not by a later collection
-    del walk
+    if last:
+        rules, masks = row.rules, row.masks
+        walk(0, full, full, (), ties)
+        # walk refers to itself: unbind it, so that what it holds is freed
+        # now and not by a later collection
+        del walk
+    else:  # one rule, so one row: the range's rules that are least
+        decide((), full, full, row.kept(ties) & span)
     return total, se, cond_pos, mismatch_total, mismatches
 
 
@@ -633,18 +712,23 @@ def test_conjecture(
     No more workers are started than this process has CPUs to run on.
     """
     started = time.perf_counter()
-    job_count = min(job_count, _usable_cpus())
-    row, ties, order = _scan_setup(shape, atom_count, canonical_only, modulo_iso, max_atoms)
-    weights = [1.0] * len(row.rules)
-    if ties and job_count > 1:
-        # A least first rule with stabilizer S heads about 1/|S| of a full
-        # subtree: balance the ranges by that.
-        weights = [
-            0.0 if below else 1.0 / _stabilizer_order(tied)
-            for below, tied in zip(*order)
-        ]
-    ranges = _split_ranges(weights, job_count)
-    args = [(shape, row, condition, a, b, ties, order, MISMATCH_CAP) for a, b in ranges]
+    if job_count > 1:
+        job_count = min(job_count, _usable_cpus())
+    row, ties, tied = _scan_setup(shape, atom_count, canonical_only, modulo_iso, max_atoms)
+    count = row.ones.bit_length()
+    if job_count > 1:
+        weights = [1.0] * count
+        if tied:  # ties, and a rule to fix before the last
+            # A least first rule with stabilizer S heads about 1/|S| of a
+            # full subtree, and any other rule none: balance the ranges by
+            # that.
+            weights = [0.0] * count
+            for i in _indices(row.kept(ties)):
+                weights[i] = 1.0 / _stabilizer_order(tied[i])
+        ranges = _split_ranges(weights, job_count)
+    else:
+        ranges = [(0, count)]
+    args = [(shape, row, condition, a, b, ties, tied, MISMATCH_CAP) for a, b in ranges]
     if job_count > 1 and len(args) > 1:
         # imported only here: loading multiprocessing costs about 1 MB of
         # memory, which no other path of the package needs
@@ -706,13 +790,13 @@ def discover_positive_tuples(
     One outermost rule index is scanned at a time, so the first tuples
     come before the rest are built; ranges taken in order give the
     enumeration order, as for `--jobs`."""
-    row, ties, order = _scan_setup(shape, atom_count, canonical_only, modulo_iso, max_atoms)
+    row, ties, tied = _scan_setup(shape, atom_count, canonical_only, modulo_iso, max_atoms)
     # Against a condition that never holds, the mismatches are exactly the
     # oracle-positive tuples; the cap is the range's tuple count, so none
     # is cut.  The ranges share the row, built once for the stream.
-    count = len(row.rules)
+    count = row.ones.bit_length()
     cap = count ** (shape.length - 1)
     for start in range(count):
-        *_counts, positives = _scan_range(shape, row, _never, start, start + 1, ties, order, cap)
+        *_counts, positives = _scan_range(shape, row, _never, start, start + 1, ties, tied, cap)
         for mm in positives:
             yield mm.rules

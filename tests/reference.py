@@ -22,6 +22,7 @@ from strongeq import (
     reduct,
     subsume_witness,
 )
+from strongeq.discovery import DiscoveryReport, language_symbols
 from strongeq.syntax import bits_of, mask_of
 
 
@@ -180,6 +181,48 @@ def step_json(step: SimplifyStep, symbols: Symbols) -> dict:
         "removed": list(step.removed),
         "rule": format_rule(step.produced, symbols),
     }
+
+
+def report_json(report: DiscoveryReport) -> dict:
+    """A verify report as a dict, its rules written over the report's
+    `language_symbols`; `json.dumps` of it is
+    `DiscoveryReport.json_text()`, and at indent=2 the `--report` file."""
+    symbols = language_symbols(report.atom_count)
+    return {
+        "shape": [report.shape.k, report.shape.m, report.shape.n],
+        "atoms": report.atom_count,
+        "total": report.total_tuples,
+        "se_positive": report.se_positive_count,
+        "cond_positive": report.condition_positive_count,
+        "mismatches": [
+            {
+                "tuple": [format_rule(r, symbols) for r in mm.rules],
+                "oracle": mm.oracle,
+                "cond": mm.condition,
+            }
+            for mm in report.mismatches
+        ],
+        "elapsed_ms": round(report.elapsed_ms, 3),
+    }
+
+
+def order_masks(r: Rule, ties: int) -> tuple[int, int]:
+    """Over the neighbour pairs (i, i+1) in `ties`, those where atom i's
+    type in the rule is below atom i+1's and those where the two types
+    are equal; a type is membership of hd, then ps, then ng, compared as
+    a tuple.  The rules a tie mask keeps are those below at no pair, and
+    a rule leaves a prefix the ties where it is equal."""
+
+    def atom_type(a: int) -> tuple[int, int, int]:
+        return r.hd >> a & 1, r.ps >> a & 1, r.ng >> a & 1
+
+    below = tied = 0
+    for i in bits_of(ties):
+        if atom_type(i) < atom_type(i + 1):
+            below |= 1 << i
+        elif atom_type(i) == atom_type(i + 1):
+            tied |= 1 << i
+    return below, tied
 
 
 def enumerate_rules(atom_count: int, canonical_only: bool = False) -> list[Rule]:

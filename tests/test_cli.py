@@ -296,7 +296,7 @@ class TestScanTableBudget:
         argv = ["verify", "--shape", "0,1,0", "--atoms", "7", "--condition", "cond_0_1_0"]
         assert main(argv) == 3
         assert capsys.readouterr().err == (
-            "error: rule-tuple scan: 7 atoms need row tables of about 1.47 GiB, "
+            "error: rule-tuple scan: 7 atoms need row tables of about 2.84 GiB, "
             "over the memory budget of 2^32 bits (512 MiB)\n")
 
     def test_no_scan_over_more_atoms_than_a_sliced_row_takes(self, monkeypatch, capsys):
@@ -455,6 +455,73 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["total"] == 63
         assert payload["se_positive"] == payload["cond_positive"]
+
+
+# the standing records in docs/, each with the argv that makes it
+RECORDS = {
+    "cond_2_1_0-a5-canonical-iso.json": ["--shape", "2,1,0", "--atoms", "5"],
+    "cond_0_2_1-a5-canonical-iso.json": ["--shape", "0,2,1", "--atoms", "5"],
+}
+
+
+class TestStandingRecords:
+    """README's claim: a run of the current code gives the records' own
+    report in every field but elapsed_ms, byte for byte."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_report_reproduces_the_record(self, tmp_path, capsys, name, jobs):
+        report = tmp_path / "report.json"
+        argv = ["verify", *RECORDS[name], "--canonical", "--modulo-iso",
+                "--condition", name.split("-")[0], "--jobs", jobs, "--report", str(report)]
+        assert main(argv) == 0
+        capsys.readouterr()
+
+        def fixed(text):
+            lines = text.split("\n")
+            kept = [line for line in lines if not line.startswith('  "elapsed_ms": ')]
+            assert len(kept) == len(lines) - 1
+            return kept
+
+        record = (ROOT / "docs" / name).read_bytes().decode("utf-8")
+        assert fixed(report.read_bytes().decode("utf-8")) == fixed(record)
+
+
+class TestOutputFiles:
+    """--out, --trace and --report leave exactly the new text in a file,
+    whatever it held before, and write to a device as to a file."""
+
+    ARGV = {
+        "out": ["simplify", "{program}", "--out", "{file}"],
+        "trace": ["simplify", "{program}", "--trace", "{file}"],
+        "report": ["verify", "--shape", "0,1,0", "--atoms", "1", "--condition", "cond_0_1_0",
+                   "--report", "{file}"],
+    }
+
+    @pytest.mark.parametrize("option", sorted(ARGV))
+    def test_an_existing_file_holds_exactly_the_new_text(self, tmp_path, capsys, option):
+        program = write(tmp_path, "p.lp", "a :- a. b.")
+        fresh, longer, shorter = tmp_path / "fresh", tmp_path / "longer", tmp_path / "shorter"
+        longer.write_bytes(b"x" * 100_000)
+        shorter.write_bytes(b"x")
+        for target in (fresh, longer, shorter):
+            argv = [arg.format(program=program, file=target) for arg in self.ARGV[option]]
+            assert main(argv) == 0
+        capsys.readouterr()
+
+        def fixed(path):  # a report's elapsed time differs from run to run
+            return [line for line in path.read_bytes().split(b"\n") if b'"elapsed_ms"' not in line]
+
+        assert fixed(longer) == fixed(shorter) == fixed(fresh)
+        assert 1 < len(fresh.read_bytes()) < 1000
+        assert b"x" not in longer.read_bytes() + shorter.read_bytes()
+
+    @pytest.mark.parametrize("option", sorted(ARGV))
+    def test_a_device_is_written_as_it_is(self, tmp_path, capsys, option):
+        program = write(tmp_path, "p.lp", "a :- a. b.")
+        assert main([arg.format(program=program, file=os.devnull)
+                     for arg in self.ARGV[option]]) == 0
+        assert capsys.readouterr().err == ""
 
 
 TOP_USAGE = "usage: strongeq [-h] {answersets,check-se,simplify,verify} ...\n"

@@ -1,15 +1,18 @@
 """Enumeration, isomorphism quotients, and the condition-vs-oracle harness."""
 
 import functools
+import importlib
 import itertools
 import json
 import multiprocessing
 import os
 import pickle
 import random
+import sys
 import tracemalloc
 from bisect import bisect_left
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,7 @@ from strongeq import (
     cond_1_1_0,
     strongly_equivalent,
 )
-from strongeq import cond_2_1_0, discovery
+from strongeq import cli, cond_2_1_0, discovery
 from strongeq.cli import CONDITIONS
 from strongeq.conditions import ROW_FORMS
 from strongeq.discovery import (
@@ -305,7 +308,7 @@ class TestTestConjecture:
 
     def test_report_json_schema(self):
         report = test_conjecture(TupleShape(0, 1, 0), 2, never)
-        payload = report.to_json()
+        payload = json.loads(report.json_text())
         assert set(payload) == {
             "shape",
             "atoms",
@@ -320,7 +323,7 @@ class TestTestConjecture:
         first = payload["mismatches"][0]
         assert set(first) == {"tuple", "oracle", "cond"}
         assert isinstance(first["tuple"][0], str)
-        json.dumps(payload)  # must be serializable as-is
+        assert payload == reference.report_json(report)
 
 
 class TestDiscoverPositives:
@@ -348,7 +351,7 @@ class TestDiscoverPositives:
             ties = discovery._all_ties(2) if iso else 0
             *_counts, whole = discovery._scan_range(
                 (shape.k, shape.m, shape.n), language, discovery._never,
-                0, len(rules), ties, discovery._order_table(rules, ties),
+                0, len(rules), ties, discovery._tie_table(rules, ties),
                 len(rules) ** shape.length)
             assert list(discover_positive_tuples(shape, 2, modulo_iso=iso)) == [
                 mm.rules for mm in whole]
@@ -370,20 +373,20 @@ class TestDiscoverPositives:
     @pytest.mark.parametrize("stream", [True, False], ids=["positives", "test_conjecture"])
     def test_order_masks_once_per_rule(self, monkeypatch, stream):
         calls = []
-        real = discovery._order_masks
+        real = discovery._child_ties
 
         def counting(r, ties):
             calls.append(r)
             return real(r, ties)
 
-        monkeypatch.setattr(discovery, "_order_masks", counting)
+        monkeypatch.setattr(discovery, "_child_ties", counting)
         # the --jobs ranges run in this process, so their calls count too
         monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
         shape = TupleShape(0, 1, 1)
         if stream:
             list(discover_positive_tuples(shape, 3, canonical_only=True, modulo_iso=True))
         else:
-            for job_count in (1, 2):  # the --jobs weights reuse the same masks
+            for job_count in (1, 2):  # the --jobs weights reuse the same column
                 test_conjecture(shape, 3, never, True, modulo_iso=True, job_count=job_count)
         rules = list(enumerate_rules(3, canonical_only=True))
         assert calls == rules * (1 if stream else 2)
@@ -502,18 +505,21 @@ class TestOrderlyWalk:
         "mutant",
         [
             # keeps every tie, so later rules meet the prefix's whole group
-            lambda real: lambda r, ties: (real(r, ties)[0], ties),
+            ("_child_ties", lambda real: lambda r, ties: ties),
             # breaks every tie, forgetting the stabilizer after one rule
-            lambda real: lambda r, ties: (real(r, ties)[0], 0),
+            ("_child_ties", lambda real: lambda r, ties: 0),
             # also prunes rules that are merely tied across a pair
-            lambda real: lambda r, ties: (sum(real(r, ties)), real(r, ties)[1]),
+            ("kept", lambda real: lambda row, ties: real(row, ties) & ~bits(
+                reference.order_masks(r, ties)[1] != 0 for r in row.rules)),
             # compares heads only
-            lambda real: lambda r, ties: real(Rule(r.hd, 0, 0), ties),
+            ("_child_ties", lambda real: lambda r, ties: real(Rule(r.hd, 0, 0), ties)),
         ],
         ids=["unnarrowed", "forgetful", "prunes-tied", "head-only"],
     )
     def test_mutants_of_the_tie_masks_are_caught(self, monkeypatch, mutant):
-        monkeypatch.setattr(discovery, "_order_masks", mutant(discovery._order_masks))
+        name, make = mutant
+        owner = discovery._Row if name == "kept" else discovery
+        monkeypatch.setattr(owner, name, make(getattr(owner, name)))
         cases = [(TupleShape(0, 1, 1), 3, True), (TupleShape(2, 1, 0), 2, True),
                  (TupleShape(0, 1, 1), 2, False)]
         assert any(
@@ -531,14 +537,14 @@ class TestOrderlyWalk:
         assert report.mismatch_count == 0
 
 
-def reference_scan(shape, language, condition, start, stop, ties, _order, cap):
+def reference_scan(shape, language, condition, start, stop, ties, _tied, cap):
     """_scan_range as a per-tuple walk: the condition and the oracle are
     asked about one tuple at a time.  It takes _scan_range's arguments but
-    makes its own order masks."""
+    makes its own order masks, those of tests/reference.py."""
     k, m, n = shape
     last = k + m + n - 1
     rules, masks, full = language.rules, language.masks, language.full
-    below, tied = zip(*(discovery._order_masks(r, ties) for r in rules)) if ties else ((), ())
+    below, tied = zip(*(reference.order_masks(r, ties) for r in rules)) if ties else ((), ())
     counts = [0, 0, 0, 0]
     mismatches = []
 
@@ -619,7 +625,7 @@ class TestBatchedScan:
                     log.append(tup)
                     return condition(*tup)
 
-                args = (start, stop, ties, discovery._order_table(rules, ties), cap)
+                args = (start, stop, ties, discovery._tie_table(rules, ties), cap)
                 got = discovery._scan_range(
                     shape_tuple, language, functools.partial(recording, log=seen[0]), *args)
                 want = reference_scan(
@@ -779,13 +785,138 @@ class TestTableBudget:
             row = discovery._language_masks(6, True, 7)
             kinds = row.sup_hd, row.miss_hd
             tables = [row._table(at) for at in range(len(row._tables))]
-            below, _tied = discovery._order_table(row.rules, discovery._all_ties(6))
-            kept = [[i for i, b in enumerate(below) if not b & t] for t in range(32)]
-            kept_bits = [discovery._bits(rules, len(below)) for rules in kept]
-            return row, kinds, tables, kept, kept_bits
+            tied = discovery._tie_table(row.rules, discovery._all_ties(6))
+            kept_bits = [row.kept(t) for t in range(32)]
+            kept = [discovery._indices(b) for b in kept_bits]
+            return row, kinds, tables, tied, kept, kept_bits
 
         peak = traced_peak(build)
         assert peak <= discovery._table_bits(TupleShape(2, 1, 0), 6, True, True)
+
+
+def refuse_to_build(*_args):
+    raise AssertionError("built")
+
+
+class TestWhatAScanBuilds:
+    """A scan builds the rules, their masks and the order table only
+    where its walk or its output reads them."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("iso", [False, True], ids=["full", "iso"])
+    def test_a_one_rule_scan_builds_no_rule_and_no_mask(self, monkeypatch, capsys, iso, jobs):
+        for name in ("Rule", "rule_mask", "ht_pair_masks", "_child_ties"):
+            monkeypatch.setattr(discovery, name, refuse_to_build)
+        # the --jobs ranges run in this process, where the patches hold
+        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+        monkeypatch.setattr(discovery, "_usable_cpus", lambda: 2)
+        argv = ["verify", "--shape", "0,1,0", "--atoms", "3", "--condition", "cond_0_1_0",
+                "--json", "--jobs", jobs] + ["--modulo-iso"] * iso
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["total"] == (119 if iso else 511) and payload["mismatches"] == []
+
+    def test_a_one_rule_scan_builds_the_rules_it_records(self, monkeypatch):
+        expected = test_conjecture(TupleShape(0, 1, 0), 2, never)
+        assert expected.mismatches
+        monkeypatch.setattr(discovery, "rule_mask", refuse_to_build)
+        report = test_conjecture(TupleShape(0, 1, 0), 2, never)
+        assert report._replace(elapsed_ms=0) == expected._replace(elapsed_ms=0)
+        monkeypatch.setattr(discovery, "Rule", refuse_to_build)
+        with pytest.raises(AssertionError, match="built"):
+            test_conjecture(TupleShape(0, 1, 0), 2, never)
+
+    def test_a_two_rule_scan_that_records_mismatches_builds_the_masks(self, monkeypatch):
+        monkeypatch.setattr(discovery, "rule_mask", refuse_to_build)
+        with pytest.raises(AssertionError, match="built"):
+            test_conjecture(TupleShape(1, 1, 0), 1, CONDITIONS["s_implies"][1])
+
+    @pytest.mark.parametrize("canonical", [False, True])
+    @pytest.mark.parametrize("atoms", range(6))
+    def test_column_keep_sets_match_the_order_masks(self, atoms, canonical):
+        row = discovery._language_masks(atoms, canonical, 7)
+        # each pair is told apart on its own, so one call per rule serves
+        # every tie mask
+        masks = [reference.order_masks(r, discovery._all_ties(atoms)) for r in row.rules]
+        for ties in range(1 << max(atoms - 1, 0)):
+            want = bits_at((i for i, (below, _) in enumerate(masks) if not below & ties),
+                           len(masks))
+            assert row.kept(ties) == want, ties
+            assert [discovery._child_ties(r, ties) for r in row.rules] == [
+                tied & ties for _, tied in masks], ties
+
+    @pytest.mark.parametrize(
+        "atoms, canonical", [(0, False), (1, False), (2, False), (3, False), (4, True)])
+    def test_valid_rules_are_those_whose_mask_is_full(self, atoms, canonical):
+        row = discovery._language_masks(atoms, canonical, 7)
+        assert row.valid == bits(mi == row.full for mi in row.masks)
+
+
+def bits_at(indices, count: int) -> int:
+    """The int of count bits with bit i set for each i of indices, read
+    from its digits: no running sum of long ints."""
+    digits = bytearray(b"0" * count)
+    for i in indices:
+        digits[i] = ord("1")
+    return int(digits[::-1] or b"0", 2)
+
+
+@pytest.fixture(scope="module")
+def deck_runs():
+    """The benchmark's verify deck: (condition, shape, atoms, canonical,
+    modulo_iso) for each op."""
+    path, saved = str(Path(__file__).resolve().parent.parent / "perfbench"), sys.dont_write_bytecode
+    sys.path.insert(0, path)
+    sys.dont_write_bytecode = True
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(path)
+        sys.dont_write_bytecode = saved
+    return [
+        (name, CONDITIONS[name][0], atoms, canonical, iso)
+        for table, iso in ((workloads.VERIFY_OPS, False), (workloads.VERIFY_ISO_OPS, True))
+        for name, _shape, atoms, canonical in table
+    ]
+
+
+def assert_written_as_the_reference(report):
+    payload = reference.report_json(report)
+    for got, want in ((report.json_text(), json.dumps(payload)),
+                      (report.json_text(indent=True), json.dumps(payload, indent=2))):
+        if got != want:  # pytest's own diff of texts this long takes minutes
+            at = len(os.path.commonprefix([got, want]))
+            pytest.fail(f"from {at}: {got[at - 40:at + 40]!r} != {want[at - 40:at + 40]!r}")
+
+
+class TestReportText:
+    """`DiscoveryReport.json_text` writes the text `json.dumps` gives for
+    the reference dict, compact and at indent 2."""
+
+    def test_every_deck_report(self, deck_runs):
+        assert len(deck_runs) == 47
+        for name, shape, atoms, canonical, iso in deck_runs:
+            report = test_conjecture(shape, atoms, CONDITIONS[name][1], canonical, iso)
+            assert_written_as_the_reference(report)
+
+    @pytest.mark.parametrize("atoms", [2, 3])
+    def test_capped_mismatch_lists(self, atoms):
+        report = test_conjecture(TupleShape(1, 1, 0), atoms, CONDITIONS["s_implies"][1])
+        assert len(report.mismatches) == MISMATCH_CAP
+        if atoms == 2:
+            assert report.mismatch_count == 1765
+        assert_written_as_the_reference(report)
+
+    def test_no_atoms(self):
+        report = test_conjecture(TupleShape(1, 1, 0), 0, cond_1_1_0)
+        assert report.total_tuples == 0
+        assert_written_as_the_reference(report)
+
+    @pytest.mark.parametrize("elapsed_ms", [0.0, 0.0004, 1234.5675, 1e16])
+    def test_elapsed_times(self, elapsed_ms):
+        report = test_conjecture(TupleShape(0, 1, 1), 1, never)._replace(elapsed_ms=elapsed_ms)
+        assert report.mismatches
+        assert_written_as_the_reference(report)
 
 
 def call_predicate(predicate, *rules):
