@@ -217,19 +217,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     limit = _atom_limit(args, ENUM_ATOM_LIMIT)
     if args.atoms > limit:  # before the tuple count, which grows as 8^(atoms * length)
         raise TooManyAtomsError("rule enumeration", args.atoms, limit)
-    work = rule_count(args.atoms, args.canonical) ** shape.length
-    unit = "tuples"
-    if args.modulo_iso:
-        # each class holds at most atoms! tuples, so this bounds the class
-        # count from below
-        work = -(-work // math.factorial(args.atoms))
-        unit = "renaming classes"
-    if work > LONG_RUN_TUPLES and not args.allow_long:
-        # the count itself can run to thousands of digits: give its size
-        return _usage_error(
-            f"this run enumerates about 10^{math.log10(work):.0f} {unit}, over "
-            f"{LONG_RUN_TUPLES:,}; pass --allow-long if you really want it"
-        )
+    if not args.allow_long:  # the count serves this check alone
+        work = rule_count(args.atoms, args.canonical) ** shape.length
+        unit = "tuples"
+        if args.modulo_iso:
+            # each class holds at most atoms! tuples, so this bounds the
+            # class count from below
+            work = -(-work // math.factorial(args.atoms))
+            unit = "renaming classes"
+        if work > LONG_RUN_TUPLES:
+            # the count itself can run to thousands of digits: give its size
+            return _usage_error(
+                f"this run enumerates about 10^{math.log10(work):.0f} {unit}, over "
+                f"{LONG_RUN_TUPLES:,}; pass --allow-long if you really want it"
+            )
     if args.report:
         _check_writable(args.report)
     report = test_conjecture(

@@ -39,12 +39,16 @@ at every pair of other and at none of own ^ other, which the row reads
 off the transpose of its masks through per-group lookup tables.  Where
 own has no other rule yet (the right side of 0,1,1 and 0,2,1), the
 verdict is whether mi equals other, read from the positions of each
-distinct mask; where no rule is fixed at all (0,1,0), whether mi holds
-at every pair, the AND of the transpose.  The counts are bit counts,
-and only the bits of oracle ^ condition are walked, from the low bit, to
-record mismatches under the cap.  The row keeps what its reads have
-built; a tie mask or a range keeps some of its rules, and their bits,
-one int per tie mask, mask both verdicts.
+distinct mask.  Where other is all-ones too, because no rule is fixed
+(0,1,0) or every fixed rule is valid, holding at every pair, the
+verdict is whether mi holds at every pair: the row's `valid`, one int
+built once per row.  In a language of all rules most rules are valid
+(3,471 of 4,095 over 4 atoms), so most rows of 1,1,0 and 0,1,1 are
+read off that one int.  The counts are bit counts, and the set bits of
+oracle ^ condition are read in one pass, up to the cap, to record
+mismatches.  The row keeps what its reads have built; a tie mask or a
+range keeps some of its rules, and their bits, one int per tie mask,
+mask both verdicts.
 
 With modulo_iso the walk is orderly (Read 1978; McKay 1998): it visits
 exactly the tuples that are their own `iso_canonical_form`, in enumeration
@@ -77,8 +81,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from functools import cached_property, reduce
-from itertools import islice, product, starmap
+from functools import cached_property, partial, reduce
+from itertools import chain, islice, product, starmap
 from typing import Callable, Iterator, NamedTuple
 
 from .conditions import ROW_FORMS, SLICED_ATOMS, Fields, RowForm, SlicedRow, set_table
@@ -119,6 +123,10 @@ class Mismatch(NamedTuple):
     condition: bool
 
 
+# a Mismatch from its three fields, without the Python frame of its __new__
+_mismatch = partial(tuple.__new__, Mismatch)
+
+
 class DiscoveryReport(NamedTuple):
     """Outcome of one exhaustive condition-vs-oracle run.
 
@@ -139,32 +147,33 @@ class DiscoveryReport(NamedTuple):
         """The report as JSON, its rules written over `language_symbols`:
         the text `json.dumps` gives for the report's dict (keys in the
         order written here), or with indent, what it gives at indent=2.
-        The text is written out directly; each distinct rule's text is
-        JSON-encoded once."""
+        The text is written out directly: each distinct rule's text is
+        JSON-encoded once, and each mismatch is one join of its rules'
+        texts and its verdicts."""
         (o1, s1, c1), (o2, s2, c2), (o3, s3, c3), (o4, s4, c4) = _JSON_LAYOUTS[indent]
         listed = "[]"
         if self.mismatches:
             symbols = language_symbols(self.atom_count)
+            length = len(self.mismatches[0].rules)
+            flat = list(chain.from_iterable([mm.rules for mm in self.mismatches]))
             # mismatches share most of their rules, the very objects; keyed
             # by id, since Rule's own hash is Python code
-            texts: dict[int, str] = {}
-
-            def text(r: Rule) -> str:
-                t = texts.get(id(r))
-                if t is None:
-                    t = texts[id(r)] = json.dumps(format_rule(r, symbols))
-                return t
-
-            head = "{" + o3 + '"tuple": [' + o4
-            oracle = c4 + "]" + s3 + '"oracle": '
-            cond = s3 + '"cond": '
-            tail = c3 + "}"
+            keys = list(map(id, flat))
+            distinct = dict(zip(keys, flat))
+            texts = {key: json.dumps(format_rule(r, symbols)) for key, r in distinct.items()}
+            # an entry: its first rule after the entry's opening, each later
+            # one after a separator, then its verdicts and the closing
+            first = {key: "{" + o3 + '"tuple": [' + o4 + t for key, t in texts.items()}
+            later = {key: s4 + t for key, t in texts.items()}
             truth = ("false", "true")
-            listed = "[" + o2 + s2.join([
-                head + s4.join(map(text, mm.rules)) + oracle + truth[mm.oracle]
-                + cond + truth[mm.condition] + tail
-                for mm in self.mismatches
-            ]) + c2 + "]"
+            verdicts = {
+                (o, c): f'{c4}]{s3}"oracle": {truth[o]}{s3}"cond": {truth[c]}{c3}}}'
+                for o in (False, True) for c in (False, True)
+            }
+            columns = [map(first.__getitem__, keys[::length])]
+            columns += [map(later.__getitem__, keys[j::length]) for j in range(1, length)]
+            columns.append([verdicts[mm.oracle, mm.condition] for mm in self.mismatches])
+            listed = "[" + o2 + s2.join(map("".join, zip(*columns))) + c2 + "]"
         return (
             f'{{{o1}"shape": [{o2}{s2.join(map(str, self.shape))}{c2}]{s1}'
             f'"atoms": {self.atom_count}{s1}"total": {self.total_tuples}{s1}'
@@ -353,11 +362,17 @@ def _scan_setup(
     """A scan's row, the empty prefix's tie mask and `_tie_table`.
     First refuse, with TableBudgetError, a scan whose tables pass
     TABLE_BITS, and, with TooManyAtomsError, one over more atoms than a
-    `SlicedRow` takes; the atom limit is checked first."""
+    `SlicedRow` takes; the atom limit is checked first.  The tables grow
+    with the atoms, so past SLICED_ATOMS + 1 atoms, where no scan runs,
+    those of SLICED_ATOMS + 1 atoms stand for them as a bound from below:
+    no exact count of a larger language is made, whose powers alone take
+    seconds over millions of atoms."""
     _check_atom_count(atom_count, max_atoms)
-    bits = _table_bits(shape, atom_count, canonical_only, modulo_iso)
+    counted = min(atom_count, SLICED_ATOMS + 1)
+    bits = _table_bits(shape, counted, canonical_only, modulo_iso)
     if bits > TABLE_BITS:
-        raise TableBudgetError("rule-tuple scan", atom_count, bits, TABLE_BITS)
+        raise TableBudgetError(
+            "rule-tuple scan", atom_count, bits, TABLE_BITS, at_least=counted < atom_count)
     if atom_count > SLICED_ATOMS:
         raise TooManyAtomsError("rule-tuple scan", atom_count, SLICED_ATOMS)
     row = _language_masks(atom_count, canonical_only, max_atoms)
@@ -449,12 +464,13 @@ class _Row(SlicedRow):
     (`holds[p]`: the rules holding at pair p, built on first read) read
     through lookup tables, two per group of `_group_size` pairs, each
     built when first read: the AND of `holds` over each subset of the
-    group's pairs, and of their complements.  `valid` is the AND of all
-    of `holds`.  `equal(target)` gives the rules whose mask is target:
-    the first request compares directly, later ones read an index of the
-    positions of each distinct mask.  The index keeps positions, not an
-    int per mask, which would hold about R^2/2 bits over a row of R
-    rules."""
+    group's pairs, and of their complements.  `valid`, the rules whose
+    mask is `full`, is one int built on first read, and a scan reads it
+    wherever it would ask `equal(full)`.  `equal(target)` gives the rules
+    whose mask is target: the first request compares directly, later
+    ones read an index of the positions of each distinct mask, setting
+    one bit per position.  The index keeps positions, not an int per
+    mask, which would hold about R^2/2 bits over a row of R rules."""
 
     def __init__(self, atom_count: int, canonical_only: bool) -> None:
         fields = list(_rule_fields(atom_count, canonical_only))
@@ -479,9 +495,15 @@ class _Row(SlicedRow):
 
     @cached_property
     def valid(self) -> int:
-        """The rules that hold at every pair, whose mask is `full`: the
-        AND of `holds`."""
-        return reduce(int.__and__, self.holds, self.ones)
+        """The rules that hold at every pair, whose mask is `full`: read
+        off the masks where they are built (a scan of two rules or more),
+        else the AND of `holds`, so that neither is built for this
+        alone."""
+        masks = self.__dict__.get("masks")
+        if masks is None:
+            return reduce(int.__and__, self.holds, self.ones)
+        full = self.full
+        return int("".join(["1" if mi == full else "0" for mi in reversed(masks)]) or "0", 2)
 
     @cached_property
     def rises(self) -> list[int]:
@@ -510,6 +532,10 @@ class _Row(SlicedRow):
         return self.ones ^ beaten
 
     def equal(self, target: int) -> int:
+        """The rules whose mask is target, one bit set per such rule: a
+        scan asks this of a mask other than `full`, whose class is small,
+        and reads `valid` for `full`, whose class holds most rules of a
+        language of all rules."""
         if self._positions is None:  # asked first: compare directly
             self._positions = {}
             positions = [i for i, mi in enumerate(self.masks) if mi == target]
@@ -630,16 +656,18 @@ def _scan_range(
             conds = row_form(*prefix, row) & rows
         # own & mi == other, own the side the last rule joins alone: mi
         # holds other and misses own ^ other, if other is within own;
-        # where own is still all-ones, whether mi equals other
+        # where own is still all-ones, whether mi equals other, and where
+        # other is all-ones too (no rule, or valid ones only), whether mi
+        # holds at every pair
         if last_in_a and last_in_b:
             oracle = row.holding(0, ma ^ mb, rows)
         else:
             own, other = (ma, mb) if last_in_a else (mb, ma)
             if own != full:
                 oracle = 0 if other & ~own else row.holding(other, own ^ other, rows)
-            elif prefix:
+            elif other != full:
                 oracle = row.equal(other) & rows
-            else:  # a rule alone, against no rule: whether it holds everywhere
+            else:
                 oracle = row.valid & rows
         total += rows.bit_count()
         se += oracle.bit_count()
@@ -649,12 +677,12 @@ def _scan_range(
             return
         mismatch_total += diff.bit_count()
         room = cap - len(mismatches)
-        while diff and room > 0:  # in row order, from the low bit
-            low = diff & -diff
-            diff ^= low
-            o = oracle & low != 0
-            mismatches.append(Mismatch(prefix + (row.rules[low.bit_length() - 1],), o, not o))
-            room -= 1
+        if room > 0:  # in row order, from the low bit
+            rules = row.rules
+            mismatches.extend([
+                _mismatch((prefix + (rules[i],), o, not o))
+                for i in _indices(diff)[:room] for o in (oracle >> i & 1 == 1,)
+            ])
 
     def walk(depth: int, ma: int, mb: int, prefix: tuple[Rule, ...], ties: int) -> None:
         if ties:

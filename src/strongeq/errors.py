@@ -43,14 +43,15 @@ class WorldMaskError(TooManyAtomsError):
 
 class TableBudgetError(TooManyAtomsError):
     """Raised before a verify scan builds its rules and tables when they
-    would pass the memory budget; `bits` is their size and `limit` the
-    budget, both in bits."""
+    would pass the memory budget; `bits` is their size, or with at_least
+    a bound from below, and `limit` the budget, both in bits."""
 
-    def __init__(self, what: str, count: int, bits: int, limit: int):
+    def __init__(self, what: str, count: int, bits: int, limit: int, at_least: bool = False):
         StrongeqError.__init__(
             self,
-            f"{what}: {count} atoms need row tables of about {_size(bits)}, "
-            f"over the memory budget of 2^{limit.bit_length() - 1} bits ({_size(limit)})",
+            f"{what}: {count} atoms need row tables of {'at least' if at_least else 'about'} "
+            f"{_size(bits)}, over the memory budget of 2^{limit.bit_length() - 1} bits "
+            f"({_size(limit)})",
         )
         self.count = count
         self.bits = bits

@@ -6,8 +6,11 @@ itself has no use for them."""
 
 from __future__ import annotations
 
+import os
 from itertools import combinations
 from typing import Iterator, Mapping
+
+import pytest
 
 from strongeq import (
     HTPair,
@@ -24,6 +27,15 @@ from strongeq import (
 )
 from strongeq.discovery import DiscoveryReport, language_symbols
 from strongeq.syntax import bits_of, mask_of
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Fail unless the two texts are equal, showing where they first
+    differ: pytest's own diff of two long texts can take minutes."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        around = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"from {at}: {got[around]!r} != {want[around]!r}")
 
 
 class UnmappedAtomError(StrongeqError):

@@ -311,6 +311,26 @@ class TestScanTableBudget:
         assert capsys.readouterr().err == (
             "error: rule-tuple scan: 9 atoms exceeds the limit of 8\n")
 
+    @pytest.mark.parametrize("atoms", [10, 3_000_000])
+    def test_no_exact_count_past_the_sliced_limit(self, monkeypatch, capsys, atoms):
+        # past SLICED_ATOMS + 1 atoms no count of the language is made: over
+        # 3,000,000 atoms its exact powers take seconds
+        def counting(real, at):
+            def count(*args):
+                assert args[at] <= discovery.SLICED_ATOMS + 1, "counted"
+                return real(*args)
+            return count
+
+        monkeypatch.setattr(cli, "rule_count", counting(discovery.rule_count, 0))
+        monkeypatch.setattr(discovery, "rule_count", counting(discovery.rule_count, 0))
+        monkeypatch.setattr(discovery, "_table_bits", counting(discovery._table_bits, 1))
+        argv = ["verify", "--shape", "1,1,0", "--atoms", str(atoms), "--max-atoms", str(atoms),
+                "--allow-long", "--condition", "cond_1_1_0"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: rule-tuple scan: {atoms} atoms need row tables of at least 22.2 TiB, "
+            "over the memory budget of 2^32 bits (512 MiB)\n")
+
     def test_admits_the_records_and_the_deck(self):
         budget = discovery.TABLE_BITS
         for iso in (False, True):

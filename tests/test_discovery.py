@@ -1,5 +1,6 @@
 """Enumeration, isomorphism quotients, and the condition-vs-oracle harness."""
 
+import collections
 import functools
 import importlib
 import itertools
@@ -9,6 +10,7 @@ import os
 import pickle
 import random
 import sys
+import time
 import tracemalloc
 from bisect import bisect_left
 from itertools import permutations, product
@@ -851,6 +853,69 @@ class TestWhatAScanBuilds:
         row = discovery._language_masks(atoms, canonical, 7)
         assert row.valid == bits(mi == row.full for mi in row.masks)
 
+    @pytest.mark.parametrize("atoms, canonical", [(0, False), (1, False), (2, False), (3, True)])
+    def test_valid_read_off_built_masks(self, atoms, canonical):
+        # a scan of two rules or more has built the masks before it asks
+        row = discovery._language_masks(atoms, canonical, 7)
+        want = bits(mi == row.full for mi in row.masks)
+        assert row.valid == want
+        assert "holds" not in row.__dict__
+
+
+@functools.cache
+def reference_report(name, atoms, iso):
+    """The report of a non-canonical scan of a registered condition, its
+    ranges walked one tuple at a time by `reference_scan`."""
+    scan = discovery._scan_range
+    discovery._scan_range = reference_scan
+    try:
+        shape, predicate, _canonical_only = CONDITIONS[name]
+        return test_conjecture(shape, atoms, predicate, modulo_iso=iso)._replace(elapsed_ms=0)
+    finally:
+        discovery._scan_range = scan
+
+
+class TestValidRows:
+    """A row whose fixed prefix leaves the last rule's side all-ones and
+    the other side all-ones too, a valid prefix in a full language, is
+    decided from `row.valid`, not by asking `equal` for `full`."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("iso", [False, True], ids=["full", "iso"])
+    @pytest.mark.parametrize("name", ["cond_1_1_0", "cond_0_1_1", "s_implies"])
+    def test_scans_never_ask_for_full(self, monkeypatch, name, iso, jobs):
+        want = reference_report(name, 3, iso)
+        equal = discovery._Row.equal
+
+        def refusing(row, target):
+            assert target != row.full, "asked equal(full)"
+            return equal(row, target)
+
+        monkeypatch.setattr(discovery._Row, "equal", refusing)
+        # the --jobs ranges run in this process, where the patch holds
+        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+        monkeypatch.setattr(discovery, "_usable_cpus", lambda: 2)
+        shape, predicate, _canonical_only = CONDITIONS[name]
+        report = test_conjecture(shape, 3, predicate, modulo_iso=iso, job_count=jobs)
+        assert report._replace(elapsed_ms=0) == want
+        if name == "s_implies" and not iso:
+            assert len(report.mismatches) == MISMATCH_CAP
+
+    def test_four_atoms_within_half_a_second(self, capsys):
+        # 16,769,025 tuples, and 3,471 of the 4,095 rules are valid: their
+        # rows read one valid rule at a time take about a second
+        argv = ["verify", "--shape", "0,1,1", "--atoms", "4", "--condition", "cond_0_1_1",
+                "--json"]
+        started = time.perf_counter()
+        assert cli.main(argv) == 0
+        elapsed = time.perf_counter() - started
+        payload = json.loads(capsys.readouterr().out)
+        # r, r' is oracle-positive iff their masks are equal
+        sizes = collections.Counter(discovery._language_masks(4, False, 7).masks).values()
+        assert payload["se_positive"] == payload["cond_positive"] == sum(n * n for n in sizes)
+        assert payload["total"] == 4095**2 and payload["mismatches"] == []
+        assert elapsed < 0.5, elapsed
+
 
 def bits_at(indices, count: int) -> int:
     """The int of count bits with bit i set for each i of indices, read
@@ -882,11 +947,8 @@ def deck_runs():
 
 def assert_written_as_the_reference(report):
     payload = reference.report_json(report)
-    for got, want in ((report.json_text(), json.dumps(payload)),
-                      (report.json_text(indent=True), json.dumps(payload, indent=2))):
-        if got != want:  # pytest's own diff of texts this long takes minutes
-            at = len(os.path.commonprefix([got, want]))
-            pytest.fail(f"from {at}: {got[at - 40:at + 40]!r} != {want[at - 40:at + 40]!r}")
+    reference.assert_same_text(report.json_text(), json.dumps(payload))
+    reference.assert_same_text(report.json_text(indent=True), json.dumps(payload, indent=2))
 
 
 class TestReportText:

@@ -172,7 +172,7 @@ class TestTrace:
         for trace, symbols in cases:
             expected = "".join(
                 json.dumps(reference.step_json(s, symbols)) + "\n" for s in trace.steps)
-            assert trace.json_lines(symbols) == expected
+            reference.assert_same_text(trace.json_lines(symbols), expected)
 
     def test_step_indices_refer_to_pre_step_program(self):
         p, _ = build("a :- a. b :- b.")
