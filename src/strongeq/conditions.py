@@ -23,9 +23,7 @@ from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import NotCanonicalError
-from .syntax import Rule
-
-Fields = tuple[int, int, int]
+from .syntax import Fields, Rule
 
 
 def cond_0_1_0(r: Rule) -> bool:

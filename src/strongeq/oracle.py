@@ -14,15 +14,17 @@ of n atoms, the atom at position k of the ascending atom list weighs
 sorted tuple of their atom ids have descending index.  The worlds y are
 indexed over the language, the here-worlds x over y.
 
-One kernel evaluates that semantics for the whole package.  For a fixed
-y, `here_mask` returns the 2^|y|-bit mask of the x subset y on which a
-rule list holds, bit i standing for the x of index i over y.  Each rule
-costs a few big-int operations per literal against a per-y basis shared
-by every rule: the all-ones mask over the x, and for each atom of y the
-mask of the x that contain it.  The masks of that basis depend only on
-the atoms' positions in y, so `kept_slices`, the one walk over y,
-builds them once per size |y| and pairs them with each y's atoms; only
-the current size's masks are alive.
+One kernel evaluates that semantics for the whole package.  It reads
+rules as their (hd, ps, ng) field triples, which a Program keeps
+(`Program.fields`), so deciding two parsed programs builds no Rule.  For
+a fixed y, `here_mask` returns the 2^|y|-bit mask of the x subset y on
+which a list of rules holds, bit i standing for the x of index i over
+y.  Each rule costs a few big-int operations per literal against a per-y
+basis shared by every rule: the all-ones mask over the x, and for each
+atom of y the mask of the x that contain it.  The masks of that basis
+depend only on the atoms' positions in y, so `kept_slices`, the one walk
+over y, builds them once per size |y| and pairs them with each y's
+atoms; only the current size's masks are alive.
 
 Which y need a basis at all is decided first, for all of them at once,
 by one mask over the 2^n worlds of the language.  A rule's primed
@@ -58,7 +60,7 @@ from functools import cache
 from typing import Iterator, NamedTuple
 
 from .errors import TooManyAtomsError, WorldMaskError
-from .syntax import Program, Rule, Symbols, bits_of
+from .syntax import Fields, Program, Symbols, bits_of
 
 SE_ATOM_LIMIT = 24
 
@@ -148,19 +150,19 @@ def cube_worlds(layout: tuple[tuple[int, int, int], ...], inside: int, outside: 
     return m
 
 
-def primed_failures(rules: tuple[Rule, ...], layout: tuple[tuple[int, int, int], ...]) -> int:
+def primed_failures(rules: tuple[Fields, ...], layout: tuple[tuple[int, int, int], ...]) -> int:
     """Mask of the worlds y at which some rule's primed implication fails
     (ps within y, hd and ng outside it): no (x, y) is a model there."""
     m = 0
-    for r in rules:
-        m |= cube_worlds(layout, r.ps, r.hd | r.ng)
+    for hd, ps, ng in rules:
+        m |= cube_worlds(layout, ps, hd | ng)
     return m
 
 
 def separating_worlds(
-    only1: tuple[Rule, ...],
-    only2: tuple[Rule, ...],
-    shared: tuple[Rule, ...],
+    only1: tuple[Fields, ...],
+    only2: tuple[Fields, ...],
+    shared: tuple[Fields, ...],
     layout: tuple[tuple[int, int, int], ...],
 ) -> int:
     """Mask of the worlds y at which `only1 + shared` and `only2 + shared`
@@ -170,8 +172,8 @@ def separating_worlds(
     one), or every own rule is vacuous there, its body false at y (both
     sides hold exactly where the shared rules hold)."""
     live = 0
-    for r in only1 + only2:
-        live |= cube_worlds(layout, r.ps, r.ng)
+    for _hd, ps, ng in only1 + only2:
+        live |= cube_worlds(layout, ps, ng)
     fails1 = primed_failures(only1, layout)
     fails2 = primed_failures(only2, layout)
     return live & ~(primed_failures(shared, layout) | fails1 & fails2)
@@ -272,7 +274,7 @@ def kept_slices(
 
 
 def here_mask(
-    rules: tuple[Rule, ...],
+    rules: tuple[Fields, ...],
     y: int,
     basis: tuple[int, dict[int, int]],
     start: int | None = None,
@@ -282,14 +284,14 @@ def here_mask(
     `start` (default: every x); returns as soon as the mask is 0."""
     full, atom = basis
     m = full if start is None else start
-    for r in rules:
-        if r.ng & y or r.ps & ~y:
+    for hd, ps, ng in rules:
+        if ng & y or ps & ~y:
             continue  # both implications hold vacuously
-        hd = r.hd & y
+        hd &= y
         if not hd:
             return 0  # the primed implication fails, whatever x is
         body = full
-        for a in bits_of(r.ps):
+        for a in bits_of(ps):
             body &= atom[a]
         head = 0
         for a in bits_of(hd):
@@ -310,12 +312,12 @@ def strongly_equivalent(
     """
     lang = p1.atoms | p2.atoms
     check_language("strongly_equivalent", lang.bit_count(), max_atoms)
-    # split on the field triples, which hash in C, not on the rules
-    fields1, fields2 = ([(r.hd, r.ps, r.ng) for r in p.rules] for p in (p1, p2))
+    # the kernel reads the field triples, which also hash in C
+    fields1, fields2 = p1.fields, p2.fields
     in1, in2 = set(fields1), set(fields2)
-    shared = tuple(r for r, f in zip(p1.rules, fields1) if f in in2)
-    only1 = tuple(r for r, f in zip(p1.rules, fields1) if f not in in2)
-    only2 = tuple(r for r, f in zip(p2.rules, fields2) if f not in in1)
+    shared = tuple(f for f in fields1 if f in in2)
+    only1 = tuple(f for f in fields1 if f not in in2)
+    only2 = tuple(f for f in fields2 if f not in in1)
     if not only1 and not only2:
         return SEVerdict(True)
     layout = world_layout(lang)

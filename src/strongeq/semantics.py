@@ -8,7 +8,8 @@ no rule's primed implication fails at y; one world mask
 (`primed_failures`) rules out every other y at once, and only the y it
 keeps are evaluated over their 2^|y| subsets, in the oracle's order: the
 program's rule masks are ANDed into the mask of the proper subsets x of
-y, stopping as soon as it reaches 0, which makes y an answer set.  The
+y, stopping as soon as it reaches 0, which makes y an answer set.  Both
+read the program's field triples (`Program.fields`): no Rule is built.  The
 tests check the kernel against the Gelfond-Lifschitz route: `reduct`
 here, `satisfies` and `is_answer_set` in tests/reference.py.
 """
@@ -36,13 +37,13 @@ def answer_sets(p: Program, max_atoms: int = ANSWER_SET_ATOM_LIMIT) -> tuple[int
     lang = p.atoms
     n = lang.bit_count()
     check_language("answer_sets", n, max_atoms)
-    rules = p.rules
+    fields = p.fields
     layout = world_layout(lang)
-    models = ((1 << (1 << n)) - 1) & ~primed_failures(rules, layout)
+    models = ((1 << (1 << n)) - 1) & ~primed_failures(fields, layout)
     found = []
     for y, basis in kept_slices(layout, models):
         # x = y is the top bit of the all-ones kernel mask; no other x may
         # survive, so the proper subsets are that mask shifted down by one
-        if not here_mask(rules, y, basis, basis[0] >> 1):
+        if not here_mask(fields, y, basis, basis[0] >> 1):
             found.append(y)
     return tuple(found)

@@ -57,10 +57,15 @@ class Symbols:
         got = self._ids.get(name)
         if got is not None:
             return got
+        if not self._frozen and ATOM_NAME.fullmatch(name) is None:
+            raise ValueError(f"invalid atom name: {name!r}")
+        return self._add(name)
+
+    def _add(self, name: str) -> int:
+        """Add `name`, which is not in the table and is an atom name, and
+        return its id; a frozen table refuses it."""
         if self._frozen:
             raise RuntimeError(f"symbol table is frozen; cannot add {name!r}")
-        if ATOM_NAME.fullmatch(name) is None:
-            raise ValueError(f"invalid atom name: {name!r}")
         new_id = len(self._names)
         self._names.append(name)
         self._ids[name] = new_id
@@ -78,6 +83,11 @@ class Symbols:
 
     def freeze(self) -> None:
         self._frozen = True
+
+
+# a rule as its (hd, ps, ng) masks: what a Program keeps (`Program.fields`)
+# and what the two-world kernel and the conditions' tables read
+Fields = tuple[int, int, int]
 
 
 def _read_only(self, name: str, value: object = None) -> None:
@@ -128,12 +138,21 @@ _set_hd, _set_ps, _set_ng = Rule.hd.__set__, Rule.ps.__set__, Rule.ng.__set__
 
 class Program:
     """An ordered, duplicate-free sequence of rules; immutable, equal and
-    hashed by its rules."""
+    hashed by its rules.
 
-    __slots__ = ("rules",)
+    A program keeps its rules' field triples (hd, ps, ng), which are what
+    the two-world kernel reads, and builds each side from the other at most
+    once: a program parsed from text holds only the triples and builds its
+    Rules when `rules` is first read (deciding strong equivalence or answer
+    sets never reads it); one built from Rules reads the triples off them
+    when `fields` is first read.
+    """
+
+    __slots__ = ("_fields", "_rules")
 
     def __init__(self, rules: Iterable[Rule] = ()) -> None:
-        object.__setattr__(self, "rules", tuple(dict.fromkeys(rules)))
+        _set_fields(self, None)
+        _set_rules(self, tuple(dict.fromkeys(rules)))
 
     __setattr__ = __delattr__ = _read_only
 
@@ -142,16 +161,44 @@ class Program:
         """The program of `rules`, which the caller has made duplicate-free;
         no rule is hashed."""
         program = object.__new__(cls)
-        object.__setattr__(program, "rules", rules)
+        _set_fields(program, None)
+        _set_rules(program, rules)
         return program
+
+    @classmethod
+    def _of_fields(cls, fields: tuple[Fields, ...]) -> Program:
+        """The program of the rules with these (hd, ps, ng), which the caller
+        has made duplicate-free; no Rule is built."""
+        program = object.__new__(cls)
+        _set_fields(program, fields)
+        _set_rules(program, None)
+        return program
+
+    @property
+    def fields(self) -> tuple[Fields, ...]:
+        """Each rule's (hd, ps, ng), in order."""
+        fields = self._fields
+        if fields is None:
+            fields = tuple([(r.hd, r.ps, r.ng) for r in self._rules])
+            _set_fields(self, fields)
+        return fields
+
+    @property
+    def rules(self) -> tuple[Rule, ...]:
+        rules = self._rules
+        if rules is None:
+            rules = tuple(starmap(Rule, self._fields))
+            _set_rules(self, rules)
+        return rules
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self.rules == other.rules
+            return self.fields == other.fields
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.rules,))
+        # a Rule hashes as its field triple, so this is the hash of (rules,)
+        return hash((self.fields,))
 
     def __repr__(self) -> str:
         return f"Program(rules={self.rules!r})"
@@ -162,15 +209,19 @@ class Program:
     @property
     def atoms(self) -> int:
         m = 0
-        for r in self.rules:
-            m |= r.hd | r.ps | r.ng
+        for hd, ps, ng in self.fields:
+            m |= hd | ps | ng
         return m
 
     def __iter__(self) -> Iterator[Rule]:
         return iter(self.rules)
 
     def __len__(self) -> int:
-        return len(self.rules)
+        fields = self._fields
+        return len(self._rules if fields is None else fields)
+
+
+_set_fields, _set_rules = Program._fields.__set__, Program._rules.__set__
 
 
 # --- text syntax -----------------------------------------------------------
@@ -224,9 +275,11 @@ def _well_formed(text: str) -> str | None:
     return None if match(text) is None else text
 
 
-def _statement_fields(text: str, symbols: Symbols) -> list[tuple[int, int, int]]:
-    """Each statement's (hd, ps, ng), in order, from `_well_formed` text."""
-    intern = symbols.intern
+def _statement_fields(text: str, symbols: Symbols) -> list[Fields]:
+    """Each statement's (hd, ps, ng), in order, from `_well_formed` text.
+    The whole-text match has checked every atom name, so a new one is
+    added to the table without matching it again."""
+    ids, add = symbols._ids, symbols._add
     fields = []
     hd = ps = ng = 0
     body = negated = False
@@ -241,7 +294,8 @@ def _statement_fields(text: str, symbols: Symbols) -> list[tuple[int, int, int]]
         elif word == "not":  # the text matched, so a negated atom follows
             negated = True
         else:
-            bit = 1 << intern(word)
+            atom = ids.get(word)
+            bit = 1 << (add(word) if atom is None else atom)
             if negated:
                 ng |= bit
                 negated = False
@@ -374,15 +428,16 @@ def parse_program(text: str, symbols: Symbols) -> Program:
 
     Well-formed text is read with one regex match of the whole text and
     str methods, in time linear in its length; atoms are interned only once
-    the whole text has matched.  Any other text goes to the token parser, which raises a
-    ParseError carrying the line and column of the first offending token.
+    the whole text has matched.  The program holds the rules' field triples
+    and builds no Rule until its `rules` are read.  Any other text goes to
+    the token parser, which raises a ParseError carrying the line and
+    column of the first offending token.
     """
     statements = _well_formed(text)
     if statements is None:
         return _Parser(text, symbols).program()
-    # duplicates go on the field triples, which hash in C; no Rule is hashed
-    fields = dict.fromkeys(_statement_fields(statements, symbols))
-    return Program._of_distinct(tuple(starmap(Rule, fields)))
+    # duplicates go on the field triples, which hash in C; no Rule is built
+    return Program._of_fields(tuple(dict.fromkeys(_statement_fields(statements, symbols))))
 
 
 def format_rule(r: Rule, symbols: Symbols) -> str:
@@ -438,7 +493,7 @@ def iso_canonical_form(rules: Sequence[Rule]) -> tuple[Rule, ...]:
         for r in rules
     ]
 
-    def encode(perm: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
+    def encode(perm: Sequence[int]) -> tuple[Fields, ...]:
         return tuple(
             (
                 mask_of(perm[b] for b in bits_of(hd)),

@@ -2,12 +2,15 @@
 
 import argparse
 import functools
+import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -15,11 +18,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strongeq import cli, discovery, oracle
+from strongeq import Rule, Symbols, cli, discovery, oracle, parse_program, strongly_equivalent
 from strongeq.cli import main
-from strongeq.discovery import DiscoveryReport, TupleShape
+from strongeq.discovery import DiscoveryReport, TupleShape, rule_count
+from strongeq.oracle import countermodel_json
 
 ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def write(tmp_path, name, text):
@@ -131,6 +136,148 @@ class TestCheckSE:
         p1 = write(tmp_path, "p1.lp", "x :- y.")
         p2 = write(tmp_path, "p2.lp", "x :- y.")
         assert main(["check-se", p1, p2]) == 0
+
+
+# a BOM, comments and CRLF line ends around the programs the decide path reads
+MESSY_EQUIVALENT = (b"\xef\xbb\xbf% p\r\na :- not b. % first\r\nb :- not a.\r\n",
+                    b"b :- not a.\r\n% second\r\na :- not b.")
+MESSY_OTHER = b"\xef\xbb\xbfa :- not b.\r\n% no second rule\r\n"
+
+
+class TestDecidePath:
+    """check-se and answersets read the programs' field triples from file to
+    verdict: no Rule is built on the way."""
+
+    @pytest.fixture(autouse=True)
+    def no_rule(self, monkeypatch):
+        def building(*_args):
+            raise AssertionError("a Rule was built")
+
+        monkeypatch.setattr(Rule, "__init__", building)
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {}
+        for name, data in (("p", MESSY_EQUIVALENT[0]), ("q", MESSY_EQUIVALENT[1]),
+                           ("r", MESSY_OTHER)):
+            paths[name] = tmp_path / f"{name}.lp"
+            paths[name].write_bytes(data)
+        return {name: str(path) for name, path in paths.items()}
+
+    @pytest.mark.parametrize("json_flag, other, code, out", [
+        (False, "q", 0, "strongly equivalent\n"),
+        (True, "q", 0, '{"equivalent": true, "countermodel": null}\n'),
+        (False, "r", 1, "NOT strongly equivalent\ncountermodel: x={} y={b}\n"),
+        (True, "r", 1,
+         '{"equivalent": false, "countermodel": {"x": [], "y": ["b"]}}\n'),
+    ])
+    def test_check_se(self, files, capsys, json_flag, other, code, out):
+        argv = ["check-se", files["p"], files[other]] + ["--json"] * json_flag
+        assert main(argv) == code
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("json_flag, out", [(False, "{a}\n{b}\n"),
+                                                (True, '[["a"], ["b"]]\n')])
+    def test_answersets(self, files, capsys, json_flag, out):
+        assert main(["answersets", files["q"]] + ["--json"] * json_flag) == 0
+        assert capsys.readouterr().out == out
+
+
+def test_json_verdict_line_is_the_json_dumps_line(tmp_path, monkeypatch, capsys):
+    # every check-se pair of the benchmark's seed-1 deck, against json.dumps
+    # of the payload the line stands for
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    ops = [op for op in workloads.build("programs", 1, str(tmp_path), False)
+           if op.command == "check-se"]
+    assert len(ops) == 123
+    verdicts = set()
+    for op in ops:
+        for path, text in op.files.items():
+            Path(path).write_text(text, encoding="utf-8")
+        symbols = Symbols()
+        p1, p2 = (parse_program(Path(path).read_text(encoding="utf-8"), symbols)
+                  for path in op.argv[1:3])
+        verdict = strongly_equivalent(p1, p2)
+        payload = {"equivalent": verdict.equivalent, "countermodel": None
+                   if verdict.countermodel is None
+                   else countermodel_json(verdict.countermodel, symbols)}
+        assert main(op.argv) == (0 if verdict.equivalent else 1)
+        assert capsys.readouterr().out == json.dumps(payload) + "\n", op.id
+        verdicts.add(verdict.equivalent)
+    assert verdicts == {True, False}
+
+
+def _reading_as_a_file_object(path: str) -> str | None:
+    """The error line of reading a program through a file object, as the
+    command line did before its raw-descriptor read: None if it reads."""
+    try:
+        with open(path, "rb", buffering=0) as f:
+            f.read().decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        return f"error: cannot read {path}: {exc}\n"
+    return None
+
+
+class TestRawRead:
+    """_load_program reads through one raw descriptor, which it keeps the
+    file object's messages for and always closes."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        latin1 = tmp_path / "latin1.lp"
+        latin1.write_bytes("caf\u00e9 :- b.".encode("latin-1"))
+        folder = tmp_path / "folder.lp"
+        folder.mkdir()
+        return {"missing": str(tmp_path / "missing.lp"), "directory": str(folder),
+                "undecodable": str(latin1), "devnull": os.devnull,
+                "program": write(tmp_path, "p.lp", "a :- not b.\n")}
+
+    @pytest.mark.parametrize("name, code, ends_with_path", [
+        ("missing", 2, True), ("directory", 2, True), ("undecodable", 2, False),
+        ("devnull", 0, None)])
+    def test_messages_and_codes_as_a_file_object_gives(self, paths, capsys, name, code,
+                                                       ends_with_path):
+        path = paths[name]
+        expected = _reading_as_a_file_object(path)
+        assert main(["answersets", path]) == code
+        err = capsys.readouterr().err
+        assert err == (expected or "")
+        if ends_with_path is not None:
+            assert err.startswith(f"error: cannot read {path}: ")
+            assert err.endswith(f"'{path}'\n") == ends_with_path
+
+    def test_a_directory_is_named_though_read_does_not_name_it(self, paths, capsys):
+        # os.read raises EISDIR with no file name; the message still ends with it
+        fd = os.open(paths["directory"], os.O_RDONLY)
+        try:
+            with pytest.raises(IsADirectoryError) as raised:
+                os.read(fd, 1)
+        finally:
+            os.close(fd)
+        assert raised.value.filename is None
+        assert main(["check-se", paths["program"], paths["directory"]]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {paths['directory']}: [Errno 21] Is a directory: "
+            f"'{paths['directory']}'\n")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_descriptor_leaks(self, paths, capsys):
+        # a leaked raw descriptor raises no ResourceWarning: count them
+        before = sorted(os.listdir("/proc/self/fd"))
+        names = list(paths)
+        for i in range(200):
+            main(["answersets", paths[names[i % len(names)]]])
+        capsys.readouterr()
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+    def test_reads_until_an_empty_read(self, tmp_path, monkeypatch, capsys):
+        # a short read ends no pipe: only an empty read ends the input
+        chunks = iter([b"a :- not b.\n", b"b :- not a.\n", b""])
+        monkeypatch.setattr(os, "read", lambda _fd, _size: next(chunks))
+        assert main(["answersets", write(tmp_path, "p.lp", "")]) == 0
+        assert capsys.readouterr().out == "{a}\n{b}\n"
 
 
 class TestSimplifyCommand:
@@ -314,14 +461,14 @@ class TestScanTableBudget:
     @pytest.mark.parametrize("atoms", [10, 3_000_000])
     def test_no_exact_count_past_the_sliced_limit(self, monkeypatch, capsys, atoms):
         # past SLICED_ATOMS + 1 atoms no count of the language is made: over
-        # 3,000,000 atoms its exact powers take seconds
+        # 3,000,000 atoms its exact powers take seconds (the CLI's own
+        # refusal counts from logarithms, without rule_count)
         def counting(real, at):
             def count(*args):
                 assert args[at] <= discovery.SLICED_ATOMS + 1, "counted"
                 return real(*args)
             return count
 
-        monkeypatch.setattr(cli, "rule_count", counting(discovery.rule_count, 0))
         monkeypatch.setattr(discovery, "rule_count", counting(discovery.rule_count, 0))
         monkeypatch.setattr(discovery, "_table_bits", counting(discovery._table_bits, 1))
         argv = ["verify", "--shape", "1,1,0", "--atoms", str(atoms), "--max-atoms", str(atoms),
@@ -436,6 +583,57 @@ class TestVerifyCommand:
         assert err.startswith("error: this run enumerates about 10^4515 tuples")
         assert "--allow-long" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("iso, code", [(False, 2), (True, 3)], ids=["full", "iso"])
+    def test_a_wide_language_is_refused_at_once(self, capsys, iso, code):
+        # 3,000,000 atoms: the exact tuple count squares a 9-million-bit
+        # number, and atoms! has millions of digits; under --modulo-iso
+        # the class bound is 1, and the scan's table budget refuses it
+        argv = ["verify", "--shape", "0,1,1", "--atoms", "3000000", "--max-atoms", "3000000",
+                "--condition", "cond_0_1_1"] + ["--modulo-iso"] * iso
+        start = time.perf_counter()
+        assert main(argv) == code
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        if iso:
+            assert err.startswith("error: rule-tuple scan: 3000000 atoms need row tables")
+        else:
+            assert err == ("error: this run enumerates about 10^5418540 tuples, over "
+                           "100,000,000; pass --allow-long if you really want it\n")
+
+    @pytest.mark.parametrize("canonical", [False, True], ids=["all", "canonical"])
+    @pytest.mark.parametrize("iso", [False, True], ids=["tuples", "classes"])
+    def test_refusal_from_logarithms_is_the_exact_one(self, canonical, iso):
+        # the refusal read off the exact count, against the one made from
+        # logarithms: every language up to 200 atoms, and every one whose
+        # count lies within two decades of the bound.  Without --modulo-iso
+        # the count grows with the atoms; under it the class bound falls
+        # for good past 8^4 atoms, and is far below 10^6 at 12,000
+        def exact_refusal(length, atoms):
+            work = rule_count(atoms, canonical) ** length
+            unit = "tuples"
+            if iso:
+                work = -(-work // math.factorial(atoms))
+                unit = "renaming classes"
+            if work <= cli.LONG_RUN_TUPLES:
+                return None
+            return (f"this run enumerates about 10^{math.log10(work):.0f} {unit}, "
+                    "over 100,000,000; pass --allow-long if you really want it")
+
+        base = 4 if canonical else 8
+        near = 0
+        for length in range(1, 5):
+            for atoms in range(12_000 if iso else 201):
+                classes = math.lgamma(atoms + 1) if iso else 0.0
+                size = (length * atoms * math.log(base) - classes) / math.log(10)
+                if atoms > 200 and not 6 <= size <= 10:
+                    continue
+                near += 6 <= size <= 10
+                assert cli._long_run_refusal(length, atoms, canonical, iso) == exact_refusal(
+                    length, atoms), (length, atoms)
+            if iso:
+                assert size < 0
+        assert near > 5
 
     def test_report_path_checked_before_the_scan(self, tmp_path, monkeypatch, capsys):
         def scan(*_args, **_kwargs):

@@ -454,6 +454,11 @@ def primed(r: Rule, y: int) -> bool:
     return bool(r.ng & y or r.ps & ~y or r.hd & y)
 
 
+def fields_of(rules) -> tuple[tuple[int, int, int], ...]:
+    """The rules' (hd, ps, ng), as the kernel helpers read them."""
+    return tuple((r.hd, r.ps, r.ng) for r in rules)
+
+
 def split(p: Program, q: Program) -> tuple[tuple[Rule, ...], ...]:
     """(p's own rules, q's own rules, shared rules), in program order."""
     in_p, in_q = set(p.rules), set(q.rules)
@@ -516,9 +521,11 @@ class TestWorldMask:
                 only1, only2, shared = split(p, q)
                 lang = p.atoms | q.atoms
                 layout = world_layout(lang)
-                assert primed_failures(p.rules, layout) == worlds_where(
+                assert primed_failures(p.fields, layout) == worlds_where(
                     lang, lambda y: not all(primed(r, y) for r in p.rules))
-                assert separating_worlds(only1, only2, shared, layout) == worlds_where(
+                assert separating_worlds(
+                    fields_of(only1), fields_of(only2), fields_of(shared), layout
+                ) == worlds_where(
                     lang,
                     lambda y: all(primed(r, y) for r in shared)
                     and (all(primed(r, y) for r in only1) or all(primed(r, y) for r in only2))
@@ -532,7 +539,8 @@ class TestWorldMask:
             for p, q, _kind in mostly_shared_pairs(rng):
                 only1, only2, shared = split(p, q)
                 lang = p.atoms | q.atoms
-                kept = separating_worlds(only1, only2, shared, world_layout(lang))
+                kept = separating_worlds(
+                    fields_of(only1), fields_of(only2), fields_of(shared), world_layout(lang))
                 for y in subsets_of(lang):
                     if kept >> world_index(y, lang) & 1:
                         continue
@@ -553,7 +561,9 @@ class TestWorldMask:
                 only1, only2, shared = split(p, q)
                 lang = p.atoms | q.atoms
                 worlds += 1 << lang.bit_count()
-                kept += separating_worlds(only1, only2, shared, world_layout(lang)).bit_count()
+                kept += separating_worlds(
+                    fields_of(only1), fields_of(only2), fields_of(shared), world_layout(lang)
+                ).bit_count()
                 got = strongly_equivalent(p, q)
                 assert got == reference_se(p, q), (p, q)
                 assert strongly_equivalent(q, p) == reference_se(q, p), (p, q)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from strongeq import (
     parse_rule,
 )
 from strongeq.syntax import _Parser, bits_of, mask_of
+from conftest import random_program
 from reference import UnmappedAtomError, is_canonical, rename_program, rename_rule, subsets_of
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -205,6 +207,24 @@ class TestParseProgram:
         t = fresh("a", "b", "c")
         p = parse_program("a :- b. c.", t)
         assert p.atoms == 0b111
+
+    def test_a_frozen_table_refuses_a_new_name(self):
+        t = fresh("a", "b")
+        t.freeze()
+        assert parse_program("a :- not b.", t).fields == ((0b01, 0, 0b10),)
+        with pytest.raises(RuntimeError, match="cannot add 'c'"):
+            parse_program("a :- b, not c.", t)
+        assert len(t) == 2
+
+    def test_holds_field_triples_and_builds_no_rule(self, monkeypatch):
+        def building(*_args):
+            raise AssertionError("a Rule was built")
+
+        monkeypatch.setattr(Rule, "__init__", building)
+        p = parse_program("a :- b. c :- not a. a :- b.", fresh("a", "b", "c"))
+        assert p.fields == ((0b001, 0b010, 0), (0b100, 0, 0b001))
+        assert (len(p), p.atoms) == (2, 0b111)
+        assert p == parse_program("a:-b.c:-not a.", fresh("a", "b", "c"))
 
 
 # The statement scan against the token parser it falls back to.  The
@@ -487,6 +507,32 @@ class TestRename:
 
 
 class TestProgram:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32), st.integers(1, 6))
+    def test_parsed_and_built_programs_agree(self, seed, atom_count):
+        # one holds only field triples until its rules are read, the other
+        # only Rules until its fields are
+        built = random_program(random.Random(seed), atom_count, 8)
+        symbols = fresh(*(f"a{i}" for i in range(atom_count)))
+        parsed = parse_program(format_program(built, symbols), symbols)
+        assert parsed == built and built == parsed
+        assert hash(parsed) == hash(built) == hash((built.rules,))
+        assert len(parsed) == len(built)
+        assert parsed.atoms == built.atoms
+        assert repr(parsed) == repr(built)
+        assert list(parsed) == list(built)
+        assert parsed.rules is parsed.rules and built.rules is built.rules
+        assert parsed.fields == built.fields == tuple((r.hd, r.ps, r.ng) for r in built.rules)
+        for program in (parsed, built):
+            copy = pickle.loads(pickle.dumps(program))
+            assert copy == built and repr(copy) == repr(built) and hash(copy) == hash(built)
+
+    def test_read_only(self):
+        p = parse_program("a.", Symbols())
+        for name in ("rules", "fields", "_fields"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, ())
+
     def test_duplicate_free(self):
         r = Rule(1, 0, 0)
         assert Program((r, r, Rule(2, 0, 0))).rules == (r, Rule(2, 0, 0))
