@@ -182,7 +182,7 @@ def cmd_simplify(args: argparse.Namespace) -> int:
     symbols = Symbols()
     program = _load_program(args.path, symbols)
     for path in (args.out, args.trace):
-        if path:
+        if path is not None:  # "" too, which names no file
             _check_writable(path)
     if args.out and args.trace and os.path.realpath(args.out) == os.path.realpath(args.trace):
         raise SystemExit(_usage_error(f"--out and --trace name the same file: {args.trace}"))
@@ -192,17 +192,17 @@ def cmd_simplify(args: argparse.Namespace) -> int:
         check_language("strongly_equivalent", program.atoms.bit_count(), limit)
     simplified, trace = simplify(program)
     text = format_program(simplified, symbols)
-    if args.trace:
+    if args.trace is not None:
         _write_text(args.trace, trace.json_lines(symbols))
     verified: bool | None = None
     if args.verify:
         verified = verify_simplification(program, simplified, max_atoms=limit)
-    if args.out:
+    if args.out is not None:
         _write_text(args.out, text)
     if args.json:
         rules = [line for line in text.splitlines() if line]
         print(json.dumps({"rules": rules, "verified": verified, "steps": len(trace.steps)}))
-    elif not args.out:
+    elif args.out is None:
         sys.stdout.write(text)
     if verified is False:
         print("error: simplified program is NOT strongly equivalent", file=sys.stderr)
@@ -259,13 +259,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         return _usage_error(f"--jobs must be at least 1, not {args.jobs}")
     limit = _atom_limit(args, ENUM_ATOM_LIMIT)
-    if args.atoms > limit:  # before the tuple count, which grows as 8^(atoms * length)
+    if args.atoms > limit:  # before the long-run refusal: too many atoms exits 3, not 2
         raise TooManyAtomsError("rule enumeration", args.atoms, limit)
     if not args.allow_long:
         refusal = _long_run_refusal(shape.length, args.atoms, args.canonical, args.modulo_iso)
         if refusal:
             return _usage_error(refusal)
-    if args.report:
+    if args.report is not None:  # "" too, which names no file
         _check_writable(args.report)
     report = test_conjecture(
         shape,
@@ -276,7 +276,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         job_count=args.jobs,
         max_atoms=limit,
     )
-    if args.report:
+    if args.report is not None:
         _write_text(args.report, report.json_text(indent=True) + "\n")
     if args.json:
         print(report.json_text())

@@ -25,7 +25,7 @@ ANSWER_SET_ATOM_LIMIT = 20
 def reduct(p: Program, x: int) -> Program:
     """The not-elimination transform of p relative to x: drop every rule
     whose ng meets x, strip ng from the rest."""
-    return Program(tuple(Rule(r.hd, r.ps, 0) for r in p.rules if not r.ng & x))
+    return Program(Rule(hd, ps, 0) for hd, ps, ng in p.fields if not ng & x)
 
 
 def answer_sets(p: Program, max_atoms: int = ANSWER_SET_ATOM_LIMIT) -> tuple[int, ...]:

@@ -318,7 +318,8 @@ def simplify(p: Program) -> tuple[Program, SimplifyTrace]:
         replaced = kept != alive
         rules = [rules[k] for k in bits_of(kept)]
     # the phase contract keeps the list duplicate-free
-    return Program._of_distinct(tuple(rules)), SimplifyTrace(tuple(steps))
+    fields = tuple([(r.hd, r.ps, r.ng) for r in rules])
+    return Program._of_fields(fields), SimplifyTrace(tuple(steps))
 
 
 def verify_simplification(p: Program, q: Program, max_atoms: int = SE_ATOM_LIMIT) -> bool:

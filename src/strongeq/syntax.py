@@ -71,6 +71,12 @@ class Symbols:
         self._ids[name] = new_id
         return new_id
 
+    def _restore(self, size: int) -> None:
+        """Drop the atoms added since the table held `size` of them."""
+        for name in self._names[size:]:
+            del self._ids[name]
+        del self._names[size:]
+
     def name(self, atom_id: int) -> str:
         return self._names[atom_id]
 
@@ -140,56 +146,30 @@ class Program:
     """An ordered, duplicate-free sequence of rules; immutable, equal and
     hashed by its rules.
 
-    A program keeps its rules' field triples (hd, ps, ng), which are what
-    the two-world kernel reads, and builds each side from the other at most
-    once: a program parsed from text holds only the triples and builds its
-    Rules when `rules` is first read (deciding strong equivalence or answer
-    sets never reads it); one built from Rules reads the triples off them
-    when `fields` is first read.
+    A program is its rules' field triples (hd, ps, ng), in order: `fields`,
+    which is what the two-world kernel reads.  `rules`, iteration, repr and
+    pickling build the Rules from the triples each time they are read.
     """
 
-    __slots__ = ("_fields", "_rules")
+    __slots__ = ("fields",)
 
     def __init__(self, rules: Iterable[Rule] = ()) -> None:
-        _set_fields(self, None)
-        _set_rules(self, tuple(dict.fromkeys(rules)))
+        # duplicates go on the field triples, which hash in C
+        _set_fields(self, tuple(dict.fromkeys([(r.hd, r.ps, r.ng) for r in rules])))
 
     __setattr__ = __delattr__ = _read_only
 
     @classmethod
-    def _of_distinct(cls, rules: tuple[Rule, ...]) -> Program:
-        """The program of `rules`, which the caller has made duplicate-free;
-        no rule is hashed."""
-        program = object.__new__(cls)
-        _set_fields(program, None)
-        _set_rules(program, rules)
-        return program
-
-    @classmethod
     def _of_fields(cls, fields: tuple[Fields, ...]) -> Program:
         """The program of the rules with these (hd, ps, ng), which the caller
-        has made duplicate-free; no Rule is built."""
+        has made duplicate-free."""
         program = object.__new__(cls)
         _set_fields(program, fields)
-        _set_rules(program, None)
         return program
-
-    @property
-    def fields(self) -> tuple[Fields, ...]:
-        """Each rule's (hd, ps, ng), in order."""
-        fields = self._fields
-        if fields is None:
-            fields = tuple([(r.hd, r.ps, r.ng) for r in self._rules])
-            _set_fields(self, fields)
-        return fields
 
     @property
     def rules(self) -> tuple[Rule, ...]:
-        rules = self._rules
-        if rules is None:
-            rules = tuple(starmap(Rule, self._fields))
-            _set_rules(self, rules)
-        return rules
+        return tuple(starmap(Rule, self.fields))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -214,14 +194,13 @@ class Program:
         return m
 
     def __iter__(self) -> Iterator[Rule]:
-        return iter(self.rules)
+        return starmap(Rule, self.fields)
 
     def __len__(self) -> int:
-        fields = self._fields
-        return len(self._rules if fields is None else fields)
+        return len(self.fields)
 
 
-_set_fields, _set_rules = Program._fields.__set__, Program._rules.__set__
+_set_fields = Program.fields.__set__
 
 
 # --- text syntax -----------------------------------------------------------
@@ -244,9 +223,10 @@ _set_fields, _set_rules = Program._fields.__set__, Program._rules.__set__
 # so _statement_fields reads the rules off the words with str methods,
 # interning atoms in textual order (head atoms, then body literals).
 # Other text goes unchanged to the token parser (_Parser), which raises
-# the ParseError with the line and column of the offending token; nothing
-# was interned before it ran.  parse_rule, which reads one statement,
-# always uses the token parser.
+# the ParseError with the line and column of the offending token and cuts
+# the table back to its length at entry, dropping the atoms read before
+# that token.  parse_rule, which reads one statement, always uses the
+# token parser.
 #
 # The pattern gives whitespace exactly one way to match: two adjacent \s*
 # around an optional group make a failing match backtrack quadratically
@@ -351,6 +331,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.symbols = symbols
+        self.size = len(symbols)
 
     @property
     def cur(self) -> _Token:
@@ -362,6 +343,8 @@ class _Parser:
         return tok
 
     def fail(self, message: str) -> ParseError:
+        """The error at the current token, the table cut back to its length at entry."""
+        self.symbols._restore(self.size)
         return _error(message, self.text, self.cur.offset)
 
     def _found(self) -> str:
@@ -375,7 +358,7 @@ class _Parser:
         self.advance()
         return self.symbols.intern(tok.text)
 
-    def statement(self) -> Rule:
+    def statement(self) -> Fields:
         hd = ps = ng = 0
         if self.cur.kind == "atom":
             hd |= 1 << self.expect_atom("in head")
@@ -392,7 +375,7 @@ class _Parser:
         if self.cur.kind != ".":
             raise self.fail(f"expected '.' to end statement, found {self._found()}")
         self.advance()
-        return Rule(hd, ps, ng)
+        return hd, ps, ng
 
     def literal(self, ps: int, ng: int) -> tuple[int, int]:
         if self.cur.kind == "not":
@@ -402,42 +385,43 @@ class _Parser:
             ps |= 1 << self.expect_atom("in body")
         return ps, ng
 
-    def rule(self) -> Rule:
-        rule = self.statement()
+    def rule(self) -> Fields:
+        fields = self.statement()
         if self.cur.kind != "eof":
             raise self.fail(f"trailing input after rule: '{self.cur.text}'")
-        return rule
+        return fields
 
-    def program(self) -> Program:
-        rules: list[Rule] = []
+    def program(self) -> list[Fields]:
+        fields = []
         while self.cur.kind != "eof":
-            rules.append(self.statement())
-        return Program(tuple(rules))
+            fields.append(self.statement())
+        return fields
 
 
 def parse_rule(text: str, symbols: Symbols) -> Rule:
     """Parse exactly one rule statement with the token parser, which
     raises a ParseError carrying the line and column of the first
-    offending token."""
-    return _Parser(text, symbols).rule()
+    offending token and leaves the table as it found it."""
+    return Rule(*_Parser(text, symbols).rule())
 
 
 def parse_program(text: str, symbols: Symbols) -> Program:
-    """Parse a whole program; rules keep first-occurrence order and exact
-    duplicates are dropped.
+    """Parse a whole program into its rules' field triples; rules keep
+    first-occurrence order and exact duplicates are dropped.
 
     Well-formed text is read with one regex match of the whole text and
     str methods, in time linear in its length; atoms are interned only once
-    the whole text has matched.  The program holds the rules' field triples
-    and builds no Rule until its `rules` are read.  Any other text goes to
-    the token parser, which raises a ParseError carrying the line and
-    column of the first offending token.
+    the whole text has matched.  Any other text goes to the token parser,
+    which raises a ParseError carrying the line and column of the first
+    offending token and leaves the table as it found it.
     """
     statements = _well_formed(text)
     if statements is None:
-        return _Parser(text, symbols).program()
-    # duplicates go on the field triples, which hash in C; no Rule is built
-    return Program._of_fields(tuple(dict.fromkeys(_statement_fields(statements, symbols))))
+        fields = _Parser(text, symbols).program()
+    else:
+        fields = _statement_fields(statements, symbols)
+    # duplicates go on the field triples, which hash in C
+    return Program._of_fields(tuple(dict.fromkeys(fields)))
 
 
 def format_rule(r: Rule, symbols: Symbols) -> str:
@@ -445,10 +429,14 @@ def format_rule(r: Rule, symbols: Symbols) -> str:
 
     Round-trips: parse_rule(format_rule(r)) == r.
     """
-    name = symbols._names.__getitem__
-    head = "; ".join(map(name, bits_of(r.hd)))
-    body_parts = list(map(name, bits_of(r.ps)))
-    body_parts += ["not " + atom for atom in map(name, bits_of(r.ng))]
+    return _rule_text(r.hd, r.ps, r.ng, symbols._names.__getitem__)
+
+
+def _rule_text(hd: int, ps: int, ng: int, name) -> str:
+    """The text of the rule hd <- ps, not ng; `name` maps atom ids to names."""
+    head = "; ".join(map(name, bits_of(hd)))
+    body_parts = list(map(name, bits_of(ps)))
+    body_parts += ["not " + atom for atom in map(name, bits_of(ng))]
     body = ", ".join(body_parts)
     if head and body:
         return f"{head} :- {body}."
@@ -460,7 +448,10 @@ def format_rule(r: Rule, symbols: Symbols) -> str:
 
 
 def format_program(p: Program, symbols: Symbols) -> str:
-    return "".join(format_rule(r, symbols) + "\n" for r in p.rules)
+    """Render each rule on a line of its own, as format_rule does; reads
+    the program's field triples and builds no Rule."""
+    name = symbols._names.__getitem__
+    return "".join([_rule_text(hd, ps, ng, name) + "\n" for hd, ps, ng in p.fields])
 
 
 # --- isomorphism -----------------------------------------------------------

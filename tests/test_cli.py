@@ -741,6 +741,18 @@ class TestOutputFiles:
                      for arg in self.ARGV[option]]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("option", sorted(ARGV))
+    def test_an_empty_path_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                        option):
+        # "" names no file, so it is refused, not taken for an absent option
+        program = write(tmp_path, "p.lp", "a :- a. b.")
+        monkeypatch.setattr(cli, "simplify", _must_not_simplify)
+        monkeypatch.setattr(cli, "test_conjecture", _must_not_simplify)
+        assert main([arg.format(program=program, file="") for arg in self.ARGV[option]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: cannot write : not a writable file path\n"
+
 
 TOP_USAGE = "usage: strongeq [-h] {answersets,check-se,simplify,verify} ...\n"
 

@@ -6,7 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
-from itertools import permutations
+from itertools import permutations, starmap
 from pathlib import Path
 
 import pytest
@@ -36,6 +36,11 @@ def fresh(*names: str) -> Symbols:
     for n in names:
         symbols.intern(n)
     return symbols
+
+
+def names(symbols: Symbols) -> list[str]:
+    """The table's names in id order."""
+    return [symbols.name(i) for i in range(len(symbols))]
 
 
 class TestSymbols:
@@ -287,8 +292,22 @@ def outcome(parse, text):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(texts)
 def test_statement_scan_matches_token_parser(text):
-    assert outcome(parse_program, text) == outcome(lambda s, t: _Parser(s, t).program(), text)
-    assert outcome(parse_rule, text) == outcome(lambda s, t: _Parser(s, t).rule(), text)
+    def token_program(text, symbols):
+        return Program._of_fields(tuple(dict.fromkeys(_Parser(text, symbols).program())))
+
+    assert outcome(parse_program, text) == outcome(token_program, text)
+    assert outcome(parse_rule, text) == outcome(lambda s, t: Rule(*_Parser(s, t).rule()), text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(texts)
+def test_a_parse_error_leaves_the_table_as_it_was(text):
+    for parse in (parse_program, parse_rule):
+        t = fresh("a", "q1")
+        try:
+            parse(text, t)
+        except ParseError:
+            assert names(t) == ["a", "q1"]
 
 
 class TestParserEdges:
@@ -313,6 +332,34 @@ class TestParserEdges:
         with pytest.raises(ParseError):
             parse_program("a :- b. c ?", t)
         assert len(t) == 0
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_program, "a :- b. c d."),
+        (parse_program, "a; b :- not c, d :- e."),
+        (parse_program, "b. z :- not a, c"),
+        (parse_rule, "a :- b c."),
+        (parse_rule, "a :- b. c."),
+        (parse_rule, "c; a :- not d"),
+    ])
+    @pytest.mark.parametrize("known", [(), ("b", "z")])
+    def test_a_grammar_error_drops_the_atoms_read_before_it(self, parse, text, known):
+        # the tokenizer's character errors come before any atom is read;
+        # these come from the grammar, after new atoms were interned
+        t = fresh(*known)
+        with pytest.raises(ParseError):
+            parse(text, t)
+        assert names(t) == list(known)
+        assert [t.intern(n) for n in (*known, "d")] == list(range(len(known) + 1))
+
+    def test_a_grammar_error_leaves_a_frozen_table(self):
+        t = fresh("a", "b")
+        t.freeze()
+        for parse, text in ((parse_program, "a :- b. b a."), (parse_rule, "a :- not b a.")):
+            with pytest.raises(ParseError):
+                parse(text, t)
+            assert names(t) == ["a", "b"]
+        with pytest.raises(RuntimeError):
+            t.intern("c")
 
     def test_frozen_table_rejects_a_new_atom_in_well_formed_text(self):
         t = fresh("a")
@@ -510,8 +557,7 @@ class TestProgram:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32), st.integers(1, 6))
     def test_parsed_and_built_programs_agree(self, seed, atom_count):
-        # one holds only field triples until its rules are read, the other
-        # only Rules until its fields are
+        # a program is its field triples, whether parsed or built from Rules
         built = random_program(random.Random(seed), atom_count, 8)
         symbols = fresh(*(f"a{i}" for i in range(atom_count)))
         parsed = parse_program(format_program(built, symbols), symbols)
@@ -521,11 +567,16 @@ class TestProgram:
         assert parsed.atoms == built.atoms
         assert repr(parsed) == repr(built)
         assert list(parsed) == list(built)
-        assert parsed.rules is parsed.rules and built.rules is built.rules
         assert parsed.fields == built.fields == tuple((r.hd, r.ps, r.ng) for r in built.rules)
         for program in (parsed, built):
+            assert program.rules == tuple(starmap(Rule, program.fields))
             copy = pickle.loads(pickle.dumps(program))
             assert copy == built and repr(copy) == repr(built) and hash(copy) == hash(built)
+        # Program(rules) keeps the first of duplicate rules
+        rules = built.rules
+        doubled = Program(rules[::-1] + rules + tuple(starmap(Rule, built.fields)))
+        assert doubled.rules == rules[::-1]
+        assert Program(rules + rules[::-1]) == built
 
     def test_read_only(self):
         p = parse_program("a.", Symbols())
